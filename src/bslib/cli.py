@@ -495,6 +495,11 @@ def _demo_esseen_k(args) -> tuple[list, list, list]:
     return bounds, meas, verdicts
 
 
+def _ks_limit(floor: float, samples: int) -> float:
+    """KS pass threshold: floor, widened to the DKW band at false-alarm rate 1e-6."""
+    return max(floor, math.sqrt(math.log(2.0 / 1e-6) / (2.0 * samples)))
+
+
 def _demo_clt_haar(args) -> tuple[list, list, list]:
     from . import clt
 
@@ -513,7 +518,8 @@ def _demo_clt_haar(args) -> tuple[list, list, list]:
     ]
     verdicts = [
         {"name": "gap_le_bound", "pass": g.admissible and g.holds},
-        {"name": "ks_small", "pass": max(rep.ks_real[0], rep.ks_imag[0]) <= 0.01},
+        {"name": "ks_small",
+         "pass": max(rep.ks_real[0], rep.ks_imag[0]) <= _ks_limit(0.01, mc.samples)},
     ]
     return bounds, meas, verdicts
 
@@ -537,7 +543,8 @@ def _demo_clt_vector(args) -> tuple[list, list, list]:
     ]
     verdicts = [
         {"name": "gap_le_bound", "pass": g.admissible and g.holds},
-        {"name": "ks_small", "pass": max(max(rep.ks_real), max(rep.ks_imag)) <= 0.02},
+        {"name": "ks_small",
+         "pass": max(max(rep.ks_real), max(rep.ks_imag)) <= _ks_limit(0.02, mc.samples)},
     ]
     return bounds, meas, verdicts
 

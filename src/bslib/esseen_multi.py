@@ -10,6 +10,7 @@ the first three variants, k <= 2 for the slab variant.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -35,6 +36,7 @@ __all__ = [
     "esseen_bound_k",
     "esseen_bound_truncated",
     "slab_norm",
+    "slab_norms",
     "esseen_bound_slab",
     "convergence_harness_k",
     "partitions",
@@ -60,7 +62,8 @@ def selberg_ring_expansion(k: int) -> tuple[sp.Expr, Counter, Counter]:
     S and S_tilde are Counters over per-index symbol tuples and
     S_tilde collects g_1..g_k - chi_1..chi_k.
     """
-    assert 2 <= k <= 6
+    if not 2 <= k <= 6:
+        raise ValueError(f"k must satisfy 2 <= k <= 6 (got {k})")
     chi = sp.symbols(f"chi1:{k + 1}")
     dlt = sp.symbols(f"delta1:{k + 1}")
     eps = sp.symbols(f"eps1:{k + 1}")
@@ -163,8 +166,17 @@ def _d_set_apply(f_vec: Callable, points: np.ndarray, C: Sequence[int]) -> np.nd
 # factorizations and derivative bounds
 
 
-def _gauss_legendre(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=None)
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [-1, 1], computed once per n."""
     x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _gauss_legendre(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    x, w = _leggauss(n)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
@@ -188,7 +200,8 @@ def factorization_residual(
     """
     v = np.asarray(v, dtype=float)
     k = v.size
-    assert 1 <= m <= k
+    if not 1 <= m <= k:
+        raise ValueError(f"m must satisfy 1 <= m <= {k} = len(v) (got {m})")
     if which == "mixed":
         word = [("D", j) for j in range(m)]
         lo, weight_fn, front = -1.0, None, float(np.prod(v[:m])) / 2.0**m
@@ -311,7 +324,8 @@ def derivative_bound_check(f: Callable, spec: dict, v: Sequence[float]) -> Bound
 
     if which == "4.24":
         ell = spec["ell"]
-        assert 1 <= h <= ell <= m
+        if not 1 <= h <= ell <= m:
+            raise ValueError(f"spec must satisfy 1 <= h <= ell <= m (got h={h}, ell={ell}, m={m})")
         word = [("D", j) for j in range(m)]
         lhs = abs(apply_operator(word, f, v))
         prod_safe, prod_raw = 1.0, 1.0
@@ -333,7 +347,11 @@ def derivative_bound_check(f: Callable, spec: dict, v: Sequence[float]) -> Bound
     delta = spec["delta"]
     ell = spec["ell"]
     L = ell + delta
-    assert ell <= n and n + delta <= m and 1 <= h <= L
+    if not (ell <= n and n + delta <= m and 1 <= h <= L):
+        raise ValueError(
+            "spec must satisfy ell <= n, n + delta <= m and 1 <= h <= ell + delta "
+            f"(got h={h}, ell={ell}, n={n}, delta={delta}, m={m})"
+        )
     if which == "4.26":
         word = [("Delta", j) for j in range(n)] + [("D", j) for j in range(n, m)]
     else:  # 4.27 / 4.28: the product of E_j Delta_j over the first block
@@ -396,10 +414,13 @@ def product_law(components: Sequence[Distribution1D]) -> KDimLaw:
         return float(np.prod([c.cdf(float(y[j])) for j, c in enumerate(components)]))
 
     def cf(pts: np.ndarray) -> np.ndarray:
+        # tensor grids repeat each coordinate value many times: evaluate the
+        # scalar component cf once per distinct value and scatter it back
         pts = np.atleast_2d(pts)
         out = np.ones(pts.shape[0], dtype=complex)
         for j, c in enumerate(components):
-            out *= np.array([c.cf(float(t)) for t in pts[:, j]])
+            u, inv = np.unique(pts[:, j], return_inverse=True)
+            out *= np.array([c.cf(float(x)) for x in u])[inv]
         return out
 
     # E max|x_j|^2 <= sum E x_j^2 for alpha = 2 components
@@ -482,7 +503,8 @@ class PartitionP:
     D_set: frozenset
 
     def __post_init__(self):
-        assert not (self.B_set & self.C_set or self.B_set & self.D_set or self.C_set & self.D_set)
+        if self.B_set & self.C_set or self.B_set & self.D_set or self.C_set & self.D_set:
+            raise ValueError("B_set, C_set and D_set must be disjoint")
 
 
 def _axis_nodes(omega: float, panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -533,7 +555,10 @@ def esseen_bound_k(
 ) -> KBoundReport:
     """Partition-sum smoothing bound for |F(t) - G(t)|."""
     k = F.k
-    assert k <= 3 and len(omegas) == k
+    if k > 3:
+        raise ValueError(f"k must be <= 3 (got F.k = {k})")
+    if len(omegas) != k:
+        raise ValueError(f"omegas must have k = {k} entries (got {len(omegas)})")
     consts = constants or BoundConstants.for_k(k)
     panels = panels or (12 if k <= 2 else 7)
     order = order or (8 if k <= 2 else 5)
@@ -565,6 +590,13 @@ def esseen_bound_k(
     return KBoundReport(total, terms, tail, 0.0, consts.as_dict(), {"t": tuple(t), "omegas": tuple(omegas)})
 
 
+def _check_omegas(omegas: Sequence[float], k: int) -> None:
+    if len(omegas) != k:
+        raise ValueError(f"omegas must have k = {k} entries (got {len(omegas)})")
+    if not min(omegas) > 1.0:
+        raise ValueError(f"omegas must all be > 1 (got {tuple(omegas)})")
+
+
 def _v_bullet_factor(vals: np.ndarray, delta: float) -> np.ndarray:
     # 1/|v_bullet| = min(Delta, 1/|v|)
     return np.minimum(delta, 1.0 / np.abs(vals))
@@ -590,14 +622,18 @@ def esseen_bound_truncated(
     factor 1/|v_bullet| is replaced by the larger delta/|v_triangle|.
     """
     k = F.k
-    assert k <= 3 and min(omegas) > 1.0
+    if k > 3:
+        raise ValueError(f"k must be <= 3 (got F.k = {k})")
+    _check_omegas(omegas, k)
     consts = constants or BoundConstants.for_k(k)
     panels = panels or (12 if k <= 2 else 7)
     order = order or (8 if k <= 2 else 5)
     if mode == "B":
-        assert box_extent is not None and box_extent > 0
+        if box_extent is None or not box_extent > 0:
+            raise ValueError(f"box_extent must be > 0 in mode 'B' (got {box_extent})")
         delta = 1.0 + box_extent
-    assert delta > 1.0
+    if not delta > 1.0:
+        raise ValueError(f"delta must be > 1 (got {delta})")
     a = alpha if alpha is not None else min(F.moment[0], G.moment[0])
 
     def integrand(pts: np.ndarray) -> np.ndarray:
@@ -644,6 +680,9 @@ def box_probability(cdf: Callable[[np.ndarray], float], a: np.ndarray, b: np.nda
 # slab norms and the slab-variant bound
 
 
+_SLAB_CHUNK = 256  # rows per batched slab-norm evaluation; bounds the candidate arrays
+
+
 def slab_norm(
     f: Callable[[np.ndarray], np.ndarray],
     C: Sequence[int],
@@ -655,56 +694,78 @@ def slab_norm(
 ) -> float:
     """Slab-wise sup quantity |f|_C (bar) or ||f||_C (double_bar) at v.
 
-    Coordinates of C with |v_j| >= tau contribute sign flips; those with
-    |v_j| < tau are 'small': the value becomes a sup of first partials
-    |S_j f| over the short-circuit set (|xi_j| <= |v_j| for bar,
-    |xi_j| <= tau for double_bar).  Empty C returns |f(v)|.
+    The one-point form of `slab_norms`, which documents the computation.
     """
-    v = np.asarray(v, dtype=float)
-    k = v.size
+    return float(slab_norms(f, C, [v], tau, flavor, grid, safety)[0])
+
+
+def slab_norms(
+    f: Callable[[np.ndarray], np.ndarray],
+    C: Sequence[int],
+    V: np.ndarray,
+    tau: float = 1.0,
+    flavor: Literal["bar", "double_bar"] = "double_bar",
+    grid: int = 7,
+    safety: float = 1.5,
+) -> np.ndarray:
+    """|f|_C (bar) or ||f||_C (double_bar) at every row v of the (N, k) array V.
+
+    Coordinates of C with |v_j| >= tau contribute sign flips; if none is
+    small the value is the exact max of |f| over the flips.  Coordinates
+    with |v_j| < tau are 'small': the value becomes `safety` (default 1.5)
+    times the max of central-difference first partials |S_j f| (j small)
+    over the flips crossed with a (2 grid + 1)-point grid per small
+    coordinate on the short-circuit set (|xi_j| <= |v_j| for bar,
+    |xi_j| <= tau for double_bar).  Empty C returns |f(v)|.  Rows are grouped by which
+    coordinates of C are small and evaluated in chunks of _SLAB_CHUNK rows.
+    """
+    V = np.asarray(V, dtype=float)
     C = list(C)
     if not C:
-        return float(abs(np.asarray(f(v[None, :]))[0]))
-    Cb = [j for j in C if abs(v[j]) >= tau]
-    Cs = [j for j in C if abs(v[j]) < tau]
+        # hypot rounds as abs() of one complex value does; np.abs on a
+        # complex array can differ from it in the last bit
+        z = np.asarray(f(V))
+        return np.hypot(z.real, z.imag)
+    out = np.empty(V.shape[0])
+    small = np.abs(V[:, C]) < tau
+    for pattern in itertools.product((False, True), repeat=len(C)):
+        rows = np.flatnonzero(np.all(small == pattern, axis=1))
+        Cb = [j for j, s in zip(C, pattern) if not s]
+        Cs = [j for j, s in zip(C, pattern) if s]
+        for lo in range(0, rows.size, _SLAB_CHUNK):
+            r = rows[lo : lo + _SLAB_CHUNK]
+            out[r] = _slab_group(f, V[r], Cb, Cs, tau, flavor, 2 * grid + 1, safety)
+    return out
 
-    sign_choices = list(itertools.product((1.0, -1.0), repeat=len(Cb)))
-    prev = None
-    for npts in (grid, 2 * grid + 1):
-        cand = []
-        for signs in sign_choices:
-            base = v.copy()
-            for s, j in zip(signs, Cb):
-                base[j] = s * v[j]
-            if not Cs:
-                cand.append(base)
-            else:
-                ranges = [
-                    np.linspace(-(abs(v[j]) if flavor == "bar" else tau) * (1 - 1e-9),
-                                (abs(v[j]) if flavor == "bar" else tau) * (1 - 1e-9), npts)
-                    for j in Cs
-                ]
-                for combo in itertools.product(*ranges):
-                    p = base.copy()
-                    for x, j in zip(combo, Cs):
-                        p[j] = x
-                    cand.append(p)
-        pts = np.asarray(cand)
-        if not Cs:
-            best = float(np.max(np.abs(np.asarray(f(pts)))))
-            return best  # exact finite max, no safety needed
-        # sup of first partials over the candidate set
-        h = 1e-4
-        best = 0.0
-        for j in Cs:
-            up, dn = pts.copy(), pts.copy()
-            up[:, j] += h
-            dn[:, j] -= h
-            d = np.abs(np.asarray(f(up)) - np.asarray(f(dn))) / (2 * h)
-            best = max(best, float(np.max(d)))
-        if prev is not None and best <= prev * 1.1:
-            break
-        prev = best
+
+def _slab_group(f, V, Cb, Cs, tau, flavor, npts, safety) -> np.ndarray:
+    """slab_norms for rows of V whose big/small split of C is (Cb, Cs)."""
+    n, k = V.shape
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=len(Cb))))
+    signs = signs.reshape(2 ** len(Cb), len(Cb))
+    cand = np.repeat(V[:, None, :], len(signs), axis=1)  # (n, flips, k)
+    cand[:, :, Cb] = signs * V[:, None, Cb]
+    if not Cs:
+        # exact finite max, no safety needed
+        return np.max(np.abs(np.asarray(f(cand.reshape(-1, k)))).reshape(n, -1), axis=1)
+    half = (np.abs(V[:, Cs]) if flavor == "bar" else np.full((n, len(Cs)), tau)) * (1 - 1e-9)
+    # np.linspace(-half, half, npts) per row and coordinate, in the same arithmetic
+    axis = np.arange(npts) * (2 * half / (npts - 1))[..., None] - half[..., None]
+    axis[..., -1] = half
+    idx = np.indices((npts,) * len(Cs)).reshape(len(Cs), -1)  # grid multi-indices
+    pts = np.repeat(cand[:, :, None, :], idx.shape[1], axis=2)  # (n, flips, grid, k)
+    for i, j in enumerate(Cs):
+        pts[..., j] = axis[:, i, idx[i]][:, None, :]
+    pts = pts.reshape(-1, k)
+    # sup of first partials over the candidate set
+    h = 1e-4
+    best = np.zeros(n)
+    for j in Cs:
+        up, dn = pts.copy(), pts.copy()
+        up[:, j] += h
+        dn[:, j] -= h
+        d = np.abs(np.asarray(f(up)) - np.asarray(f(dn))) / (2 * h)
+        best = np.maximum(best, d.reshape(n, -1).max(axis=1))
     return safety * best
 
 
@@ -719,7 +780,9 @@ def esseen_bound_slab(
 ) -> KBoundReport:
     """Slab-norm smoothing bound (t-free), k <= 2."""
     k = F.k
-    assert k <= 2 and min(omegas) > 1.0
+    if k > 2:
+        raise ValueError(f"k must be <= 2 (got F.k = {k})")
+    _check_omegas(omegas, k)
     consts = constants or BoundConstants.for_k(k)
 
     def diff(pts: np.ndarray) -> np.ndarray:
@@ -732,13 +795,9 @@ def esseen_bound_slab(
         axes = [_axis_nodes(omegas[j], panels, order) for j in range(k) if j not in fixed]
 
         def integrand(pts: np.ndarray) -> np.ndarray:
-            out = np.empty(pts.shape[0])
-            for i, p in enumerate(pts):
-                nrm = slab_norm(diff, C, p, tau, "double_bar", grid=5)
-                val = nrm
-                for j in C:
-                    val = val / max(abs(p[j]), 1.0)  # |v_triangle|
-                out[i] = val
+            out = slab_norms(diff, C, pts, tau, "double_bar", grid=5)
+            for j in C:
+                out = out / np.maximum(np.abs(pts[:, j]), 1.0)  # |v_triangle|
             for j in D:
                 out = out / omegas[j]
             return out

@@ -125,6 +125,15 @@ class TestDemo:
         code, _, _ = run(capsys, "demo", "--scenario", "esseen-k", "--k", "7")
         assert code == EXIT_USAGE
 
+    def test_ks_verdict_widens_with_few_samples(self, capsys):
+        # at 10^4 samples the DKW band (0.027) exceeds the fixed 0.01, and a
+        # correct sampler draws KS 0.012 under this seed
+        code, payload, _ = run_json(
+            capsys, "demo", "--scenario", "clt-haar", "--samples", "10000", "--seed", "5"
+        )
+        assert code == EXIT_OK
+        assert all(v["pass"] for v in payload["verdicts"])
+
 
 class TestConstantOverrides:
     def test_override_recorded_in_manifest(self, capsys):

@@ -1,5 +1,6 @@
 """k-variable smoothing machinery: ring expansion, operator algebra, bounds."""
 
+import dataclasses
 import itertools
 import math
 
@@ -200,9 +201,15 @@ class TestDerivativeBounds:
         assert chk.holds
 
     def test_invalid_spec_rejected(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="^spec"):
             em.derivative_bound_check(
                 self._f, {"which": "4.24", "h": 3, "ell": 2, "m": 2}, (0.5, 0.5, 0.5)
+            )
+        with pytest.raises(ValueError, match="^spec"):
+            em.derivative_bound_check(
+                self._f,
+                {"which": "4.26", "h": 1, "ell": 2, "m": 3, "n": 2, "delta": 2},
+                (0.8, 1.2, 0.5),
             )
 
 
@@ -226,7 +233,7 @@ class TestLawsAndPartitions:
                 assert not (set(B) & set(C) or set(B) & set(D) or set(C) & set(D))
 
     def test_partition_record_validation(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="disjoint"):
             em.PartitionP(frozenset({0}), frozenset({0}), frozenset())
 
     def test_product_law_cf_and_cdf(self):
@@ -339,7 +346,7 @@ class TestBounds:
 
     def test_mode_b_requires_box_extent(self):
         F, G = _k2_pair()
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="box_extent"):
             em.esseen_bound_truncated(F, G, (8.0, 8.0), delta=2.0, mode="B")
 
 
@@ -397,3 +404,179 @@ class TestHarness:
         for r in rows:
             assert r.bound >= r.sup_distance
             assert math.isfinite(r.moment_diag)
+
+
+# ---------------------------------------------------------------------------
+# input validation (explicit exceptions, so it survives python -O)
+
+
+def _binomial_law(k, n=25):
+    return em.product_law([e1.standardized_binomial(n)] * k)
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda: em.esseen_bound_k(_binomial_law(4), em.product_normal_target(4),
+                                       (8.0,) * 4, (0.0,) * 4), "^k must"),
+            (lambda: em.esseen_bound_k(*_k2_pair(), (8.0,) * 3, (0.0, 0.0)), "^omegas"),
+            (lambda: em.esseen_bound_truncated(_binomial_law(4), em.product_normal_target(4),
+                                               (8.0,) * 4, delta=8.0), "^k must"),
+            (lambda: em.esseen_bound_truncated(*_k2_pair(), (8.0, 1.0), delta=8.0), "^omegas"),
+            (lambda: em.esseen_bound_truncated(*_k2_pair(), (8.0,) * 3, delta=8.0), "^omegas"),
+            (lambda: em.esseen_bound_truncated(*_k2_pair(), (8.0, 8.0), delta=1.0), "^delta"),
+            (lambda: em.esseen_bound_truncated(*_k2_pair(), (8.0, 8.0), delta=2.0, mode="B",
+                                               box_extent=-1.0), "^box_extent"),
+            (lambda: em.esseen_bound_slab(_binomial_law(3), em.product_normal_target(3),
+                                          (8.0,) * 3), "^k must"),
+            (lambda: em.esseen_bound_slab(*_k2_pair(), (0.5, 8.0)), "^omegas"),
+            (lambda: em.esseen_bound_slab(*_k2_pair(), (8.0,)), "^omegas"),
+            (lambda: em.selberg_ring_expansion(1), "^k must"),
+            (lambda: em.selberg_ring_expansion(7), "^k must"),
+            (lambda: em.factorization_residual(abs, abs, 0, "mixed", (0.5, 0.5)), "^m must"),
+            (lambda: em.factorization_residual(abs, abs, 3, "mixed", (0.5, 0.5)), "^m must"),
+        ],
+    )
+    def test_bad_parameter_named(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
+# ---------------------------------------------------------------------------
+# tensor-quadrature evaluation: distinct-node cf calls, batched slab norms
+
+
+def _shifted_gaussian(mu):
+    """A law with a non-even cf, so that sign and scatter errors show."""
+    def cf(t):
+        return complex(math.cos(mu * t), math.sin(mu * t)) * math.exp(-0.5 * t * t)
+
+    return e1.Distribution1D(lambda x: e1.normal_cdf(x, mu), cf, None, (2.0, 1.0 + mu * mu))
+
+
+def _counting(comp, calls):
+    def cf(t):
+        calls.append(t)
+        return comp.cf(t)
+
+    return dataclasses.replace(comp, cf=cf)
+
+
+class TestProductLawCf:
+    def test_one_call_per_distinct_node(self):
+        comps = [_shifted_gaussian(0.4), e1.standardized_binomial(25), _shifted_gaussian(-1.3)]
+        calls = [[], [], []]
+        F = em.product_law([_counting(c, log) for c, log in zip(comps, calls)])
+        x, _ = em._axis_nodes(6.0, 3, 4)
+        axis = np.concatenate([x, [0.0]])  # symmetric, with a zero
+        pts = np.stack([g.ravel() for g in np.meshgrid(axis, axis, axis, indexing="ij")], axis=-1)
+        pts = np.concatenate([pts, pts * [1.0, 0.0, -1.0]])  # plus a zero slice (B-set)
+        vals = F.cf(pts)
+        for j, log in enumerate(calls):
+            assert len(log) == len(set(log)) == np.unique(pts[:, j]).size
+        # the per-point product, multiplied in the same order
+        expect = np.ones(pts.shape[0], dtype=complex)
+        for j, c in enumerate(comps):
+            expect *= np.array([c.cf(float(t)) for t in pts[:, j]])
+        assert np.array_equal(vals, expect)
+
+
+def _pointwise_slab_norm(f, C, v, tau, flavor, grid, safety=1.5):
+    """Per-point slab norm as first written: a loop over candidate points on
+    the (2 grid + 1)-point grid."""
+    v = np.asarray(v, dtype=float)
+    if not C:
+        return float(abs(np.asarray(f(v[None, :]))[0]))
+    Cb = [j for j in C if abs(v[j]) >= tau]
+    Cs = [j for j in C if abs(v[j]) < tau]
+    npts = 2 * grid + 1
+    cand = []
+    for signs in itertools.product((1.0, -1.0), repeat=len(Cb)):
+        base = v.copy()
+        for s, j in zip(signs, Cb):
+            base[j] = s * v[j]
+        if not Cs:
+            cand.append(base)
+            continue
+        ranges = [
+            np.linspace(-(abs(v[j]) if flavor == "bar" else tau) * (1 - 1e-9),
+                        (abs(v[j]) if flavor == "bar" else tau) * (1 - 1e-9), npts)
+            for j in Cs
+        ]
+        for combo in itertools.product(*ranges):
+            p = base.copy()
+            for x, j in zip(combo, Cs):
+                p[j] = x
+            cand.append(p)
+    pts = np.asarray(cand)
+    if not Cs:
+        return float(np.max(np.abs(np.asarray(f(pts)))))
+    h = 1e-4
+    best = 0.0
+    for j in Cs:
+        up, dn = pts.copy(), pts.copy()
+        up[:, j] += h
+        dn[:, j] -= h
+        best = max(best, float(np.max(np.abs(f(up) - f(dn)) / (2 * h))))
+    return safety * best
+
+
+class TestBatchedSlabNorm:
+    @pytest.mark.parametrize("tau", [1.0, 0.7])
+    @pytest.mark.parametrize("flavor", ["bar", "double_bar"])
+    def test_batched_equals_pointwise(self, monkeypatch, tau, flavor):
+        F = em.product_law([_shifted_gaussian(0.4), e1.standardized_binomial(25)])
+        G = em.product_normal_target(2)
+
+        def f(pts):
+            return F.cf(pts) - G.cf(pts)
+
+        rng = np.random.default_rng(11)
+        edge = [tau * (1 - 1e-12), tau, tau * (1 + 1e-12), 0.3, 2.0]
+        edge = edge + [-e for e in edge]  # either side of |v_j| = tau
+        V = np.concatenate([rng.uniform(-3.0, 3.0, (24, 2)),
+                            np.array(list(itertools.product(edge, edge)))])
+        # small chunks, so that groups span several of them
+        monkeypatch.setattr(em, "_SLAB_CHUNK", 7)
+        for C in ((), (0,), (1,), (0, 1)):
+            batched = em.slab_norms(f, C, V, tau, flavor, grid=3)
+            looped = [em.slab_norm(f, C, v, tau, flavor, grid=3) for v in V]
+            pointwise = [_pointwise_slab_norm(f, C, v, tau, flavor, grid=3) for v in V]
+            assert np.array_equal(batched, looped)
+            assert np.array_equal(batched, pointwise)
+
+
+class TestPinnedTotals:
+    # totals recorded from the per-point implementation (a scalar cf call
+    # per grid point, one slab norm per quadrature point); the
+    # distinct-node and batched paths must reproduce them
+    @pytest.mark.parametrize(
+        "name, expect",
+        [
+            ("k2_partition", 0.21612302871514547),
+            ("k2_truncated_A", 0.5638529342153961),
+            ("k2_truncated_B", 1.405362697808188),
+            ("k2_slab", 0.389623907528592),
+            ("k3_partition", 0.3409382589984436),
+            ("k3_truncated_A", 4.396230957798474),
+        ],
+    )
+    def test_total(self, name, expect):
+        comp = e1.standardized_binomial(100)
+        F2, G2 = em.product_law([comp] * 2), em.product_normal_target(2)
+        F3, G3 = em.product_law([comp] * 3), em.product_normal_target(3)
+        om2, om3 = (12.0,) * 2, (12.0,) * 3
+        bounds = {
+            "k2_partition": lambda: em.esseen_bound_k(F2, G2, om2, (0.3, -0.2), panels=8, order=6),
+            "k2_truncated_A": lambda: em.esseen_bound_truncated(
+                F2, G2, om2, delta=8.0, mode="A", panels=8, order=6),
+            "k2_truncated_B": lambda: em.esseen_bound_truncated(
+                F2, G2, om2, delta=2.0, mode="B", box_extent=4.0, panels=8, order=6),
+            "k2_slab": lambda: em.esseen_bound_slab(F2, G2, om2),
+            "k3_partition": lambda: em.esseen_bound_k(
+                F3, G3, om3, (0.3, -0.2, 0.5), panels=3, order=4),
+            "k3_truncated_A": lambda: em.esseen_bound_truncated(
+                F3, G3, om3, delta=8.0, mode="A", panels=3, order=4),
+        }
+        assert bounds[name]().total == pytest.approx(expect, rel=1e-12)
