@@ -194,7 +194,7 @@ def cmd_table(args, manifest: RunManifest) -> int:
 
 
 def _check(name: str, residual: float, tol: float) -> dict:
-    return {"name": name, "residual": _fmt(residual), "tol": _fmt(tol), "pass": residual <= tol}
+    return {"name": name, "residual": _fmt(residual), "tol": _fmt(tol), "pass": bool(residual <= tol)}
 
 
 def _flag(name: str, ok: bool, detail: float = 0.0) -> dict:

@@ -415,12 +415,12 @@ def product_law(components: Sequence[Distribution1D]) -> KDimLaw:
 
     def cf(pts: np.ndarray) -> np.ndarray:
         # tensor grids repeat each coordinate value many times: evaluate the
-        # scalar component cf once per distinct value and scatter it back
+        # component cf once, on the column's distinct values, and scatter
         pts = np.atleast_2d(pts)
         out = np.ones(pts.shape[0], dtype=complex)
         for j, c in enumerate(components):
             u, inv = np.unique(pts[:, j], return_inverse=True)
-            out *= np.array([c.cf(float(x)) for x in u])[inv]
+            out *= c.cf(u)[inv]
         return out
 
     # E max|x_j|^2 <= sum E x_j^2 for alpha = 2 components

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -40,6 +41,53 @@ class TestLawConstructors:
         assert F.cdf(1.5) == 1.0
         assert F.cdf(1.49) == 0.0
         assert F.cf(2.0) == pytest.approx(cmath.exp(3.0j), abs=1e-15)
+
+
+def _irwin_hall_cdf_exact(n, t):
+    """Irwin-Hall CDF at the float x = n/2 + t sqrt(n/12), in exact rationals:
+    x = p/q, so sum_j (-1)^j C(n, j) (x - j)^n / n! is an integer ratio."""
+    x = n / 2.0 + t * math.sqrt(n / 12.0)
+    if x <= 0:
+        return 0.0
+    if x >= n:
+        return 1.0
+    p, q = x.as_integer_ratio()
+    num = sum((-1) ** j * math.comb(n, j) * (p - j * q) ** n for j in range(n + 1) if p > j * q)
+    return float(Fraction(num, q**n * math.factorial(n)))
+
+
+LAWS = {
+    "normal": lambda: e1.normal_law(0.3, 1.2),
+    "binomial": lambda: e1.standardized_binomial(25),
+    "irwin_hall": lambda: e1.irwin_hall_standardized(5),
+    "point_mass": lambda: e1.point_mass(0.5),
+    "mollified": lambda: e1.gaussian_mollify(e1.standardized_binomial(9), 0.3),
+}
+
+
+class TestArrayLaws:
+    @pytest.mark.parametrize("name", sorted(LAWS))
+    @pytest.mark.parametrize("attr", ["cdf", "cf"])
+    def test_array_call_matches_scalar_calls(self, name, attr):
+        fn = getattr(LAWS[name](), attr)
+        pts = np.array([[-3.1, -0.5, 0.0], [0.5, 1.0, 2.75]])
+        vals = fn(pts)
+        assert vals.shape == pts.shape
+        scalars = np.array([[fn(float(t)) for t in row] for row in pts])
+        assert np.allclose(vals, scalars, rtol=0.0, atol=1e-15)
+        assert np.ndim(fn(0.5)) == 0
+
+    @pytest.mark.parametrize("n", [12, 24, 32])
+    def test_irwin_hall_cdf_exact(self, n):
+        grid = np.linspace(-8, 8, 2001)
+        got = e1.irwin_hall_standardized(n).cdf(grid)
+        exact = np.array([_irwin_hall_cdf_exact(n, float(t)) for t in grid])
+        assert np.max(np.abs(got - exact)) <= 1e-15
+
+    def test_irwin_hall_sup_distance_n32(self):
+        F, G = e1.irwin_hall_standardized(32), e1.normal_law()
+        sup = e1.sup_cdf_distance(F.cdf, G.cdf, np.linspace(-8, 8, 2001), F.atoms)
+        assert sup == pytest.approx(0.000866145615, abs=1e-11)
 
 
 class TestPvIntegral:
@@ -99,6 +147,71 @@ class TestBound:
         )
         assert custom.constants == (0.5, 4.0)
         assert custom.total > rep.total
+
+
+def _quad_reference(F, G, omega, eps):
+    """Per-panel scipy quad of |phi - psi|/zeta over [eps, 1], [1, 5], ...,
+    [., omega]: (integral, summed error estimate)."""
+    cuts = [eps] + list(np.arange(1.0, omega, 4.0)) + [omega]
+    val = err = 0.0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        v, e = integrate.quad(lambda z: abs(complex(F.cf(z) - G.cf(z))) / z, a, b, limit=300)
+        val += v
+        err += e
+    return val, err
+
+
+class TestSweep:
+    @pytest.mark.parametrize("F", [e1.standardized_binomial(25), e1.irwin_hall_standardized(3)],
+                             ids=["binomial25", "irwin_hall3"])
+    def test_best_is_min_of_single_bounds(self, F):
+        G = e1.normal_law()
+        best = e1.best_esseen_bound(F, G)
+        singles = [e1.esseen_bound_1d(F, G, om) for om in e1.OMEGA_GRID]
+        low = min(singles, key=lambda r: r.total)
+        assert best.omega == low.omega
+        assert best.total == pytest.approx(low.total, rel=1e-12)
+
+    @pytest.mark.parametrize("F", [e1.standardized_binomial(25), e1.irwin_hall_standardized(3)],
+                             ids=["binomial25", "irwin_hall3"])
+    @pytest.mark.parametrize("omega", [8.0, 64.0, 1024.0])
+    def test_integral_matches_per_panel_quad(self, F, omega):
+        G = e1.normal_law()
+        c1 = e1.C1_DEFAULT
+        rep = e1.esseen_bound_1d(F, G, omega)
+        half_integral = rep.integral_term / (2.0 * c1)
+        quad_err = (rep.total - rep.integral_term - rep.tail_term - rep.exclusion_bound) / (2.0 * c1)
+        eps = 1e-8 / (40.0 * (F.moment[1] + G.moment[1]))  # the bound's exclusion cut
+        ref, ref_err = _quad_reference(F, G, omega, eps)
+        assert abs(half_integral - ref) <= quad_err + ref_err + 1e-12
+
+    def test_kronrod_rule_degrees(self):
+        x = e1._GK_NODES
+        for k in range(32):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(e1._GK_KRONROD_WEIGHTS @ x**k - exact) <= 1e-15
+            if k < 20:
+                assert abs(e1._GK_GAUSS_WEIGHTS @ x**k - exact) <= 1e-15
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda: e1.esseen_bound_1d(e1.standardized_binomial(9), e1.normal_law(), 0.0), "omega"),
+            (lambda: e1.esseen_bound_1d(e1.standardized_binomial(9), e1.normal_law(), -2.0), "omega"),
+            (lambda: e1.esseen_bound_1d(e1.standardized_binomial(9), e1.normal_law(), math.nan), "omega"),
+            (lambda: e1.best_esseen_bound(e1.standardized_binomial(9), e1.normal_law(), ()), "omegas"),
+            (lambda: e1.best_esseen_bound(e1.standardized_binomial(9), e1.normal_law(), (8.0, 0.0)),
+             "omegas"),
+            (lambda: e1.pv_integral(lambda v: complex(math.cos(v)), 0.0), "A"),
+            (lambda: e1.gaussian_mollify(e1.point_mass(0.0), 0.0), "eps"),
+            (lambda: e1.standardized_binomial(10, p=0.3), "p"),
+        ],
+    )
+    def test_bad_parameter_named(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
 
 
 class TestMollification:
