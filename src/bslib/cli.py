@@ -15,9 +15,12 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from . import interpolation as ip
+from . import kernels as kr
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -69,25 +72,37 @@ class RunManifest:
 
 def _parse_overrides(pairs: list[str], unsafe: bool) -> dict:
     out = {}
-    for pair in pairs or []:
-        name, _, value = pair.partition("=")
-        if name not in _CONSTANT_FLOORS or not value:
-            raise SystemExit(EXIT_USAGE)
-        v = float(value)
+    for pair in pairs:
+        name, _, text = pair.partition("=")
+        if name not in _CONSTANT_FLOORS:
+            raise ValueError(
+                f"--const {pair}: unknown constant {name!r} (known: {', '.join(_CONSTANT_FLOORS)})"
+            )
+        try:
+            v = float(text)
+        except ValueError:
+            v = math.nan
+        if not math.isfinite(v):
+            raise ValueError(f"--const {pair}: the value must be a finite number")
         floor = _CONSTANT_FLOORS[name]
         if floor is not None and v < floor and not unsafe:
-            print(
-                f"error: override {name}={v:g} is below the validity floor "
-                f"{floor:g}; pass --unsafe to force it",
-                file=sys.stderr,
+            raise ValueError(
+                f"--const {name}={v:g} is below the validity floor {floor:g}; "
+                "pass --unsafe to force it"
             )
-            raise SystemExit(EXIT_USAGE)
         out[name] = v
     return out
 
 
+def _json_value(obj):
+    """json.dumps hook: numpy scalars become Python scalars; anything else raises."""
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def _emit(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2, default=str)
+    text = json.dumps(payload, sort_keys=True, indent=2, default=_json_value)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -99,57 +114,77 @@ def _emit(payload: dict, out_path: str | None) -> None:
 # eval / table
 
 
-_KERNEL_NAMES = ("K", "W", "B", "b", "S", "sigma", "Q", "lambda", "cardinal", "vaaler")
+# KERNELS maps each --fn name to a table function (xs, ell, tol) ->
+# (values, err_ests); `eval` is the one-row table.  Point-wise entries call
+# the scalar kernel once per point and look it up on its module at call
+# time; set-up that all rows share (a sample set, the lambda optimisation)
+# runs once per table.
 
 
-def _eval_one(fn: str, x: float, ell: float, tol: float) -> tuple[float, float]:
-    from . import kernels as kr
-    from . import interpolation as ip
+def _each(value, err=None):
+    """Table of value(x) per point; err_est is err, or echoes --tol if None."""
 
-    if fn == "K":
-        return float(kr.fejer_K(x)), 1e-15
-    if fn == "W":
-        return kr.W_eval(x), tol
-    if fn == "B":
-        return kr.B_eval(x), tol
-    if fn == "b":
-        return kr.b_eval(x), tol
-    if fn == "S":
-        return kr.S_eval(ell, x), tol
-    if fn == "sigma":
-        return kr.sigma_eval(ell, x), tol
-    if fn == "Q":
-        return kr.Q_eval(x), 1e-14
-    if fn == "lambda":
-        return kr.lambda_constant(5e-8), 5e-8
-    # sampling-formula demos reconstruct the unit quadratic kernel
-    f = lambda t: float(kr.fejer_K(t))
-    if fn == "cardinal":
-        samples = ip.sample_function(f, 1.0, 400, 0.5, decay_const=1.0, decay_exponent=2.0)
-        return ip.cardinal_series(samples, x)
-    fprime = lambda t: (f(t + 1e-6) - f(t - 1e-6)) / 2e-6
-    samples = ip.sample_function(f, 1.0, 400, 1.0, fprime, decay_const=1.0, decay_exponent=2.0)
-    return ip.vaaler_interpolation(samples, x)
+    def table(xs, ell, tol):
+        return [value(x) for x in xs], [tol if err is None else err] * len(xs)
+
+    return table
 
 
-def cmd_eval(args, manifest: RunManifest) -> int:
-    value, err = _eval_one(args.fn, args.x, args.ell, args.tol)
-    payload = {
-        "manifest": manifest.as_dict(),
-        "checks": [],
-        "bounds": [],
-        "measurements": [
-            {"name": args.fn, "x": args.x, "value": _fmt(value), "err_est": _fmt(err)}
-        ],
-        "verdicts": [],
-        "runtime_ms": 0,
-    }
-    if args.format == "json":
-        _emit(payload, args.out)
-    else:
-        lines = ["x,value,err_est", f"{_fmt(args.x)},{_fmt(value)},{_fmt(err)}"]
-        _write_lines(lines, args.out)
-    return EXIT_OK
+def _interval(value):
+    """Table of value(ell, x) per point for S and sigma, which need a finite ell > 0."""
+
+    def table(xs, ell, tol):
+        if not 0.0 < ell < math.inf:
+            raise ValueError(f"--ell must be finite and > 0 for S and sigma (got {ell!r})")
+        return [value(ell, x) for x in xs], [tol] * len(xs)
+
+    return table
+
+
+def _lambda_table(xs, ell, tol):
+    lam = kr.lambda_constant(5e-8)
+    return [lam] * len(xs), [5e-8] * len(xs)
+
+
+# the sampling-formula demos reconstruct the unit quadratic kernel
+def _fejer(t: float) -> float:
+    return float(kr.fejer_K(t))
+
+
+def _fejer_prime(t: float) -> float:
+    return (_fejer(t + 1e-6) - _fejer(t - 1e-6)) / 2e-6
+
+
+def _cardinal_table(xs, ell, tol):
+    samples = ip.sample_function(_fejer, 1.0, 400, 0.5, decay_const=1.0, decay_exponent=2.0)
+    values, errs = zip(*(ip.cardinal_series(samples, x) for x in xs))
+    return values, errs
+
+
+def _vaaler_table(xs, ell, tol):
+    samples = ip.sample_function(_fejer, 1.0, 400, 1.0, _fejer_prime, decay_const=1.0,
+                                 decay_exponent=2.0)
+    values, errs = zip(*(ip.vaaler_interpolation(samples, x) for x in xs))
+    return values, errs
+
+
+KERNELS = {
+    "K": _each(_fejer, 1e-15),
+    "W": _each(lambda x: kr.W_eval(x)),
+    "B": _each(lambda x: kr.B_eval(x)),
+    "b": _each(lambda x: kr.b_eval(x)),
+    "S": _interval(lambda ell, x: kr.S_eval(ell, x)),
+    "sigma": _interval(lambda ell, x: kr.sigma_eval(ell, x)),
+    "Q": _each(lambda x: kr.Q_eval(x), 1e-14),
+    "lambda": _lambda_table,
+    "cardinal": _cardinal_table,
+    "vaaler": _vaaler_table,
+}
+
+
+def _require_finite(flag: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"--{flag} must be finite (got {value!r})")
 
 
 def _write_lines(lines: list[str], out_path: str | None) -> None:
@@ -161,15 +196,9 @@ def _write_lines(lines: list[str], out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def cmd_table(args, manifest: RunManifest) -> int:
-    lo, hi, step = args.frm, args.to, args.step
-    if step <= 0 or hi < lo:
-        return EXIT_USAGE
-    xs = np.arange(lo, hi + step * 0.5, step)
-    rows = []
-    for x in xs:
-        value, err = _eval_one(args.fn, float(x), args.ell, args.tol)
-        rows.append((float(x), value, err))
+def _tabulate(args, manifest: RunManifest, xs: list[float]) -> int:
+    values, errs = KERNELS[args.fn](xs, args.ell, args.tol)
+    rows = list(zip(xs, values, errs))
     if args.format == "json":
         payload = {
             "manifest": manifest.as_dict(),
@@ -189,6 +218,23 @@ def cmd_table(args, manifest: RunManifest) -> int:
     return EXIT_OK
 
 
+def cmd_eval(args, manifest: RunManifest) -> int:
+    _require_finite("x", args.x)
+    return _tabulate(args, manifest, [args.x])
+
+
+def cmd_table(args, manifest: RunManifest) -> int:
+    lo, hi, step = args.frm, args.to, args.step
+    for flag, value in (("from", lo), ("to", hi), ("step", step)):
+        _require_finite(flag, value)
+    if step <= 0:
+        raise ValueError(f"--step must be > 0 (got {step!r})")
+    if hi < lo:
+        raise ValueError(f"--to must be >= --from (got --from {lo!r} --to {hi!r})")
+    xs = [float(x) for x in np.arange(lo, hi + step * 0.5, step)]
+    return _tabulate(args, manifest, xs)
+
+
 # ---------------------------------------------------------------------------
 # verify suites
 
@@ -202,8 +248,6 @@ def _flag(name: str, ok: bool, detail: float = 0.0) -> dict:
 
 
 def _suite_kernels(tol: float) -> list[dict]:
-    from . import kernels as kr
-
     checks = []
     lam = kr.lambda_constant(5e-8)
     checks.append(_check("lambda_constant", abs(lam - 0.3263598), 5e-8))
@@ -233,9 +277,6 @@ def _suite_kernels(tol: float) -> list[dict]:
 
 
 def _suite_interpolation(tol: float) -> list[dict]:
-    from . import interpolation as ip
-    from . import kernels as kr
-
     checks = []
     for which, cap in [
         ("csc", 1e-8),
@@ -248,15 +289,14 @@ def _suite_interpolation(tol: float) -> list[dict]:
     for which in ("sandwich", "refined_sandwich", "bernstein"):
         rep = ip.classical_identity_residual(which)
         checks.append(_flag(f"identity_{which}", rep.ok))
-    f = lambda t: float(kr.fejer_K(t))
+    f = _fejer
     samples = ip.sample_function(f, 1.0, 300, 0.5, decay_const=1.0, decay_exponent=2.0)
     worst = 0.0
     for z in (0.3, -1.7, 2.25):
         val, err = ip.cardinal_series(samples, z)
         worst = max(worst, abs(val - f(z)) - err)
     checks.append(_check("cardinal_reconstruction", max(worst, 0.0), tol))
-    fp = lambda t: (f(t + 1e-6) - f(t - 1e-6)) / 2e-6
-    vd = ip.sample_function(f, 1.0, 300, 1.0, fp, decay_const=1.0, decay_exponent=2.0)
+    vd = ip.sample_function(f, 1.0, 300, 1.0, _fejer_prime, decay_const=1.0, decay_exponent=2.0)
     val, err = ip.vaaler_interpolation(vd, 0.3)
     checks.append(_check("value_derivative_reconstruction", abs(val - f(0.3)), max(err, 1e-6)))
     return checks
@@ -292,13 +332,13 @@ def _suite_esseen_k(tol: float) -> list[dict]:
     from . import esseen1d as e1
 
     checks = []
-    _, S, _ = em.selberg_ring_expansion(2)
+    S, _ = em.selberg_ring_expansion(2)
     expected = {
         ("chi", "delta"): 1, ("delta", "chi"): 1, ("delta", "eps"): 1,
         ("eps", "delta"): 1, ("eps", "eps"): 1,
     }
     checks.append(_flag("ring_expansion_k2_monomials", dict(S) == expected))
-    _, S3, _ = em.selberg_ring_expansion(3)
+    S3, _ = em.selberg_ring_expansion(3)
     checks.append(_flag("ring_expansion_k3_multiplicity", S3[("eps", "eps", "eps")] > 1))
 
     # operator identities in transform/coefficient form
@@ -450,8 +490,8 @@ def _demo_esseen_k(args) -> tuple[list, list, list]:
     from . import esseen_multi as em
 
     k = args.k or 2
-    if k < 1 or k > 3:
-        raise SystemExit(EXIT_USAGE)
+    if not 1 <= k <= 3:
+        raise ValueError(f"--k must be 1, 2 or 3 (got {k})")
     omega = args.omega or 12.0
     n = args.n or 64
     if k == 1:
@@ -470,9 +510,8 @@ def _demo_esseen_k(args) -> tuple[list, list, list]:
     if not getattr(args, "unsafe", False):
         low = [key for key, val in ov.items() if key in base and val < base[key]]
         if low:
-            print(f"error: overrides below validity floor for k={k}: {low}; "
-                  "pass --unsafe to force them", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
+            raise ValueError(f"--const {', '.join(low)} is below the validity floor for k={k}; "
+                             "pass --unsafe to force it")
     base.update({key: val for key, val in ov.items() if key in base})
     constants = em.BoundConstants(**base)
     t = np.array([0.3, -0.4, 0.2][:k])
@@ -589,13 +628,13 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--unsafe", action="store_true")
 
     pe = sub.add_parser("eval", help="evaluate one kernel/function at a point")
-    pe.add_argument("--fn", "--kernel", dest="fn", choices=_KERNEL_NAMES, required=True)
+    pe.add_argument("--fn", "--kernel", dest="fn", choices=tuple(KERNELS), required=True)
     pe.add_argument("--x", type=float, default=0.0)
     pe.add_argument("--ell", type=float, default=1.0)
     common(pe)
 
     pt = sub.add_parser("table", help="tabulate a kernel/function over a range")
-    pt.add_argument("--fn", "--kernel", dest="fn", choices=_KERNEL_NAMES, required=True)
+    pt.add_argument("--fn", "--kernel", dest="fn", choices=tuple(KERNELS), required=True)
     pt.add_argument("--from", dest="frm", type=float, required=True)
     pt.add_argument("--to", dest="to", type=float, required=True)
     pt.add_argument("--step", type=float, required=True)
@@ -633,31 +672,24 @@ def main(argv: list[str] | None = None) -> int:
     if args.format is None:
         args.format = config.get("format", "json" if args.command in ("verify", "demo") else "csv")
 
-    try:
-        overrides = _parse_overrides(args.const, args.unsafe)
-    except SystemExit as exc:
-        return exc.code
-
     params = {
         k: v
         for k, v in vars(args).items()
         if k not in ("command", "seed", "tol", "out", "format", "const", "unsafe")
         and v is not None
     }
-    manifest = RunManifest(
-        command=args.command,
-        parameters=params,
-        seed=args.seed,
-        tolerances={"tol": args.tol},
-        constant_overrides=overrides,
-        output=args.out,
-        format=args.format,
-    )
     handler = {"eval": cmd_eval, "table": cmd_table, "verify": cmd_verify, "demo": cmd_demo}
     try:
+        manifest = RunManifest(
+            command=args.command,
+            parameters=params,
+            seed=args.seed,
+            tolerances={"tol": args.tol},
+            constant_overrides=_parse_overrides(args.const, args.unsafe),
+            output=args.out,
+            format=args.format,
+        )
         return handler[args.command](args, manifest)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except (ValueError, ArithmeticError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

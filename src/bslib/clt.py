@@ -25,7 +25,6 @@ __all__ = [
     "MonteCarloConfig",
     "inequality_toolbox",
     "ToolboxResult",
-    "complex_cf",
     "haar_circle_law",
     "rademacher_product_law",
     "lyapunov_normalizer",
@@ -191,10 +190,6 @@ class ComplexLawSpec:
     @property
     def rho(self) -> float:
         return self.rho3 ** (1.0 / 3.0)
-
-
-def complex_cf(law: ComplexLawSpec, xi: complex) -> complex:
-    return law.cf(complex(xi))
 
 
 @functools.lru_cache(maxsize=32)

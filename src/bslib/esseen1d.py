@@ -234,8 +234,13 @@ _GK_GAUSS_WEIGHTS = np.concatenate([_WG, _WG[-2::-1]])
 # to the width, so a split tolerance would never be met.
 _PANEL_TOL = 1e-15
 _MAX_BISECTIONS = 30
-_CHUNK = 1 << 10  # panels integrated together; bounds the memory in use
-_MAX_PIECES = 4 * _CHUNK
+# Panels integrated together.  At 512 panels a first round's (panels x 21)
+# arrays are 86 KB, under glibc's default 128 KiB mmap threshold, so they
+# are recycled from the heap; larger ones are mapped, faulted in page by
+# page and unmapped on every call.  Per-panel results do not depend on the
+# chunk size.
+_CHUNK = 1 << 9
+_MAX_PIECES = 1 << 12  # open pieces of one chunk; bounds the memory in use
 
 
 def _gk21(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray):

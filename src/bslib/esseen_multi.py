@@ -14,17 +14,15 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Literal, Sequence
 
 import numpy as np
-import sympy as sp
 
 from .esseen1d import Distribution1D, normal_cdf
 
 __all__ = [
     "Monomial",
-    "PartitionP",
     "KDimLaw",
     "SignedMeasureK",
     "BoundConstants",
@@ -54,46 +52,37 @@ __all__ = [
 Monomial = tuple[str, ...]  # per-index symbol in {"chi", "delta", "eps"}
 
 
-def selberg_ring_expansion(k: int) -> tuple[sp.Expr, Counter, Counter]:
-    """Expand (1-k) g_1..g_k + sum_j f_j prod_{i != j} g_i symbolically.
+def _expand(factors: Sequence[dict[str, int]]) -> Counter:
+    """Multiply out prod_j (sum_tag c_tag * tag_j) into a Counter over tag tuples."""
+    out: Counter = Counter()
+    for choice in itertools.product(*(f.items() for f in factors)):
+        out[tuple(tag for tag, _ in choice)] += math.prod(c for _, c in choice)
+    return out
+
+
+def selberg_ring_expansion(k: int) -> tuple[Counter, Counter]:
+    """Expand (1-k) g_1..g_k + sum_j f_j prod_{i != j} g_i in exact integers.
 
     With f_j = chi_j - delta_j and g_j = chi_j + eps_j the expansion
-    equals chi_1..chi_k - S; returns (lhs expression, S, S_tilde) where
-    S and S_tilde are Counters over per-index symbol tuples and
+    equals chi_1..chi_k - S; returns (S, S_tilde) where S and S_tilde are
+    Counters over per-index symbol tuples (nonzero terms only) and
     S_tilde collects g_1..g_k - chi_1..chi_k.
     """
     if not 2 <= k <= 6:
         raise ValueError(f"k must satisfy 2 <= k <= 6 (got {k})")
-    chi = sp.symbols(f"chi1:{k + 1}")
-    dlt = sp.symbols(f"delta1:{k + 1}")
-    eps = sp.symbols(f"eps1:{k + 1}")
-    f = [chi[j] - dlt[j] for j in range(k)]
-    g = [chi[j] + eps[j] for j in range(k)]
-    prod_g = sp.prod(g)
-    lhs = (1 - k) * prod_g + sum(
-        f[j] * sp.prod([g[i] for i in range(k) if i != j]) for j in range(k)
-    )
-    chi_prod = sp.prod(chi)
-
-    def monomials(expr: sp.Expr) -> Counter:
-        out: Counter = Counter()
-        for mono, coeff in sp.expand(expr).as_coefficients_dict().items():
-            tags = []
-            for j in range(k):
-                if mono.has(chi[j]):
-                    tags.append("chi")
-                elif mono.has(dlt[j]):
-                    tags.append("delta")
-                else:
-                    assert mono.has(eps[j])
-                    tags.append("eps")
-            out[tuple(tags)] += int(coeff)
-        return out
-
-    S = monomials(chi_prod - sp.expand(lhs))
-    S_tilde = monomials(sp.expand(prod_g) - chi_prod)
+    f = {"chi": 1, "delta": -1}
+    g = {"chi": 1, "eps": 1}
+    chi_prod = ("chi",) * k
+    prod_g = _expand([g] * k)
+    S = Counter({chi_prod: 1})
+    for mono, c in prod_g.items():
+        S[mono] += (k - 1) * c
+    for j in range(k):
+        S.subtract(_expand([f if i == j else g for i in range(k)]))
+    S_tilde = prod_g - Counter({chi_prod: 1})
+    S = Counter({mono: c for mono, c in S.items() if c != 0})
     assert all(c > 0 for c in S.values())
-    return lhs, S, S_tilde
+    return S, S_tilde
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +90,6 @@ def selberg_ring_expansion(k: int) -> tuple[sp.Expr, Counter, Counter]:
 
 # a composite operator is a linear combination of coordinate transforms;
 # each transform acts per coordinate as keep (+1), negate (-1) or zero (0).
-
-_Term = tuple[float, tuple[int, ...]]
 
 
 def operator_terms(word: Sequence[tuple[str, int]], k: int) -> dict[tuple[int, ...], float]:
@@ -494,17 +481,6 @@ def partitions(k: int):
         C = tuple(j for j in range(k) if tags[j] == "C")
         D = tuple(j for j in range(k) if tags[j] == "D")
         yield B, C, D
-
-
-@dataclass(frozen=True)
-class PartitionP:
-    B_set: frozenset
-    C_set: frozenset
-    D_set: frozenset
-
-    def __post_init__(self):
-        if self.B_set & self.C_set or self.B_set & self.D_set or self.C_set & self.D_set:
-            raise ValueError("B_set, C_set and D_set must be disjoint")
 
 
 def _axis_nodes(omega: float, panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:

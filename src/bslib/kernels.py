@@ -14,7 +14,7 @@ cross-checking; the two routes are never collapsed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Sequence
 
@@ -25,13 +25,11 @@ __all__ = [
     "KernelConfig",
     "BernoulliTable",
     "OddZetaTable",
-    "KernelKind",
     "bernoulli_numbers",
     "fejer_K",
     "trigamma",
     "W_eval",
     "sgn",
-    "kernel_family_eval",
     "B_eval",
     "b_eval",
     "S_eval",
@@ -229,16 +227,6 @@ def W_eval(
 # the B / b / S_ell / sigma_ell family
 
 
-@dataclass(frozen=True)
-class KernelKind:
-    tag: Literal["K", "W", "B", "b", "S", "sigma"]
-    ell: float | None = None
-
-    def __post_init__(self):
-        if self.tag in ("S", "sigma"):
-            assert self.ell is not None and self.ell > 0
-
-
 def B_eval(x: float, cfg: KernelConfig = DEFAULT_CONFIG) -> float:
     return W_eval(x, cfg) + float(fejer_K(x))
 
@@ -253,22 +241,6 @@ def S_eval(ell: float, x: float, cfg: KernelConfig = DEFAULT_CONFIG) -> float:
 
 def sigma_eval(ell: float, x: float, cfg: KernelConfig = DEFAULT_CONFIG) -> float:
     return 0.5 * (b_eval(x, cfg) + b_eval(ell - x, cfg))
-
-
-def kernel_family_eval(kind: KernelKind, x: float, cfg: KernelConfig = DEFAULT_CONFIG) -> float:
-    if kind.tag == "K":
-        return float(fejer_K(x))
-    if kind.tag == "W":
-        return W_eval(x, cfg)
-    if kind.tag == "B":
-        return B_eval(x, cfg)
-    if kind.tag == "b":
-        return b_eval(x, cfg)
-    if kind.tag == "S":
-        return S_eval(kind.ell, x, cfg)
-    if kind.tag == "sigma":
-        return sigma_eval(kind.ell, x, cfg)
-    raise ValueError(f"unknown kernel tag {kind.tag!r}")
 
 
 def interval_majorant_direct(ell: int, x: float) -> float:

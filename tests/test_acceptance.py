@@ -121,11 +121,17 @@ def test_criterion_06_scalar_smoothing_bound():
 
 def test_criterion_07_ring_expansion():
     for k in (2, 3, 4):
-        lhs, S, _ = em.selberg_ring_expansion(k)
+        S, _ = em.selberg_ring_expansion(k)
         chi = sp.symbols(f"chi1:{k + 1}")
         dlt = sp.symbols(f"delta1:{k + 1}")
         eps = sp.symbols(f"eps1:{k + 1}")
         sym = {"chi": chi, "delta": dlt, "eps": eps}
+        # the product trick, built here in sympy as the independent reference
+        f = [chi[j] - dlt[j] for j in range(k)]
+        g = [chi[j] + eps[j] for j in range(k)]
+        lhs = (1 - k) * sp.prod(g) + sum(
+            f[j] * sp.prod([g[i] for i in range(k) if i != j]) for j in range(k)
+        )
         rng = np.random.default_rng(100 + k)
         for _ in range(100):
             subs = {
@@ -137,7 +143,7 @@ def test_criterion_07_ring_expansion():
                 for mono, c in S.items()
             )
             assert sp.simplify(lhs.subs(subs) - rhs.subs(subs)) == 0  # exact
-    _, S2, _ = em.selberg_ring_expansion(2)
+    S2, _ = em.selberg_ring_expansion(2)
     assert dict(S2) == {
         ("chi", "delta"): 1,
         ("delta", "chi"): 1,

@@ -3,8 +3,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from bslib import cli
+from bslib import interpolation as ip
+from bslib import kernels as kr
 from bslib.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 
 
@@ -85,12 +89,139 @@ class TestTable:
         assert len(lines) == 4
 
 
+# the scalar kernels and sampling formulas called point by point, with the
+# err_est each name reports: a fixed estimate, the formula's own, or --tol
+def _reference_rows(name, xs, ell, tol):
+    f = lambda t: float(kr.fejer_K(t))
+    if name == "cardinal":
+        samples = ip.sample_function(f, 1.0, 400, 0.5, decay_const=1.0, decay_exponent=2.0)
+        return [ip.cardinal_series(samples, x) for x in xs]
+    if name == "vaaler":
+        fp = lambda t: (f(t + 1e-6) - f(t - 1e-6)) / 2e-6
+        samples = ip.sample_function(f, 1.0, 400, 1.0, fp, decay_const=1.0, decay_exponent=2.0)
+        return [ip.vaaler_interpolation(samples, x) for x in xs]
+    point = {
+        "K": lambda x: (f(x), 1e-15),
+        "W": lambda x: (kr.W_eval(x), tol),
+        "B": lambda x: (kr.B_eval(x), tol),
+        "b": lambda x: (kr.b_eval(x), tol),
+        "S": lambda x: (kr.S_eval(ell, x), tol),
+        "sigma": lambda x: (kr.sigma_eval(ell, x), tol),
+        "Q": lambda x: (kr.Q_eval(x), 1e-14),
+        "lambda": lambda x: (kr.lambda_constant(5e-8), 5e-8),
+    }[name]
+    return [point(x) for x in xs]
+
+
+def _hex_rows(rows):
+    return [tuple(float(v).hex() for v in row) for row in rows]
+
+
+class TestRegistry:
+    POINTS = [0.0, 1.0, -1.0, 1.0 + 1e-13, 1.0 - 1e-13, 0.4 + 1e-12, 0.4 - 1e-12,
+              -0.4 - 1e-12, -0.4 + 1e-12, -7.3, 12.5]
+
+    def test_names(self):
+        assert tuple(cli.KERNELS) == (
+            "K", "W", "B", "b", "S", "sigma", "Q", "lambda", "cardinal", "vaaler",
+        )
+
+    @pytest.mark.parametrize("name", list(cli.KERNELS))
+    def test_table_matches_pointwise_loop(self, name):
+        values, errs = cli.KERNELS[name](self.POINTS, 2.0, 1e-9)
+        expect = _reference_rows(name, self.POINTS, 2.0, 1e-9)
+        assert _hex_rows(zip(values, errs)) == _hex_rows(expect)
+
+    @pytest.mark.parametrize("name", list(cli.KERNELS))
+    def test_cli_table_and_eval_rows(self, capsys, name):
+        code, out, _ = run(capsys, "table", "--fn", name, "--from", "-1", "--to", "1",
+                           "--step", "0.25", "--ell", "2.5")
+        assert code == EXIT_OK
+        lines = out.strip().splitlines()[1:]
+        rows = [tuple(float(v) for v in line.split(",")) for line in lines]
+        xs = [x for x, _, _ in rows]
+        assert len(xs) == 9
+        # 17 significant digits round-trip a double exactly
+        expect = [(x, *row) for x, row in zip(xs, _reference_rows(name, xs, 2.5, 1e-10))]
+        assert _hex_rows(rows) == _hex_rows(expect)
+        for x, line in zip(xs, lines):
+            _, one, _ = run(capsys, "eval", "--fn", name, "--x", repr(x), "--ell", "2.5")
+            assert one.strip().splitlines()[1] == line
+
+    @pytest.mark.parametrize(
+        "name, module, setup",
+        [("cardinal", ip, "sample_function"), ("vaaler", ip, "sample_function"),
+         ("lambda", kr, "lambda_constant")],
+    )
+    def test_setup_runs_once_per_table(self, capsys, monkeypatch, name, module, setup):
+        calls = []
+        inner = getattr(module, setup)
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, setup, counting)
+        code, out, _ = run(capsys, "table", "--fn", name, "--from", "-0.5", "--to", "0.5",
+                           "--step", "0.1")
+        assert code == EXIT_OK
+        assert len(out.strip().splitlines()) == 1 + 11
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", ["S", "sigma"])
+    @pytest.mark.parametrize("ell", [0.0, -1.0, math.nan, math.inf])
+    def test_interval_kernel_rejects_bad_ell(self, name, ell):
+        with pytest.raises(ValueError, match="^--ell"):
+            cli.KERNELS[name]([0.3], ell, 1e-10)
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("table", "--fn", "K", "--from", "0", "--to", "1", "--step", "0"), "--step"),
+            (("table", "--fn", "K", "--from", "0", "--to", "1", "--step", "-0.5"), "--step"),
+            (("table", "--fn", "K", "--from", "3", "--to", "1", "--step", "0.5"), "--to"),
+            (("table", "--fn", "K", "--from", "nan", "--to", "1", "--step", "0.5"), "--from"),
+            (("table", "--fn", "K", "--from", "0", "--to", "inf", "--step", "0.5"), "--to"),
+            (("table", "--fn", "K", "--from", "0", "--to", "1", "--step", "nan"), "--step"),
+            (("eval", "--fn", "W", "--x", "nan"), "--x"),
+            (("eval", "--fn", "W", "--x=-inf"), "--x"),
+            (("eval", "--fn", "S", "--ell", "-1"), "--ell"),
+            (("eval", "--fn", "sigma", "--ell", "0"), "--ell"),
+            (("table", "--fn", "S", "--from", "0", "--to", "1", "--step", "0.5",
+              "--ell", "nan"), "--ell"),
+            (("eval", "--fn", "K", "--const", "c1=abc"), "--const"),
+            (("eval", "--fn", "K", "--const", "c1=nan"), "--const"),
+            (("eval", "--fn", "K", "--const", "c1"), "--const"),
+            (("eval", "--fn", "K", "--const", "zz=1"), "--const"),
+            (("demo", "--scenario", "esseen-k", "--k", "7"), "--k"),
+        ],
+    )
+    def test_message_names_the_flag(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"error: {flag} ")
+        assert err.count("\n") == 1
+
+
+class TestStrictJson:
+    def test_numpy_scalars_become_python(self, capsys):
+        cli._emit({"pass": np.bool_(True), "value": np.float64(0.25), "n": np.int64(3)}, None)
+        assert json.loads(capsys.readouterr().out) == {"pass": True, "value": 0.25, "n": 3}
+
+    def test_other_objects_raise(self):
+        with pytest.raises(TypeError):
+            cli._emit({"x": object()}, None)
+
+
 class TestVerify:
     def test_all_suites_pass(self, capsys):
         code, payload, _ = run_json(capsys, "verify", "--suite", "all")
         assert code == EXIT_OK
         assert len(payload["checks"]) >= 30
-        assert all(c["pass"] for c in payload["checks"])
+        assert all(c["pass"] is True for c in payload["checks"])
         assert payload["verdicts"][0]["pass"] is True
         suites = {c["suite"] for c in payload["checks"]}
         assert suites == {"kernels", "interpolation", "esseen1d", "esseen_k", "clt"}
@@ -114,7 +245,7 @@ class TestDemo:
         assert code == EXIT_OK
         assert payload["bounds"]
         assert payload["measurements"]
-        assert all(v["pass"] for v in payload["verdicts"])
+        assert all(v["pass"] is True for v in payload["verdicts"])
 
     def test_k1_routes_to_scalar_pipeline(self, capsys):
         code, payload, _ = run_json(capsys, "demo", "--scenario", "esseen-k", "--k", "1")
@@ -132,7 +263,7 @@ class TestDemo:
             capsys, "demo", "--scenario", "clt-haar", "--samples", "10000", "--seed", "5"
         )
         assert code == EXIT_OK
-        assert all(v["pass"] for v in payload["verdicts"])
+        assert all(v["pass"] is True for v in payload["verdicts"])
 
 
 class TestConstantOverrides:

@@ -185,6 +185,14 @@ class TestSweep:
         ref, ref_err = _quad_reference(F, G, omega, eps)
         assert abs(half_integral - ref) <= quad_err + ref_err + 1e-12
 
+    @pytest.mark.parametrize("chunk", [37, 1 << 10])
+    def test_chunk_size_does_not_change_bounds(self, monkeypatch, chunk):
+        G = e1.normal_law()
+        laws = [e1.standardized_binomial(300), e1.irwin_hall_standardized(6)]
+        default = [e1.best_esseen_bound(F, G).total for F in laws]
+        monkeypatch.setattr(e1, "_CHUNK", chunk)
+        assert [e1.best_esseen_bound(F, G).total.hex() for F in laws] == [t.hex() for t in default]
+
     def test_kronrod_rule_degrees(self):
         x = e1._GK_NODES
         for k in range(32):

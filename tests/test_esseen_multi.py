@@ -17,27 +17,51 @@ from bslib import esseen_multi as em
 # ring expansion
 
 
+def _sympy_ring(k):
+    """Symbols and the product-trick expression, built in sympy as the reference."""
+    sym = {
+        "chi": sp.symbols(f"chi1:{k + 1}"),
+        "delta": sp.symbols(f"delta1:{k + 1}"),
+        "eps": sp.symbols(f"eps1:{k + 1}"),
+    }
+    chi, dlt, eps = sym["chi"], sym["delta"], sym["eps"]
+    f = [chi[j] - dlt[j] for j in range(k)]
+    g = [chi[j] + eps[j] for j in range(k)]
+    lhs = (1 - k) * sp.prod(g) + sum(
+        f[j] * sp.prod([g[i] for i in range(k) if i != j]) for j in range(k)
+    )
+    return sym, lhs, sp.prod(g)
+
+
+def _poly(sym, counter):
+    return sum(c * sp.prod(sym[tag][j] for j, tag in enumerate(mono)) for mono, c in counter.items())
+
+
 class TestRingExpansion:
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_identity_under_random_rational_substitution(self, k):
-        lhs, S, _ = em.selberg_ring_expansion(k)
-        chi = sp.symbols(f"chi1:{k + 1}")
-        dlt = sp.symbols(f"delta1:{k + 1}")
-        eps = sp.symbols(f"eps1:{k + 1}")
-        sym = {"chi": chi, "delta": dlt, "eps": eps}
+        S, _ = em.selberg_ring_expansion(k)
+        sym, lhs, _ = _sympy_ring(k)
+        rhs = sp.prod(sym["chi"]) - _poly(sym, S)
         rng = np.random.default_rng(42)
         for _ in range(100):
             subs = {}
-            for s in (*chi, *dlt, *eps):
+            for s in (*sym["chi"], *sym["delta"], *sym["eps"]):
                 subs[s] = sp.Rational(int(rng.integers(-9, 10)), int(rng.integers(1, 10)))
-            rhs = sp.prod(chi) - sum(
-                c * sp.prod(sym[tag][j] for j, tag in enumerate(mono)) for mono, c in S.items()
-            )
             # exact rational arithmetic: the residual must be identically zero
             assert sp.simplify(lhs.subs(subs) - rhs.subs(subs)) == 0
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_matches_sympy_expansion(self, k):
+        S, S_tilde = em.selberg_ring_expansion(k)
+        sym, lhs, prod_g = _sympy_ring(k)
+        chi_prod = sp.prod(sym["chi"])
+        assert sp.expand(chi_prod - lhs - _poly(sym, S)) == 0
+        assert sp.expand(prod_g - chi_prod - _poly(sym, S_tilde)) == 0
+        assert all(isinstance(c, int) for c in (*S.values(), *S_tilde.values()))
+
     def test_k2_error_monomials(self):
-        _, S, _ = em.selberg_ring_expansion(2)
+        S, _ = em.selberg_ring_expansion(2)
         expect = {
             ("delta", "chi"): 1,
             ("chi", "delta"): 1,
@@ -48,7 +72,7 @@ class TestRingExpansion:
         assert dict(S) == expect
 
     def test_k3_multiplicities(self):
-        _, S, _ = em.selberg_ring_expansion(3)
+        S, _ = em.selberg_ring_expansion(3)
         assert S[("eps", "eps", "eps")] == 2
         assert sum(S.values()) == 17
         # every error monomial touches a delta or an eps in each... at least one index
@@ -56,7 +80,7 @@ class TestRingExpansion:
 
     def test_error_terms_positive(self):
         for k in (2, 3, 4):
-            _, S, S_tilde = em.selberg_ring_expansion(k)
+            S, S_tilde = em.selberg_ring_expansion(k)
             assert all(c > 0 for c in S.values())
             assert all(c > 0 for c in S_tilde.values())
 
@@ -231,10 +255,6 @@ class TestLawsAndPartitions:
             for B, C, D in parts:
                 assert set(B) | set(C) | set(D) == set(range(k))
                 assert not (set(B) & set(C) or set(B) & set(D) or set(C) & set(D))
-
-    def test_partition_record_validation(self):
-        with pytest.raises(ValueError, match="disjoint"):
-            em.PartitionP(frozenset({0}), frozenset({0}), frozenset())
 
     def test_product_law_cf_and_cdf(self):
         F, G = _k2_pair()

@@ -167,12 +167,6 @@ class TestFamily:
                 direct = kr.interval_majorant_direct(ell, float(x))
                 assert kr.S_eval(float(ell), float(x)) == pytest.approx(direct, abs=1e-9)
 
-    def test_kernel_kind_dispatch(self):
-        assert kr.kernel_family_eval(kr.KernelKind("B"), 0.3) == kr.B_eval(0.3)
-        assert kr.kernel_family_eval(kr.KernelKind("S", 2.0), 0.3) == kr.S_eval(2.0, 0.3)
-        with pytest.raises(AssertionError):
-            kr.KernelKind("S")
-
 
 class TestQAndLambda:
     def test_anchors(self):
