@@ -15,7 +15,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -41,11 +41,18 @@ def _fmt(x: float) -> str:
 
 
 def _load_config() -> dict:
+    """The JSON object in the file that BSLIB_CONFIG names; {} if it is unset."""
     path = os.environ.get(CONFIG_ENV_VAR)
     if not path:
         return {}
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            config = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{CONFIG_ENV_VAR} {path}: {exc}") from None
+    if not isinstance(config, dict):
+        raise ValueError(f"{CONFIG_ENV_VAR} {path}: must hold a JSON object")
+    return config
 
 
 @dataclass
@@ -57,17 +64,6 @@ class RunManifest:
     constant_overrides: dict
     output: str | None
     format: str
-
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "tolerances": self.tolerances,
-            "constant_overrides": self.constant_overrides,
-            "output": self.output,
-            "format": self.format,
-        }
 
 
 def _parse_overrides(pairs: list[str], unsafe: bool) -> dict:
@@ -201,7 +197,7 @@ def _tabulate(args, manifest: RunManifest, xs: list[float]) -> int:
     rows = list(zip(xs, values, errs))
     if args.format == "json":
         payload = {
-            "manifest": manifest.as_dict(),
+            "manifest": asdict(manifest),
             "checks": [],
             "bounds": [],
             "measurements": [
@@ -385,7 +381,8 @@ def _suite_esseen_k(tol: float) -> list[dict]:
     checks.append(_flag("k2_partition_bound_dominates", rep.total >= meas, rep.total - meas))
     repA = em.esseen_bound_truncated(F, G, (10.0, 10.0), delta=8.0, mode="A", panels=8, order=6)
     side = np.linspace(-3, 3, 9)
-    sup = max(abs(F.cdf(np.array(p)) - G.cdf(np.array(p))) for p in it.product(side, side))
+    grid = np.array(list(it.product(side, side)))
+    sup = float(np.max(np.abs(F.cdf(grid) - G.cdf(grid))))
     checks.append(_flag("k2_truncated_bound_dominates", repA.total >= sup, repA.total - sup))
     return checks
 
@@ -451,7 +448,7 @@ def cmd_verify(args, manifest: RunManifest) -> int:
             entry["suite"] = name
             checks.append(entry)
     payload = {
-        "manifest": manifest.as_dict(),
+        "manifest": asdict(manifest),
         "checks": checks,
         "bounds": [],
         "measurements": [],
@@ -468,12 +465,31 @@ def cmd_verify(args, manifest: RunManifest) -> int:
 # demo scenarios
 
 
-def _demo_esseen1d_binomial(args) -> tuple[list, list, list]:
+# what an explicit value of each demo flag must satisfy; --samples is
+# checked by clt.MonteCarloConfig
+_DEMO_LIMITS = {
+    "k": (lambda v: 1 <= v <= 3, "1, 2 or 3"),
+    "n": (lambda v: v >= 1, ">= 1"),
+    "N": (lambda v: v >= 1, ">= 1"),
+    "omega": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
+    "delta": (lambda v: 1.0 < v < math.inf, "finite and > 1"),
+}
+
+
+def _demo_param(args, flag: str, default):
+    """The value of --flag, or the scenario's default when the flag is absent."""
+    value = getattr(args, flag)
+    valid, need = _DEMO_LIMITS[flag]
+    if value is not None and not valid(value):
+        raise ValueError(f"--{flag} must be {need} (got {value!r})")
+    return default if value is None else value
+
+
+def _binomial_bound_1d(args, n: int, omega: float) -> tuple[list, list, list]:
+    """The one-variable bound for Binomial(n) against N(0, 1) and its measured sup."""
     from . import esseen1d as e1
 
-    n = args.n or 100
-    omega = args.omega or 20.0
-    ov = getattr(args, "_overrides", {})
+    ov = args._overrides
     constants = (ov.get("c1", e1.C1_DEFAULT), ov.get("c2", e1.C2_DEFAULT))
     F = e1.standardized_binomial(n)
     G = e1.normal_law()
@@ -485,26 +501,23 @@ def _demo_esseen1d_binomial(args) -> tuple[list, list, list]:
     return bounds, meas, verdicts
 
 
+def _demo_esseen1d_binomial(args) -> tuple[list, list, list]:
+    return _binomial_bound_1d(args, _demo_param(args, "n", 100), _demo_param(args, "omega", 20.0))
+
+
 def _demo_esseen_k(args) -> tuple[list, list, list]:
     from . import esseen1d as e1
     from . import esseen_multi as em
 
-    k = args.k or 2
-    if not 1 <= k <= 3:
-        raise ValueError(f"--k must be 1, 2 or 3 (got {k})")
-    omega = args.omega or 12.0
-    n = args.n or 64
+    k = _demo_param(args, "k", 2)
+    n = _demo_param(args, "n", 64)
+    omega = _demo_param(args, "omega", 12.0)
+    delta = _demo_param(args, "delta", 8.0)
     if k == 1:
-        F1 = e1.standardized_binomial(n)
-        G1 = e1.normal_law()
-        rep1 = e1.esseen_bound_1d(F1, G1, omega)
-        sup = e1.sup_cdf_distance(F1.cdf, G1.cdf, np.linspace(-8, 8, 2001), F1.atoms)
-        bounds = [{"name": "smoothing_bound", "omega": omega, "value": _fmt(rep1.total)}]
-        meas = [{"name": "sup_cdf_distance", "value": _fmt(sup)}]
-        return bounds, meas, [{"name": "bound_dominates", "pass": rep1.total >= sup}]
+        return _binomial_bound_1d(args, n, omega)
     F = em.product_law([e1.standardized_binomial(n)] * k)
     G = em.product_normal_target(k)
-    ov = getattr(args, "_overrides", {})
+    ov = args._overrides
     base = em.BoundConstants.for_k(k).as_dict()
     # k-dependent floors can only be checked here, once k is known
     if not getattr(args, "unsafe", False):
@@ -515,13 +528,10 @@ def _demo_esseen_k(args) -> tuple[list, list, list]:
     base.update({key: val for key, val in ov.items() if key in base})
     constants = em.BoundConstants(**base)
     t = np.array([0.3, -0.4, 0.2][:k])
-    rep = em.esseen_bound_k(F, G, (omega,) * k, t, constants=constants,
-                            panels=8 if k == 2 else 6, order=6 if k == 2 else 4)
+    grid = dict(constants=constants, panels=8 if k == 2 else 6, order=6 if k == 2 else 4)
+    rep = em.esseen_bound_k(F, G, (omega,) * k, t, **grid)
     meas_t = abs(F.cdf(t) - G.cdf(t))
-    delta = args.delta or 8.0
-    repA = em.esseen_bound_truncated(F, G, (omega,) * k, delta=delta, mode="A",
-                                     constants=constants,
-                                     panels=8 if k == 2 else 6, order=6 if k == 2 else 4)
+    repA = em.esseen_bound_truncated(F, G, (omega,) * k, delta=delta, mode="A", **grid)
     bounds = [
         {"name": "partition_bound", "t": [float(x) for x in t], "value": _fmt(rep.total)},
         {"name": "truncated_bound_A", "delta": delta, "value": _fmt(repA.total)},
@@ -542,12 +552,12 @@ def _ks_limit(floor: float, samples: int) -> float:
 def _demo_clt_haar(args) -> tuple[list, list, list]:
     from . import clt
 
-    N = args.N or 400
-    samples = args.samples or 10**5
+    N = _demo_param(args, "N", 400)
     seed = args.seed if args.seed is not None else 7
+    samples = args.samples if args.samples is not None else 10**5
+    mc = clt.MonteCarloConfig(seed=seed, samples=samples, N=N)
     law = clt.haar_circle_law()
     g = clt.gaussian_limit_gap(law, clt.constant_scheme(), N, 1.0)
-    mc = clt.MonteCarloConfig(seed=seed, samples=samples, N=N)
     rep = clt.vector_statistic(law, clt.constant_scheme(), N, mc)
     bounds = [{"name": "log_cf_gap_bound", "value": _fmt(g.proof_bound)}]
     meas = [
@@ -566,13 +576,14 @@ def _demo_clt_haar(args) -> tuple[list, list, list]:
 def _demo_clt_vector(args) -> tuple[list, list, list]:
     from . import clt
 
-    N = args.N or 400
+    N = _demo_param(args, "N", 400)
     seed = args.seed if args.seed is not None else 11
+    samples = args.samples if args.samples is not None else 2 * 10**4
+    mc = clt.MonteCarloConfig(seed=seed, samples=samples, N=N)
     law = clt.haar_circle_law()
     scheme = clt.alternating_vector_scheme(2)
     stats = clt.lyapunov_normalizer(scheme, N)
     g = clt.gaussian_limit_gap(law, scheme, N, np.array([1.0, 0.5 + 0.2j]), A=1.2)
-    mc = clt.MonteCarloConfig(seed=seed, samples=max(args.samples or 2 * 10**4, 10**3), N=N)
     rep = clt.vector_statistic(law, scheme, N, mc)
     bounds = [{"name": "log_cf_gap_bound", "value": _fmt(g.proof_bound)}]
     meas = [
@@ -601,7 +612,7 @@ def cmd_demo(args, manifest: RunManifest) -> int:
     args._overrides = manifest.constant_overrides
     bounds, meas, verdicts = _SCENARIOS[args.scenario](args)
     payload = {
-        "manifest": manifest.as_dict(),
+        "manifest": asdict(manifest),
         "checks": [],
         "bounds": bounds,
         "measurements": meas,
@@ -664,22 +675,21 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
 
-    config = _load_config()
-    if args.tol is None:
-        args.tol = float(config.get("tol", 1e-10))
-    if args.seed is None and config.get("seed") is not None:
-        args.seed = int(config["seed"])
-    if args.format is None:
-        args.format = config.get("format", "json" if args.command in ("verify", "demo") else "csv")
-
-    params = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("command", "seed", "tol", "out", "format", "const", "unsafe")
-        and v is not None
-    }
     handler = {"eval": cmd_eval, "table": cmd_table, "verify": cmd_verify, "demo": cmd_demo}
     try:
+        config = _load_config()
+        if args.tol is None:
+            args.tol = float(config.get("tol", 1e-10))
+        if args.seed is None and config.get("seed") is not None:
+            args.seed = int(config["seed"])
+        if args.format is None:
+            args.format = config.get("format", "json" if args.command in ("verify", "demo") else "csv")
+        params = {
+            k: v
+            for k, v in vars(args).items()
+            if k not in ("command", "seed", "tol", "out", "format", "const", "unsafe")
+            and v is not None
+        }
         manifest = RunManifest(
             command=args.command,
             parameters=params,
@@ -690,7 +700,7 @@ def main(argv: list[str] | None = None) -> int:
             format=args.format,
         )
         return handler[args.command](args, manifest)
-    except (ValueError, ArithmeticError, AssertionError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -303,7 +303,8 @@ def lyapunov_normalizer(scheme: CoefficientScheme, N: int) -> NormalizerStats:
             raise ValueError("all coefficients vanish")
         s = float(np.sqrt(np.sum(mags**2)))
         return NormalizerStats("scalar", s, float(np.sum(mags**3)) / s**3, float(np.max(mags)) / s)
-    assert scheme.sigma is not None and scheme.betas is not None
+    if scheme.sigma is None or scheme.betas is None:
+        raise ValueError("scheme must have sigma and betas in vector mode")
     sigma = scheme.sigma(N)
     if not np.any(np.abs(b) > 0) or sigma <= 0:
         raise ValueError("degenerate vector scheme")
@@ -386,7 +387,10 @@ class MonteCarloConfig:
     N: int
 
     def __post_init__(self):
-        assert self.samples >= 10**3 and self.N >= 1
+        if not self.samples >= 10**3:
+            raise ValueError(f"samples must be >= 1000 (got {self.samples!r})")
+        if not self.N >= 1:
+            raise ValueError(f"N must be >= 1 (got {self.N!r})")
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:
@@ -400,7 +404,8 @@ def ks_distance(samples: np.ndarray, cdf: Callable[[float], float]) -> float:
     n = x.size
     if n == 0:
         raise ValueError("empty sample")
-    assert np.all(np.diff(x) >= 0), "samples must be sorted ascending"
+    if not np.all(np.diff(x) >= 0):
+        raise ValueError("samples must be sorted ascending")
     F = np.array([cdf(float(v)) for v in x])
     i = np.arange(1, n + 1)
     return float(np.max(np.maximum(i / n - F, F - (i - 1) / n)))

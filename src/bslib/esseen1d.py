@@ -20,8 +20,7 @@ from scipy.special import gammaln, ndtr
 from .kernels import Q_eval
 
 __all__ = [
-    "Distribution1D",
-    "ComparisonTarget",
+    "Law",
     "normal_law",
     "standardized_binomial",
     "irwin_hall_standardized",
@@ -47,37 +46,42 @@ def normal_cdf(x: float, mu: float = 0.0, sigma: float = 1.0) -> float:
 
 
 @dataclass(frozen=True)
-class Distribution1D:
-    """A one-dimensional probability law for smoothing-bound work.
+class Law:
+    """A probability law on R^k for smoothing-bound work.
 
-    `cdf` and `cf` take a float or an ndarray of real points and return
-    values of the same shape (a numpy scalar for a float): float CDF
-    values and complex cf values.  The bounds and sups below call them
-    once on a whole array of points.
+    `cdf` (float values) and `cf` (complex values) take, for k = 1, a float
+    or an ndarray of any shape and return that shape; for k > 1, an (N, k)
+    array and return (N,) values, or one k-vector and return a scalar.
+    `moment` is (alpha, integral of (max_j |x_j|)^alpha).  `density_bounds`
+    bounds each marginal density, one per axis, and is None when a marginal
+    has atoms; `atoms` are where `sup_cdf_distance` takes one-sided limits.
     """
 
     cdf: Callable[[ArrayLike], ArrayLike]
     cf: Callable[[ArrayLike], ArrayLike]
-    density_bound: float | None
-    moment: tuple[float, float]  # (alpha, integral of |x|^alpha)
-    sampler: Callable | None = None
-    atoms: tuple[float, ...] = ()
-
-
-@dataclass(frozen=True)
-class ComparisonTarget:
-    """A comparison measure: G with G(-inf)=0, G(inf)=1, |G'| <= m.
-
-    `cdf` and `cf` follow the array contract of `Distribution1D`.
-    """
-
-    cdf: Callable[[ArrayLike], ArrayLike]
-    cf: Callable[[ArrayLike], ArrayLike]
-    density_bound: float
     moment: tuple[float, float]
+    density_bounds: tuple[float, ...] | None = None
+    atoms: tuple[float, ...] = ()
+    k: int = 1
 
 
-def normal_law(mu: float = 0.0, sigma: float = 1.0) -> ComparisonTarget:
+def _check_laws(F: Law, G: Law | None = None, k_max: int = 1, omegas=None, omega_floor=0.0) -> int:
+    """The checks every bound makes on F, G and omegas; returns k = F.k."""
+    k = F.k
+    if not 1 <= k <= k_max:
+        what = "F must be a law on R" if k_max == 1 else f"k must be in 1..{k_max}"
+        raise ValueError(f"{what} (got F.k = {k})")
+    if G is not None and (G.k != k or G.density_bounds is None):
+        raise ValueError(f"G must be a law on R^{k}, as F is, with density bounds for the tail "
+                         f"term (got k = {G.k}, density_bounds = {G.density_bounds})")
+    if omegas is not None and len(omegas) != k:
+        raise ValueError(f"omegas must have k = {k} entries (got {len(omegas)})")
+    if omegas is not None and not all(omega_floor < om < math.inf for om in omegas):
+        raise ValueError(f"omegas must all be finite and > {omega_floor:g} (got {tuple(omegas)})")
+    return k
+
+
+def normal_law(mu: float = 0.0, sigma: float = 1.0) -> Law:
     m = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
     second = mu * mu + sigma * sigma
 
@@ -88,10 +92,10 @@ def normal_law(mu: float = 0.0, sigma: float = 1.0) -> ComparisonTarget:
         t = np.asarray(t, dtype=float)
         return (np.cos(mu * t) + 1j * np.sin(mu * t)) * np.exp(-0.5 * (sigma * t) ** 2)
 
-    return ComparisonTarget(cdf, cf, m, (2.0, second))
+    return Law(cdf, cf, (2.0, second), (m,))
 
 
-def standardized_binomial(n: int, p: float = 0.5) -> Distribution1D:
+def standardized_binomial(n: int, p: float = 0.5) -> Law:
     """(S - n/2)/(sqrt(n)/2) for S ~ Binomial(n, 1/2)."""
     if p != 0.5:
         raise ValueError(f"p must be 0.5 (only the symmetric case is wired up), got {p!r}")
@@ -111,14 +115,10 @@ def standardized_binomial(n: int, p: float = 0.5) -> Distribution1D:
         # values, and the slab bound's finite differences magnify that
         return np.float_power(np.cos(np.asarray(t, dtype=float) / math.sqrt(n)), n) + 0j
 
-    def sampler(rng, size):
-        s = rng.binomial(n, 0.5, size=size)
-        return (2.0 * s - n) / math.sqrt(n)
-
-    return Distribution1D(cdf, cf, None, (2.0, 1.0), sampler, tuple(xs))
+    return Law(cdf, cf, (2.0, 1.0), atoms=tuple(xs))
 
 
-def irwin_hall_standardized(n: int) -> Distribution1D:
+def irwin_hall_standardized(n: int) -> Law:
     """Standardized sum of n independent uniforms on [-1/2, 1/2]."""
     s = math.sqrt(n / 12.0)
 
@@ -140,13 +140,10 @@ def irwin_hall_standardized(n: int) -> Distribution1D:
         u = np.asarray(t, dtype=float) / (2.0 * s)
         return np.float_power(np.sinc(u / math.pi), n) + 0j
 
-    def sampler(rng, size):
-        return rng.uniform(-0.5, 0.5, size=(n,) + tuple(np.atleast_1d(size))).sum(axis=0) / s
-
-    return Distribution1D(cdf, cf, None, (2.0, 1.0), sampler)
+    return Law(cdf, cf, (2.0, 1.0))
 
 
-def point_mass(x0: float = 0.0) -> Distribution1D:
+def point_mass(x0: float = 0.0) -> Law:
     def cdf(t):
         return np.where(np.asarray(t) >= x0, 1.0, 0.0)[()]
 
@@ -154,7 +151,7 @@ def point_mass(x0: float = 0.0) -> Distribution1D:
         t = np.asarray(t, dtype=float)
         return np.cos(x0 * t) + 1j * np.sin(x0 * t)
 
-    return Distribution1D(cdf, cf, None, (2.0, x0 * x0), lambda rng, size: np.full(size, x0), (x0,))
+    return Law(cdf, cf, (2.0, x0 * x0), atoms=(x0,))
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +297,8 @@ def _omega_array(omegas, name: str) -> np.ndarray:
 
 
 def _sweep(
-    F: Distribution1D,
-    G: ComparisonTarget,
+    F: Law,
+    G: Law,
     omegas: np.ndarray,
     constants: tuple[float, float] = (C1_DEFAULT, C2_DEFAULT),
     tol: float = 1e-8,
@@ -315,6 +312,7 @@ def _sweep(
     integrals and error estimates give each Omega's integral term and
     quadrature error.
     """
+    _check_laws(F, G)
     c1, c2 = constants
     alpha = min(F.moment[0], G.moment[0])
     a_t = min(alpha, 1.0)
@@ -340,15 +338,15 @@ def _sweep(
         exclusion = 2.0 * 2.0 * msum * eps**a_t  # excluded mass, both signs
         if quad_err > 1e-3 * max(1.0, v):
             raise ArithmeticError(f"quadrature error {quad_err:g} exceeds budget")
-        tail = c2 * G.density_bound / omega
+        tail = c2 * G.density_bounds[0] / omega
         total = c1 * (integral + exclusion + 2.0 * quad_err) + tail
         reports.append(EsseenReport(total, c1 * integral, tail, c1 * exclusion, omega, (c1, c2)))
     return reports
 
 
 def esseen_bound_1d(
-    F: Distribution1D,
-    G: ComparisonTarget,
+    F: Law,
+    G: Law,
     omega: float,
     constants: tuple[float, float] = (C1_DEFAULT, C2_DEFAULT),
     tol: float = 1e-8,
@@ -362,8 +360,9 @@ def esseen_bound_1d(
     return _sweep(F, G, _omega_array(omega, "omega"), constants, tol)[0]
 
 
-def gaussian_mollify(F: Distribution1D, eps: float) -> Distribution1D:
-    """Convolve F with a centered Gaussian of standard deviation eps."""
+def gaussian_mollify(F: Law, eps: float) -> Law:
+    """Convolve the law F on R with a centered Gaussian of standard deviation eps."""
+    _check_laws(F)
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps!r}")
     nodes, weights = np.polynomial.hermite_e.hermegauss(64)
@@ -378,10 +377,10 @@ def gaussian_mollify(F: Distribution1D, eps: float) -> Distribution1D:
         return F.cf(z) * np.exp(-0.5 * (eps * z) ** 2)
 
     m = 1.0 / (eps * math.sqrt(2.0 * math.pi))
-    if F.density_bound is not None:
-        m = min(m, F.density_bound)
+    if F.density_bounds is not None:
+        m = min(m, F.density_bounds[0])
     a, mom = F.moment
-    return Distribution1D(cdf, cf, m, (a, mom + eps**a * 2.0), None, ())
+    return Law(cdf, cf, (a, mom + eps**a * 2.0), (m,))
 
 
 def sup_cdf_distance(
@@ -405,7 +404,7 @@ OMEGA_GRID = tuple(2.0**j for j in range(0, 15))
 
 
 def best_esseen_bound(
-    F: Distribution1D, G: ComparisonTarget, omegas: Sequence[float] = OMEGA_GRID
+    F: Law, G: Law, omegas: Sequence[float] = OMEGA_GRID
 ) -> EsseenReport:
     """The smallest `esseen_bound_1d` report over omegas, from one sweep."""
     return min(_sweep(F, G, _omega_array(omegas, "omegas")), key=lambda r: r.total)
@@ -421,8 +420,8 @@ class HarnessRow:
 
 
 def convergence_harness_1d(
-    family: Callable[[int], Distribution1D],
-    G: ComparisonTarget,
+    family: Callable[[int], Law],
+    G: Law,
     indices: Sequence[int],
     grid: Sequence[float] | None = None,
 ) -> list[HarnessRow]:

@@ -10,6 +10,7 @@ the first three variants, k <= 2 for the slab variant.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -19,12 +20,10 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-from .esseen1d import Distribution1D, normal_cdf
+from .esseen1d import Law, _check_laws, normal_law
 
 __all__ = [
     "Monomial",
-    "KDimLaw",
-    "SignedMeasureK",
     "BoundConstants",
     "selberg_ring_expansion",
     "apply_operator",
@@ -375,57 +374,58 @@ def derivative_bound_check(f: Callable, spec: dict, v: Sequence[float]) -> Bound
 # laws, targets, constants
 
 
-@dataclass(frozen=True)
-class KDimLaw:
-    """k-dimensional probability law: joint cdf, vectorized cf, moment record."""
+def product_law(components: Sequence[Law]) -> Law:
+    """The law on R^k of independent coordinates with the given laws on R.
 
-    k: int
-    cdf: Callable[[np.ndarray], float]
-    cf: Callable[[np.ndarray], np.ndarray]  # (N, k) -> (N,) complex
-    moment: tuple[float, float]  # (alpha, integral of (max_j |x_j|)^alpha)
-
-
-@dataclass(frozen=True)
-class SignedMeasureK:
-    k: int
-    cdf: Callable[[np.ndarray], float]
-    cf: Callable[[np.ndarray], np.ndarray]
-    marginal_bounds: tuple[float, ...]
-    moment: tuple[float, float]
-
-
-def product_law(components: Sequence[Distribution1D]) -> KDimLaw:
+    Its cdf and cf multiply the components' values column by column.  Its
+    density bounds are the components' bounds, or None if one has none.
+    One component gives that law, which keeps the k = 1 array contract.
+    """
+    for j, c in enumerate(components):
+        if c.k != 1:
+            raise ValueError(f"components[{j}] must be a law on R (got k = {c.k})")
     k = len(components)
+    # E max|x_j|^2 <= sum E x_j^2 for alpha = 2 components
+    moment = (2.0, sum(c.moment[1] for c in components))
+    if k == 1:
+        return dataclasses.replace(components[0], moment=moment)
+    bounds = [c.density_bounds for c in components]
+    bounds = None if None in bounds else sum(bounds, ())
 
-    def cdf(y: np.ndarray) -> float:
-        return float(np.prod([c.cdf(float(y[j])) for j, c in enumerate(components)]))
+    def cdf(pts: np.ndarray) -> np.ndarray:
+        pts = np.asarray(pts, dtype=float)
+        out = np.ones(pts.shape[:-1])
+        for j, c in enumerate(components):
+            out = out * c.cdf(pts[..., j])
+        return out[()]
 
     def cf(pts: np.ndarray) -> np.ndarray:
         # tensor grids repeat each coordinate value many times: evaluate the
         # component cf once, on the column's distinct values, and scatter
-        pts = np.atleast_2d(pts)
-        out = np.ones(pts.shape[0], dtype=complex)
+        pts = np.asarray(pts, dtype=float)
+        rows = pts.reshape(-1, k)
+        out = np.ones(rows.shape[0], dtype=complex)
         for j, c in enumerate(components):
-            u, inv = np.unique(pts[:, j], return_inverse=True)
+            u, inv = np.unique(rows[:, j], return_inverse=True)
             out *= c.cf(u)[inv]
-        return out
+        return out.reshape(pts.shape[:-1])[()]
 
-    # E max|x_j|^2 <= sum E x_j^2 for alpha = 2 components
-    mom = sum(c.moment[1] for c in components)
-    return KDimLaw(k, cdf, cf, (2.0, mom))
+    return Law(cdf, cf, moment, bounds, k=k)
 
 
-def product_normal_target(k: int) -> SignedMeasureK:
-    m = 1.0 / math.sqrt(2.0 * math.pi)
-
-    def cdf(y: np.ndarray) -> float:
-        return float(np.prod([normal_cdf(float(y[j])) for j in range(k)]))
+def product_normal_target(k: int) -> Law:
+    """The standard normal law on R^k, with the closed-form joint cf: one exp per point."""
 
     def cf(pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        return np.exp(-0.5 * np.sum(pts**2, axis=1)) + 0.0j
+        return np.exp(-0.5 * np.sum(np.asarray(pts, dtype=float) ** 2, axis=-1)) + 0.0j
 
-    return SignedMeasureK(k, cdf, cf, tuple([m] * k), (2.0, float(k)))
+    law = product_law([normal_law()] * k)
+    return law if k == 1 else dataclasses.replace(law, cf=cf)
+
+
+def _cf_gap(F: Law, G: Law) -> Callable[[np.ndarray], np.ndarray]:
+    """phi - psi on (N, k) points as (N,) values; a law on R gives (N, 1)."""
+    return lambda pts: np.ravel(F.cf(pts) - G.cf(pts))
 
 
 @dataclass(frozen=True)
@@ -458,10 +458,7 @@ class BoundConstants:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "c1": self.c1, "c2": self.c2, "c5": self.c5, "c6": self.c6,
-            "c8": self.c8, "c9": self.c9, "c_hat1": self.c_hat1,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -520,9 +517,20 @@ def _tensor_integral(
     return float(np.sum(wt * np.real(integrand(pts))))
 
 
+def _partition_terms(k, omegas, panels, order, integrand) -> dict[str, float]:
+    """The tensor integral of integrand(pts, C, D) for each partition (B, C, D),
+    with the B-coordinates fixed at 0."""
+    terms = {}
+    for B, C, D in partitions(k):
+        axes = [_axis_nodes(omegas[j], panels, order) for j in range(k) if j not in B]
+        integral = _tensor_integral(axes, lambda pts: integrand(pts, C, D), dict.fromkeys(B, 0.0), k)
+        terms[f"B={B} C={C} D={D}"] = integral
+    return terms
+
+
 def esseen_bound_k(
-    F: KDimLaw,
-    G: SignedMeasureK,
+    F: Law,
+    G: Law,
     omegas: Sequence[float],
     t: Sequence[float],
     constants: BoundConstants | None = None,
@@ -530,57 +538,30 @@ def esseen_bound_k(
     order: int | None = None,
 ) -> KBoundReport:
     """Partition-sum smoothing bound for |F(t) - G(t)|."""
-    k = F.k
-    if k > 3:
-        raise ValueError(f"k must be <= 3 (got F.k = {k})")
-    if len(omegas) != k:
-        raise ValueError(f"omegas must have k = {k} entries (got {len(omegas)})")
+    k = _check_laws(F, G, 3, omegas)
     consts = constants or BoundConstants.for_k(k)
     panels = panels or (12 if k <= 2 else 7)
     order = order or (8 if k <= 2 else 5)
     t = np.asarray(t, dtype=float)
+    diff = _cf_gap(F, G)
 
-    def diff(pts: np.ndarray) -> np.ndarray:
-        return F.cf(pts) - G.cf(pts)
+    def integrand(pts: np.ndarray, C, D) -> np.ndarray:
+        val = np.abs(_d_set_apply(diff, pts, C))
+        for j in C:
+            val = val / np.abs(pts[:, j])
+        for j in D:
+            val = val * (1.0 / omegas[j] + np.abs(np.sin(t[j] * pts[:, j])) / np.abs(pts[:, j]))
+        return val
 
-    terms = {}
-    total_int = 0.0
-    for B, C, D in partitions(k):
-        fixed = {j: 0.0 for j in B}
-        axes = [_axis_nodes(omegas[j], panels, order) for j in range(k) if j not in fixed]
-
-        def integrand(pts: np.ndarray) -> np.ndarray:
-            val = np.abs(_d_set_apply(diff, pts, C))
-            for j in C:
-                val = val / np.abs(pts[:, j])
-            for j in D:
-                val = val * (1.0 / omegas[j] + np.abs(np.sin(t[j] * pts[:, j])) / np.abs(pts[:, j]))
-            return val
-
-        I = _tensor_integral(axes, integrand, fixed, k)
-        terms[f"B={B} C={C} D={D}"] = I
-        total_int += I
-
-    tail = consts.c2 * sum(m / om for m, om in zip(G.marginal_bounds, omegas))
-    total = consts.c1 * total_int + tail
+    terms = _partition_terms(k, omegas, panels, order, integrand)
+    tail = consts.c2 * sum(m / om for m, om in zip(G.density_bounds, omegas))
+    total = consts.c1 * sum(terms.values()) + tail
     return KBoundReport(total, terms, tail, 0.0, consts.as_dict(), {"t": tuple(t), "omegas": tuple(omegas)})
 
 
-def _check_omegas(omegas: Sequence[float], k: int) -> None:
-    if len(omegas) != k:
-        raise ValueError(f"omegas must have k = {k} entries (got {len(omegas)})")
-    if not min(omegas) > 1.0:
-        raise ValueError(f"omegas must all be > 1 (got {tuple(omegas)})")
-
-
-def _v_bullet_factor(vals: np.ndarray, delta: float) -> np.ndarray:
-    # 1/|v_bullet| = min(Delta, 1/|v|)
-    return np.minimum(delta, 1.0 / np.abs(vals))
-
-
 def esseen_bound_truncated(
-    F: KDimLaw,
-    G: SignedMeasureK,
+    F: Law,
+    G: Law,
     omegas: Sequence[float],
     delta: float,
     mode: Literal["A", "B"] = "A",
@@ -597,10 +578,7 @@ def esseen_bound_truncated(
     the box edge lengths (box_extent).  With use_triangle_replacement the
     factor 1/|v_bullet| is replaced by the larger delta/|v_triangle|.
     """
-    k = F.k
-    if k > 3:
-        raise ValueError(f"k must be <= 3 (got F.k = {k})")
-    _check_omegas(omegas, k)
+    k = _check_laws(F, G, 3, omegas, 1.0)
     consts = constants or BoundConstants.for_k(k)
     panels = panels or (12 if k <= 2 else 7)
     order = order or (8 if k <= 2 else 5)
@@ -611,21 +589,22 @@ def esseen_bound_truncated(
     if not delta > 1.0:
         raise ValueError(f"delta must be > 1 (got {delta})")
     a = alpha if alpha is not None else min(F.moment[0], G.moment[0])
+    diff = _cf_gap(F, G)
 
     def integrand(pts: np.ndarray) -> np.ndarray:
-        val = np.abs(F.cf(pts) - G.cf(pts))
+        val = np.abs(diff(pts))
         for j in range(k):
             if use_triangle_replacement:
                 # delta / |v_triangle| >= 1/|v_bullet| pointwise
                 val = val * delta / np.maximum(np.abs(pts[:, j]), 1.0)
             else:
-                val = val * _v_bullet_factor(pts[:, j], delta)
+                val = val * np.minimum(delta, 1.0 / np.abs(pts[:, j]))  # 1/|v_bullet|
         return val
 
     axes = [_axis_nodes(omegas[j], panels, order) for j in range(k)]
     I = _tensor_integral(axes, integrand, {}, k)
     tail = (consts.c6 if mode == "A" else consts.c9) * sum(
-        m / om for m, om in zip(G.marginal_bounds, omegas)
+        m / om for m, om in zip(G.density_bounds, omegas)
     )
     cint = consts.c5 if mode == "A" else consts.c8
     extra = 0.0
@@ -642,13 +621,17 @@ def esseen_bound_truncated(
     )
 
 
-def box_probability(cdf: Callable[[np.ndarray], float], a: np.ndarray, b: np.ndarray) -> float:
-    """Measure of the half-open box (a, b] by inclusion-exclusion of the cdf."""
+def box_probability(cdf: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray) -> float:
+    """Measure of the half-open box (a, b] by inclusion-exclusion of the cdf.
+
+    The cdf is called once, on the (2^k, k) array of corners.
+    """
     k = len(a)
+    picks = np.array(list(itertools.product((0, 1), repeat=k)))
+    values = np.ravel(cdf(np.where(picks == 1, b, a)))
     total = 0.0
-    for picks in itertools.product((0, 1), repeat=k):
-        corner = np.where(np.asarray(picks) == 1, b, a)
-        total += (-1.0) ** (k - sum(picks)) * cdf(corner)
+    for sign, v in zip((-1.0) ** (k - picks.sum(axis=1)), values):
+        total += sign * v
     return total
 
 
@@ -746,8 +729,8 @@ def _slab_group(f, V, Cb, Cs, tau, flavor, npts, safety) -> np.ndarray:
 
 
 def esseen_bound_slab(
-    F: KDimLaw,
-    G: SignedMeasureK,
+    F: Law,
+    G: Law,
     omegas: Sequence[float],
     constants: BoundConstants | None = None,
     tau: float = 1.0,
@@ -755,35 +738,21 @@ def esseen_bound_slab(
     order: int = 4,
 ) -> KBoundReport:
     """Slab-norm smoothing bound (t-free), k <= 2."""
-    k = F.k
-    if k > 2:
-        raise ValueError(f"k must be <= 2 (got F.k = {k})")
-    _check_omegas(omegas, k)
+    k = _check_laws(F, G, 2, omegas, 1.0)
     consts = constants or BoundConstants.for_k(k)
+    diff = _cf_gap(F, G)
 
-    def diff(pts: np.ndarray) -> np.ndarray:
-        return F.cf(pts) - G.cf(pts)
+    def integrand(pts: np.ndarray, C, D) -> np.ndarray:
+        out = slab_norms(diff, C, pts, tau, "double_bar", grid=5)
+        for j in C:
+            out = out / np.maximum(np.abs(pts[:, j]), 1.0)  # |v_triangle|
+        for j in D:
+            out = out / omegas[j]
+        return out
 
-    terms = {}
-    total_int = 0.0
-    for B, C, D in partitions(k):
-        fixed = {j: 0.0 for j in B}
-        axes = [_axis_nodes(omegas[j], panels, order) for j in range(k) if j not in fixed]
-
-        def integrand(pts: np.ndarray) -> np.ndarray:
-            out = slab_norms(diff, C, pts, tau, "double_bar", grid=5)
-            for j in C:
-                out = out / np.maximum(np.abs(pts[:, j]), 1.0)  # |v_triangle|
-            for j in D:
-                out = out / omegas[j]
-            return out
-
-        I = _tensor_integral(axes, integrand, fixed, k)
-        terms[f"B={B} C={C} D={D}"] = I
-        total_int += I
-
-    tail = consts.c2 * sum(m / om for m, om in zip(G.marginal_bounds, omegas))
-    total = consts.c_hat1 * total_int + tail
+    terms = _partition_terms(k, omegas, panels, order, integrand)
+    tail = consts.c2 * sum(m / om for m, om in zip(G.density_bounds, omegas))
+    total = consts.c_hat1 * sum(terms.values()) + tail
     return KBoundReport(total, terms, tail, 0.0, consts.as_dict(), {"tau": tau, "omegas": tuple(omegas)})
 
 
@@ -801,8 +770,8 @@ class KHarnessRow:
 
 
 def convergence_harness_k(
-    family: Callable[[int], KDimLaw],
-    G: SignedMeasureK,
+    family: Callable[[int], Law],
+    G: Law,
     indices: Sequence[int],
     variant: Literal["plain", "A", "B", "C"] = "A",
     t_grid: np.ndarray | None = None,
@@ -816,7 +785,7 @@ def convergence_harness_k(
     h = 1e-3
     for n in indices:
         F = family(n)
-        d = max(abs(F.cdf(t) - G.cdf(t)) for t in t_grid)
+        d = float(np.max(np.abs(F.cdf(t_grid) - G.cdf(t_grid))))
         best = math.inf
         best_om = omega_candidates[0]
         for oms in omega_candidates:
@@ -836,7 +805,7 @@ def convergence_harness_k(
         def mixed(cf):
             pts = np.array(list(itertools.product(*[(-h, h)] * k)))
             signs = np.prod(np.sign(pts), axis=1)
-            return complex(np.sum(signs * cf(pts)) / (2 * h) ** k)
+            return complex(np.sum(signs * np.ravel(cf(pts))) / (2 * h) ** k)
 
         diag = abs(mixed(F.cf) - mixed(G.cf))
         rows.append(KHarnessRow(n, d, best, best_om, diag))

@@ -51,17 +51,23 @@ class SampleSet:
     decay_exponent: float = 2.0
 
     def __post_init__(self):
-        assert self.alpha > 0 and self.M >= 1
-        assert len(self.values) == 2 * self.M + 1
-        assert all(math.isfinite(v) for v in self.values)
-        if self.derivatives is not None:
-            assert len(self.derivatives) == len(self.values)
+        if not self.alpha > 0:
+            raise ValueError(f"alpha must be > 0 (got {self.alpha!r})")
+        if not self.M >= 1:
+            raise ValueError(f"M must be >= 1 (got {self.M!r})")
+        if len(self.values) != 2 * self.M + 1:
+            raise ValueError(f"values must have 2 M + 1 = {2 * self.M + 1} entries (got {len(self.values)})")
+        if not all(math.isfinite(v) for v in self.values):
+            raise ValueError("values must be finite")
+        if self.derivatives is not None and len(self.derivatives) != len(self.values):
+            raise ValueError(f"derivatives must have {len(self.values)} entries (got {len(self.derivatives)})")
 
     def value(self, k: int) -> float:
         return self.values[k + self.M]
 
     def derivative(self, k: int) -> float:
-        assert self.derivatives is not None
+        if self.derivatives is None:
+            raise ValueError("derivatives were not sampled (got None)")
         return self.derivatives[k + self.M]
 
 
@@ -113,7 +119,8 @@ def cardinal_series(
         return front * s, err
 
     # extended mode: f'(0) and f(0)/z terms plus the compensated bracket
-    assert samples.origin_data is not None, "extended mode needs (f(0), f'(0))"
+    if samples.origin_data is None:
+        raise ValueError("origin_data (f(0), f'(0)) is needed in extended mode (got None)")
     f0, fp0 = samples.origin_data
     s = fp0 + f0 / z
     ks = np.arange(-M, M + 1)
@@ -127,7 +134,8 @@ def cardinal_series(
 
 def vaaler_interpolation(samples: SampleSet, z: float) -> tuple[float, float]:
     """Value+derivative reconstruction from data at k/alpha; (value, err_est)."""
-    assert samples.derivatives is not None
+    if samples.derivatives is None:
+        raise ValueError("derivatives are needed for value+derivative interpolation (got None)")
     a = samples.alpha
     h = 1.0 / a
     M = samples.M

@@ -89,15 +89,20 @@ class KernelConfig:
     tol: float = 1e-12
 
     def __post_init__(self):
-        assert self.series_terms >= 10
-        assert 1 <= self.asymptotic_pairs <= 30
-        assert 0 < self.taylor_radius <= 0.5
-        assert self.tol > 0
+        if not self.series_terms >= 10:
+            raise ValueError(f"series_terms must be >= 10 (got {self.series_terms!r})")
+        if not 1 <= self.asymptotic_pairs <= 30:
+            raise ValueError(f"asymptotic_pairs must be in 1..30 (got {self.asymptotic_pairs!r})")
+        if not 0 < self.taylor_radius <= 0.5:
+            raise ValueError(f"taylor_radius must be in (0, 0.5] (got {self.taylor_radius!r})")
+        if not self.tol > 0:
+            raise ValueError(f"tol must be > 0 (got {self.tol!r})")
 
 
 def bernoulli_numbers(n: int) -> BernoulliTable:
     """B_0 .. B_n from the defining recurrence sum_j C(m+1,j) B_j = 0."""
-    assert n >= 2
+    if not n >= 2:
+        raise ValueError(f"n must be >= 2 (got {n!r})")
     vals = [Fraction(1)]
     for m in range(1, n + 1):
         s = sum(Fraction(math.comb(m + 1, j)) * vals[j] for j in range(m))
@@ -249,7 +254,8 @@ def interval_majorant_direct(ell: int, x: float) -> float:
     (sin(pi z)/pi)^2 { sum_{k=0}^{ell} 1/(z-k)^2 + 1/z + 1/(ell-z) };
     S_ell must reduce to this when ell is a positive integer.
     """
-    assert ell == int(ell) and ell >= 1
+    if not (ell >= 1 and float(ell).is_integer()):
+        raise ValueError(f"ell must be a positive integer (got {ell!r})")
     k0 = round(x)
     if abs(x - k0) < 1e-12:
         # nodal values: 1 on {0..ell}, 0 outside
@@ -300,7 +306,8 @@ def Q_eval(v: float) -> float:
 
 def lambda_constant(tol: float = 5e-8) -> float:
     """sup over xi in [0,1] of sqrt(Q(xi)^2 + xi^2 (1-xi)^2)."""
-    assert tol > 0
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0 (got {tol!r})")
 
     def f(xi: float) -> float:
         return math.hypot(Q_eval(xi), xi * (1.0 - xi))
@@ -361,7 +368,8 @@ def extremal_family_check(
     cfg: KernelConfig = DEFAULT_CONFIG,
 ) -> FamilyReport:
     """Check that S_ell + eta * (sin pi x/pi)^2 ell/(x(ell-x)) majorizes chi_[0,ell]."""
-    assert ell == int(ell) and ell >= 1
+    if not (ell >= 1 and float(ell).is_integer()):
+        raise ValueError(f"ell must be a positive integer (got {ell!r})")
     gaps = []
     for x in grid:
         fx = S_eval(ell, x, cfg) + _family_extra(ell, eta, x, cfg)

@@ -196,6 +196,20 @@ class TestUsageErrors:
             (("eval", "--fn", "K", "--const", "c1"), "--const"),
             (("eval", "--fn", "K", "--const", "zz=1"), "--const"),
             (("demo", "--scenario", "esseen-k", "--k", "7"), "--k"),
+            # an explicit 0 is rejected, not replaced by the default
+            (("demo", "--scenario", "esseen-k", "--k", "0"), "--k"),
+            (("demo", "--scenario", "esseen-k", "--n", "0"), "--n"),
+            (("demo", "--scenario", "esseen1d-binomial", "--n", "0"), "--n"),
+            (("demo", "--scenario", "esseen1d-binomial", "--omega", "0"), "--omega"),
+            (("demo", "--scenario", "esseen-k", "--omega", "nan"), "--omega"),
+            (("demo", "--scenario", "esseen-k", "--omega", "inf"), "--omega"),
+            (("demo", "--scenario", "esseen-k", "--delta", "1"), "--delta"),
+            (("demo", "--scenario", "esseen-k", "--delta", "0"), "--delta"),
+            (("demo", "--scenario", "clt-haar", "--N", "0"), "--N"),
+            (("demo", "--scenario", "clt-vector", "--N", "-3"), "--N"),
+            # the Monte Carlo sample count is checked by clt.MonteCarloConfig
+            (("demo", "--scenario", "clt-haar", "--samples", "10"), "samples"),
+            (("demo", "--scenario", "clt-vector", "--samples", "500"), "samples"),
         ],
     )
     def test_message_names_the_flag(self, capsys, argv, flag):
@@ -251,6 +265,16 @@ class TestDemo:
         code, payload, _ = run_json(capsys, "demo", "--scenario", "esseen-k", "--k", "1")
         assert code == EXIT_OK
         assert payload["bounds"][0]["name"] == "smoothing_bound"
+
+    def test_k1_applies_constant_overrides(self, capsys):
+        def bound(*argv):
+            code, payload, _ = run_json(capsys, "demo", "--scenario", *argv)
+            assert code == EXIT_OK
+            return payload["bounds"][0]["value"]
+
+        one_d = bound("esseen1d-binomial", "--n", "64", "--omega", "12", "--const", "c1=0.5")
+        assert bound("esseen-k", "--k", "1", "--const", "c1=0.5") == one_d
+        assert bound("esseen-k", "--k", "1") != one_d
 
     def test_bad_k_rejected(self, capsys):
         code, _, _ = run(capsys, "demo", "--scenario", "esseen-k", "--k", "7")
@@ -325,6 +349,18 @@ class TestConfigAndDeterminism:
         )
         assert code == EXIT_OK
         assert payload["manifest"]["seed"] == 5
+
+    @pytest.mark.parametrize("text", [None, "{not json", "[1, 2]"])
+    def test_bad_config_file_is_a_usage_error(self, capsys, tmp_path, monkeypatch, text):
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text)
+        monkeypatch.setenv("BSLIB_CONFIG", str(cfg))
+        code, out, err = run(capsys, "eval", "--fn", "K", "--x", "0.0")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: BSLIB_CONFIG ")
+        assert err.count("\n") == 1
 
     def test_demo_deterministic_modulo_runtime(self, capsys):
         _, a, _ = run_json(capsys, "demo", "--scenario", "clt-haar", "--samples", "5000", "--N", "50")

@@ -240,7 +240,7 @@ class TestGapBound:
 
 class TestMonteCarlo:
     def test_config_validation(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="^samples"):
             clt.MonteCarloConfig(seed=1, samples=10, N=5)
 
     def test_ks_distance_spot_checks(self):

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from bslib import esseen1d as e1
+from bslib import esseen_multi as em
 
 
 class TestLawConstructors:
@@ -215,6 +216,11 @@ class TestValidation:
             (lambda: e1.pv_integral(lambda v: complex(math.cos(v)), 0.0), "A"),
             (lambda: e1.gaussian_mollify(e1.point_mass(0.0), 0.0), "eps"),
             (lambda: e1.standardized_binomial(10, p=0.3), "p"),
+            # a law on R^2, or a G without a density bound, is not a 1-D pair
+            (lambda: e1.esseen_bound_1d(em.product_normal_target(2), e1.normal_law(), 8.0), "^F"),
+            (lambda: e1.best_esseen_bound(e1.normal_law(), em.product_normal_target(2)), "^G"),
+            (lambda: e1.esseen_bound_1d(e1.normal_law(), e1.standardized_binomial(9), 8.0), "^G"),
+            (lambda: e1.gaussian_mollify(em.product_normal_target(2), 0.5), "^F"),
         ],
     )
     def test_bad_parameter_named(self, call, match):
@@ -230,9 +236,7 @@ class TestMollification:
         grid = np.linspace(-8, 8, 1201)
         raw = e1.sup_cdf_distance(F.cdf, G.cdf, grid, F.atoms)
         Fm = e1.gaussian_mollify(F, 0.25)
-
-        Gd = e1.Distribution1D(G.cdf, G.cf, G.density_bound, G.moment)
-        Gm = e1.gaussian_mollify(Gd, 0.25)
+        Gm = e1.gaussian_mollify(G, 0.25)
         smoothed = e1.sup_cdf_distance(Fm.cdf, Gm.cdf, grid)
         assert smoothed <= raw + 1e-9
 
@@ -245,7 +249,7 @@ class TestMollification:
 
     def test_density_bound_set(self):
         Fm = e1.gaussian_mollify(e1.point_mass(0.0), 0.1)
-        assert Fm.density_bound == pytest.approx(1.0 / (0.1 * math.sqrt(2 * math.pi)))
+        assert Fm.density_bounds == pytest.approx((1.0 / (0.1 * math.sqrt(2 * math.pi)),))
 
 
 @given(st.floats(min_value=-20, max_value=20))

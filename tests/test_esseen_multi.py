@@ -266,6 +266,25 @@ class TestLawsAndPartitions:
         assert F.cdf(np.array([50.0, 50.0])) == pytest.approx(1.0, abs=1e-12)
         assert G.cdf(np.array([0.0, 0.0])) == pytest.approx(0.25, abs=1e-14)
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_product_law_array_cdf_and_cf(self, k):
+        comps = [e1.standardized_binomial(9), e1.irwin_hall_standardized(3), e1.normal_law(0.2)][:k]
+        F = em.product_law(comps)
+        assert F.k == k
+        pts = np.random.default_rng(k).uniform(-3.0, 3.0, (200, k))
+        # the per-point product, in the component order
+        looped = [float(np.prod([c.cdf(float(p[j])) for j, c in enumerate(comps)])) for p in pts]
+        assert np.array_equal(F.cdf(pts), looped)
+        # one k-vector gives a scalar
+        assert np.ndim(F.cdf(pts[0])) == 0 and F.cdf(pts[0]) == looped[0]
+        assert np.ndim(F.cf(pts[0])) == 0 and F.cf(pts[0]) == F.cf(pts)[0]
+
+    def test_product_law_density_bounds(self):
+        a, b = e1.normal_law(0.0, 2.0), e1.normal_law(1.0, 0.5)
+        assert em.product_law([a, b]).density_bounds == a.density_bounds + b.density_bounds
+        assert em.product_law([a, e1.standardized_binomial(9), b]).density_bounds is None
+        assert em.product_normal_target(3).density_bounds == e1.normal_law().density_bounds * 3
+
     def test_box_probability(self):
         G = em.product_normal_target(2)
         a, b = np.array([-1.0, -0.5]), np.array([1.0, 0.5])
@@ -441,6 +460,9 @@ class TestValidation:
             (lambda: em.esseen_bound_k(_binomial_law(4), em.product_normal_target(4),
                                        (8.0,) * 4, (0.0,) * 4), "^k must"),
             (lambda: em.esseen_bound_k(*_k2_pair(), (8.0,) * 3, (0.0, 0.0)), "^omegas"),
+            # a non-positive or NaN Omega made a negative or NaN "bound"
+            (lambda: em.esseen_bound_k(*_k2_pair(), (-12.0, -12.0), (0.3, -0.4)), "^omegas"),
+            (lambda: em.esseen_bound_truncated(*_k2_pair(), (12.0, math.nan), delta=8.0), "^omegas"),
             (lambda: em.esseen_bound_truncated(_binomial_law(4), em.product_normal_target(4),
                                                (8.0,) * 4, delta=8.0), "^k must"),
             (lambda: em.esseen_bound_truncated(*_k2_pair(), (8.0, 1.0), delta=8.0), "^omegas"),
@@ -452,6 +474,23 @@ class TestValidation:
                                           (8.0,) * 3), "^k must"),
             (lambda: em.esseen_bound_slab(*_k2_pair(), (0.5, 8.0)), "^omegas"),
             (lambda: em.esseen_bound_slab(*_k2_pair(), (8.0,)), "^omegas"),
+            # F and G must live in one dimension, and G needs density bounds
+            (lambda: em.esseen_bound_k(_binomial_law(2), em.product_normal_target(1),
+                                       (12.0, 12.0), (0.3, -0.4)), "^G"),
+            (lambda: em.esseen_bound_k(_binomial_law(1), em.product_normal_target(2),
+                                       (12.0,), (0.3,)), "^G"),
+            (lambda: em.esseen_bound_truncated(_binomial_law(2), em.product_normal_target(1),
+                                               (8.0, 8.0), delta=8.0), "^G"),
+            (lambda: em.esseen_bound_truncated(_binomial_law(1), em.product_normal_target(2),
+                                               (8.0,), delta=8.0), "^G"),
+            (lambda: em.esseen_bound_slab(_binomial_law(2), em.product_normal_target(1),
+                                          (8.0, 8.0)), "^G"),
+            (lambda: em.esseen_bound_slab(_binomial_law(1), em.product_normal_target(2),
+                                          (8.0,)), "^G"),
+            (lambda: em.esseen_bound_k(_binomial_law(2), _binomial_law(2),
+                                       (8.0, 8.0), (0.0, 0.0)), "^G"),
+            (lambda: em.product_law([e1.normal_law(), em.product_normal_target(2)]),
+             r"^components\[1\]"),
             (lambda: em.selberg_ring_expansion(1), "^k must"),
             (lambda: em.selberg_ring_expansion(7), "^k must"),
             (lambda: em.factorization_residual(abs, abs, 0, "mixed", (0.5, 0.5)), "^m must"),
@@ -473,7 +512,7 @@ def _shifted_gaussian(mu):
         t = np.asarray(t, dtype=float)
         return (np.cos(mu * t) + 1j * np.sin(mu * t)) * np.exp(-0.5 * t * t)
 
-    return e1.Distribution1D(e1.normal_law(mu).cdf, cf, None, (2.0, 1.0 + mu * mu))
+    return e1.Law(e1.normal_law(mu).cdf, cf, (2.0, 1.0 + mu * mu))
 
 
 def _counting(comp, calls):

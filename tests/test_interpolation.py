@@ -71,7 +71,7 @@ class TestCardinalSeries:
 
     def test_extended_requires_origin_data(self):
         samples = ip.sample_function(_fejer, 1.0, 10, 0.5)
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="^origin_data"):
             ip.cardinal_series(samples, 0.3, mode="extended")
 
 
@@ -131,9 +131,9 @@ class TestClassicalIdentities:
 
 class TestSampleSetValidation:
     def test_length_mismatch_rejected(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="^values"):
             ip.SampleSet(1.0, 2, (0.0, 1.0))
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="^values"):
             ip.SampleSet(1.0, 1, (0.0, math.nan, 0.0))

@@ -1,0 +1,84 @@
+"""Validation raises ValueError naming the parameter, also under python -O.
+
+`python -O` strips `assert` statements, so input checks must raise
+explicitly.  The lint below keeps asserts to the internal invariants.
+"""
+
+import ast
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from bslib import clt
+from bslib import interpolation as ip
+from bslib import kernels as kr
+
+SRC = Path(kr.__file__).parent
+
+# (module file, enclosing function) of the asserts allowed to stay: they
+# check tables the modules compute themselves, not input
+ALLOWED_ASSERTS = {
+    ("kernels.py", "BernoulliTable.__post_init__"),
+    ("kernels.py", "OddZetaTable.__post_init__"),
+    ("esseen_multi.py", "selberg_ring_expansion"),
+}
+
+
+def _asserts(path: Path) -> list[tuple[str, str, int]]:
+    """(file, enclosing qualified name, line) of every assert in the file."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Assert):
+                found.append((path.name, ".".join(scope), child.lineno))
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, (*scope, child.name) if named else scope)
+
+    visit(ast.parse(path.read_text()), ())
+    return found
+
+
+def test_asserts_only_guard_internal_invariants():
+    found = [a for p in sorted(SRC.glob("*.py")) for a in _asserts(p)]
+    stray = [a for a in found if a[:2] not in ALLOWED_ASSERTS]
+    assert not stray, f"validation by assert (stripped by python -O): {stray}"
+    assert {a[:2] for a in found} == ALLOWED_ASSERTS  # the lint sees them
+
+
+_SAMPLES = ip.sample_function(math.cos, 1.0, 3, 0.5)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: kr.KernelConfig(series_terms=5), "series_terms"),
+        (lambda: kr.KernelConfig(asymptotic_pairs=0), "asymptotic_pairs"),
+        (lambda: kr.KernelConfig(asymptotic_pairs=31), "asymptotic_pairs"),
+        (lambda: kr.KernelConfig(taylor_radius=0.0), "taylor_radius"),
+        (lambda: kr.KernelConfig(taylor_radius=0.6), "taylor_radius"),
+        (lambda: kr.KernelConfig(tol=0.0), "tol"),
+        (lambda: kr.bernoulli_numbers(1), "n"),
+        (lambda: kr.interval_majorant_direct(1.5, 0.3), "ell"),
+        (lambda: kr.interval_majorant_direct(0, 0.3), "ell"),
+        (lambda: kr.interval_majorant_direct(math.inf, 0.3), "ell"),
+        (lambda: kr.lambda_constant(0.0), "tol"),
+        (lambda: kr.lambda_constant(math.nan), "tol"),
+        (lambda: kr.extremal_family_check(2.5, 0.1, [0.5]), "ell"),
+        (lambda: kr.extremal_family_check(math.nan, 0.1, [0.5]), "ell"),
+        (lambda: ip.SampleSet(0.0, 1, (0.0, 1.0, 0.0)), "alpha"),
+        (lambda: ip.SampleSet(1.0, 0, (0.0,)), "M"),
+        (lambda: ip.SampleSet(1.0, 1, (0.0, 1.0, 0.0), derivatives=(0.0,)), "derivatives"),
+        (lambda: _SAMPLES.derivative(0), "derivatives"),
+        (lambda: ip.vaaler_interpolation(_SAMPLES, 0.3), "derivatives"),
+        (lambda: clt.MonteCarloConfig(seed=1, samples=10**3, N=0), "N"),
+        (lambda: clt.lyapunov_normalizer(
+            clt.CoefficientScheme("vector", lambda N: np.ones((N, 2))), 4), "scheme"),
+        (lambda: clt.ks_distance(np.array([0.5, 0.1]), lambda x: x), "samples"),
+    ],
+)
+def test_bad_parameter_named(call, name):
+    with pytest.raises(ValueError, match=f"^{name} "):
+        call()
