@@ -40,8 +40,20 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _is_tol(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and 0.0 < v < math.inf
+
+
+# what each BSLIB_CONFIG value must satisfy; other keys are ignored
+_CONFIG_KEYS = {
+    "tol": (_is_tol, "a finite number > 0"),
+    "seed": (lambda v: v is None or (isinstance(v, int) and not isinstance(v, bool)), "an integer"),
+    "format": (lambda v: v in ("csv", "json"), "csv or json"),
+}
+
+
 def _load_config() -> dict:
-    """The JSON object in the file that BSLIB_CONFIG names; {} if it is unset."""
+    """The checked JSON object in the file that BSLIB_CONFIG names; {} if it is unset."""
     path = os.environ.get(CONFIG_ENV_VAR)
     if not path:
         return {}
@@ -52,6 +64,9 @@ def _load_config() -> dict:
         raise ValueError(f"{CONFIG_ENV_VAR} {path}: {exc}") from None
     if not isinstance(config, dict):
         raise ValueError(f"{CONFIG_ENV_VAR} {path}: must hold a JSON object")
+    for key, (valid, need) in _CONFIG_KEYS.items():
+        if key in config and not valid(config[key]):
+            raise ValueError(f"{CONFIG_ENV_VAR} {path}: {key} must be {need} (got {config[key]!r})")
     return config
 
 
@@ -111,68 +126,55 @@ def _emit(payload: dict, out_path: str | None) -> None:
 
 
 # KERNELS maps each --fn name to a table function (xs, ell, tol) ->
-# (values, err_ests); `eval` is the one-row table.  Point-wise entries call
-# the scalar kernel once per point and look it up on its module at call
-# time; set-up that all rows share (a sample set, the lambda optimisation)
-# runs once per table.
+# (values, err_ests); `eval` is the one-row table.  Array kernels are looked
+# up on their module at call time and called once per table, as is the
+# set-up all rows share (a sample set, the lambda optimisation).
 
 
-def _each(value, err=None):
-    """Table of value(x) per point; err_est is err, or echoes --tol if None."""
+def _array_table(kernel, err=None):
+    """Table of kernel(xs, ell) over the array xs; err_est is err, or echoes --tol if None."""
 
     def table(xs, ell, tol):
-        return [value(x) for x in xs], [tol if err is None else err] * len(xs)
+        xs = np.asarray(xs, dtype=float)
+        return kernel(xs, ell), np.full(xs.shape, tol if err is None else err)
 
     return table
 
 
-def _interval(value):
-    """Table of value(ell, x) per point for S and sigma, which need a finite ell > 0."""
-
-    def table(xs, ell, tol):
-        if not 0.0 < ell < math.inf:
-            raise ValueError(f"--ell must be finite and > 0 for S and sigma (got {ell!r})")
-        return [value(ell, x) for x in xs], [tol] * len(xs)
-
-    return table
-
-
-def _lambda_table(xs, ell, tol):
-    lam = kr.lambda_constant(5e-8)
-    return [lam] * len(xs), [5e-8] * len(xs)
+def _box_length(ell: float) -> float:
+    """--ell for S and sigma, which need a finite ell > 0."""
+    if not 0.0 < ell < math.inf:
+        raise ValueError(f"--ell must be finite and > 0 for S and sigma (got {ell!r})")
+    return ell
 
 
 # the sampling-formula demos reconstruct the unit quadratic kernel
-def _fejer(t: float) -> float:
-    return float(kr.fejer_K(t))
-
-
 def _fejer_prime(t: float) -> float:
-    return (_fejer(t + 1e-6) - _fejer(t - 1e-6)) / 2e-6
+    return (kr.fejer_K(t + 1e-6) - kr.fejer_K(t - 1e-6)) / 2e-6
 
 
 def _cardinal_table(xs, ell, tol):
-    samples = ip.sample_function(_fejer, 1.0, 400, 0.5, decay_const=1.0, decay_exponent=2.0)
+    samples = ip.sample_function(kr.fejer_K, 1.0, 400, 0.5, decay_const=1.0, decay_exponent=2.0)
     values, errs = zip(*(ip.cardinal_series(samples, x) for x in xs))
     return values, errs
 
 
 def _vaaler_table(xs, ell, tol):
-    samples = ip.sample_function(_fejer, 1.0, 400, 1.0, _fejer_prime, decay_const=1.0,
+    samples = ip.sample_function(kr.fejer_K, 1.0, 400, 1.0, _fejer_prime, decay_const=1.0,
                                  decay_exponent=2.0)
     values, errs = zip(*(ip.vaaler_interpolation(samples, x) for x in xs))
     return values, errs
 
 
 KERNELS = {
-    "K": _each(_fejer, 1e-15),
-    "W": _each(lambda x: kr.W_eval(x)),
-    "B": _each(lambda x: kr.B_eval(x)),
-    "b": _each(lambda x: kr.b_eval(x)),
-    "S": _interval(lambda ell, x: kr.S_eval(ell, x)),
-    "sigma": _interval(lambda ell, x: kr.sigma_eval(ell, x)),
-    "Q": _each(lambda x: kr.Q_eval(x), 1e-14),
-    "lambda": _lambda_table,
+    "K": _array_table(lambda xs, ell: kr.fejer_K(xs), 1e-15),
+    "W": _array_table(lambda xs, ell: kr.W_eval(xs)),
+    "B": _array_table(lambda xs, ell: kr.B_eval(xs)),
+    "b": _array_table(lambda xs, ell: kr.b_eval(xs)),
+    "S": _array_table(lambda xs, ell: kr.S_eval(_box_length(ell), xs)),
+    "sigma": _array_table(lambda xs, ell: kr.sigma_eval(_box_length(ell), xs)),
+    "Q": _array_table(lambda xs, ell: kr.Q_eval(xs), 1e-14),
+    "lambda": _array_table(lambda xs, ell: np.full(xs.shape, kr.lambda_constant(5e-8)), 5e-8),
     "cardinal": _cardinal_table,
     "vaaler": _vaaler_table,
 }
@@ -193,6 +195,7 @@ def _write_lines(lines: list[str], out_path: str | None) -> None:
 
 
 def _tabulate(args, manifest: RunManifest, xs: list[float]) -> int:
+    t0 = time.monotonic()
     values, errs = KERNELS[args.fn](xs, args.ell, args.tol)
     rows = list(zip(xs, values, errs))
     if args.format == "json":
@@ -205,7 +208,7 @@ def _tabulate(args, manifest: RunManifest, xs: list[float]) -> int:
                 for x, v, e in rows
             ],
             "verdicts": [],
-            "runtime_ms": 0,
+            "runtime_ms": int((time.monotonic() - t0) * 1000),
         }
         _emit(payload, args.out)
     else:
@@ -252,20 +255,17 @@ def _suite_kernels(tol: float) -> list[dict]:
     checks.append(_check("b_at_zero", abs(kr.b_eval(0.0) + 1.0), tol))
     checks.append(_check("Q_at_zero", abs(kr.Q_eval(0.0) - 1.0 / math.pi), 1e-14))
     vs = np.linspace(0.0, 1.0, 101)
-    worst = max(abs(kr.Q_eval(v) + kr.Q_eval(1.0 - v) - 1.0 / math.pi) for v in vs)
+    worst = np.max(np.abs(kr.Q_eval(vs) + kr.Q_eval(1.0 - vs) - 1.0 / math.pi))
     checks.append(_check("Q_reflection_sum", worst, 1e-12))
     xs = np.linspace(-20, 20, 81)
-    worst = max(abs(kr.W_eval(x) - kr.W_eval(x, mode="oracle")) for x in xs)
+    worst = np.max(np.abs(kr.W_eval(xs) - kr.W_eval(xs, mode="oracle")))
     checks.append(_check("W_fast_vs_oracle", worst, 1e-10))
     rng = np.random.default_rng(3)
     pts = rng.uniform(-40, 40, 4000)
-    viol = sum(
-        1
-        for x in pts
-        if not (kr.b_eval(x) - 1e-12 <= kr.sgn(x) <= kr.B_eval(x) + 1e-12)
-    )
+    B, sgn = kr.B_eval(pts), np.sign(pts)
+    viol = np.count_nonzero(~((kr.b_eval(pts) - 1e-12 <= sgn) & (sgn <= B + 1e-12)))
     checks.append(_check("majorant_sandwich_violations", float(viol), 0.0))
-    worst = max(abs(kr.B_eval(x) - kr.sgn(x)) - 2.0 * float(kr.fejer_K(x)) for x in pts)
+    worst = np.max(np.abs(B - sgn) - 2.0 * kr.fejer_K(pts))
     checks.append(_check("distance_le_2K", max(worst, 0.0), 1e-12))
     val, _err = kr.fourier_W_check(0.5)
     checks.append(_check("fourier_side_W_half", abs(val - 8.0 / math.pi**2), 1e-8))
@@ -285,7 +285,7 @@ def _suite_interpolation(tol: float) -> list[dict]:
     for which in ("sandwich", "refined_sandwich", "bernstein"):
         rep = ip.classical_identity_residual(which)
         checks.append(_flag(f"identity_{which}", rep.ok))
-    f = _fejer
+    f = kr.fejer_K
     samples = ip.sample_function(f, 1.0, 300, 0.5, decay_const=1.0, decay_exponent=2.0)
     worst = 0.0
     for z in (0.3, -1.7, 2.25):
@@ -680,8 +680,10 @@ def main(argv: list[str] | None = None) -> int:
         config = _load_config()
         if args.tol is None:
             args.tol = float(config.get("tol", 1e-10))
-        if args.seed is None and config.get("seed") is not None:
-            args.seed = int(config["seed"])
+        if not _is_tol(args.tol):
+            raise ValueError(f"--tol must be a finite number > 0 (got {args.tol!r})")
+        if args.seed is None:
+            args.seed = config.get("seed")
         if args.format is None:
             args.format = config.get("format", "json" if args.command in ("verify", "demo") else "csv")
         params = {

@@ -8,6 +8,7 @@ mollification, CDF distance measurement, and a convergence harness.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -32,17 +33,12 @@ __all__ = [
     "sup_cdf_distance",
     "convergence_harness_1d",
     "representation_residual",
-    "normal_cdf",
     "C1_DEFAULT",
     "C2_DEFAULT",
 ]
 
 C1_DEFAULT = 0.25
 C2_DEFAULT = math.pi
-
-
-def normal_cdf(x: float, mu: float = 0.0, sigma: float = 1.0) -> float:
-    return 0.5 * (1.0 + math.erf((x - mu) / (sigma * math.sqrt(2.0))))
 
 
 @dataclass(frozen=True)
@@ -100,9 +96,8 @@ def standardized_binomial(n: int, p: float = 0.5) -> Law:
     if p != 0.5:
         raise ValueError(f"p must be 0.5 (only the symmetric case is wired up), got {p!r}")
     logp = n * math.log(0.5)
-    log_pmf = np.array(
-        [gammaln(n + 1) - gammaln(j + 1) - gammaln(n - j + 1) + logp for j in range(n + 1)]
-    )
+    j = np.arange(n + 1)
+    log_pmf = gammaln(n + 1) - gammaln(j + 1) - gammaln(n - j + 1) + logp
     cum = np.concatenate([[0.0], np.cumsum(np.exp(log_pmf))])
     xs = (2.0 * np.arange(n + 1) - n) / math.sqrt(n)
 
@@ -221,6 +216,15 @@ _WG = np.array([
 _GK_NODES = np.concatenate([-_XGK, _XGK[-2::-1]])
 _GK_KRONROD_WEIGHTS = np.concatenate([_WGK, _WGK[-2::-1]])
 _GK_GAUSS_WEIGHTS = np.concatenate([_WG, _WG[-2::-1]])
+
+
+@functools.lru_cache(maxsize=None)
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [-1, 1], computed once per n."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
 
 # Pieces are bisected until each error estimate is below _PANEL_TOL (or at
 # its round-off floor), so that the estimates added as slack are far below

@@ -11,16 +11,16 @@ the first three variants, k <= 2 for the slab variant.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-from .esseen1d import Law, _check_laws, normal_law
+from .esseen1d import Law, _check_laws, _leggauss, normal_law
 
 __all__ = [
     "Monomial",
@@ -150,15 +150,6 @@ def _d_set_apply(f_vec: Callable, points: np.ndarray, C: Sequence[int]) -> np.nd
 
 # ---------------------------------------------------------------------------
 # factorizations and derivative bounds
-
-
-@functools.lru_cache(maxsize=None)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n-point Gauss-Legendre rule on [-1, 1], computed once per n."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
 
 
 def _gauss_legendre(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -517,6 +508,15 @@ def _tensor_integral(
     return float(np.sum(wt * np.real(integrand(pts))))
 
 
+def _grid(panels, order, default: tuple[int, int]) -> tuple[int, int]:
+    """(panels, order) of the tensor rule, None taking the default's entry."""
+    for name, value, fallback in zip(("panels", "order"), (panels, order), default):
+        if value is not None and (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                                  or value < 1):
+            raise ValueError(f"{name} must be an integer >= 1, or None for {fallback} (got {value!r})")
+    return (default[0] if panels is None else panels, default[1] if order is None else order)
+
+
 def _partition_terms(k, omegas, panels, order, integrand) -> dict[str, float]:
     """The tensor integral of integrand(pts, C, D) for each partition (B, C, D),
     with the B-coordinates fixed at 0."""
@@ -540,8 +540,7 @@ def esseen_bound_k(
     """Partition-sum smoothing bound for |F(t) - G(t)|."""
     k = _check_laws(F, G, 3, omegas)
     consts = constants or BoundConstants.for_k(k)
-    panels = panels or (12 if k <= 2 else 7)
-    order = order or (8 if k <= 2 else 5)
+    panels, order = _grid(panels, order, (12, 8) if k <= 2 else (7, 5))
     t = np.asarray(t, dtype=float)
     diff = _cf_gap(F, G)
 
@@ -580,8 +579,7 @@ def esseen_bound_truncated(
     """
     k = _check_laws(F, G, 3, omegas, 1.0)
     consts = constants or BoundConstants.for_k(k)
-    panels = panels or (12 if k <= 2 else 7)
-    order = order or (8 if k <= 2 else 5)
+    panels, order = _grid(panels, order, (12, 8) if k <= 2 else (7, 5))
     if mode == "B":
         if box_extent is None or not box_extent > 0:
             raise ValueError(f"box_extent must be > 0 in mode 'B' (got {box_extent})")
@@ -734,12 +732,13 @@ def esseen_bound_slab(
     omegas: Sequence[float],
     constants: BoundConstants | None = None,
     tau: float = 1.0,
-    panels: int = 6,
-    order: int = 4,
+    panels: int | None = None,
+    order: int | None = None,
 ) -> KBoundReport:
     """Slab-norm smoothing bound (t-free), k <= 2."""
     k = _check_laws(F, G, 2, omegas, 1.0)
     consts = constants or BoundConstants.for_k(k)
+    panels, order = _grid(panels, order, (6, 4))
     diff = _cf_gap(F, G)
 
     def integrand(pts: np.ndarray, C, D) -> np.ndarray:

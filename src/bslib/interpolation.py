@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
 from scipy import integrate
@@ -166,9 +166,6 @@ class ResidualReport:
     tail_bound: float
     ok: bool
     detail: dict
-
-    def __iter__(self):  # allow tuple-ish unpacking in callers
-        yield from (self.which, self.residual, self.tail_bound, self.ok)
 
 
 def _csc_residual(w: float, M: int = 10**5) -> ResidualReport:

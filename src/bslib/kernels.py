@@ -29,7 +29,6 @@ __all__ = [
     "fejer_K",
     "trigamma",
     "W_eval",
-    "sgn",
     "B_eval",
     "b_eval",
     "S_eval",
@@ -93,6 +92,8 @@ class KernelConfig:
             raise ValueError(f"series_terms must be >= 10 (got {self.series_terms!r})")
         if not 1 <= self.asymptotic_pairs <= 30:
             raise ValueError(f"asymptotic_pairs must be in 1..30 (got {self.asymptotic_pairs!r})")
+        if not 1 <= self.taylor_terms <= 20:
+            raise ValueError(f"taylor_terms must be in 1..20 (got {self.taylor_terms!r})")
         if not 0 < self.taylor_radius <= 0.5:
             raise ValueError(f"taylor_radius must be in (0, 0.5] (got {self.taylor_radius!r})")
         if not self.tol > 0:
@@ -124,70 +125,80 @@ def odd_zeta_table(m_max: int = 20) -> OddZetaTable:
 
 
 DEFAULT_CONFIG = KernelConfig()
-_BERNOULLI = bernoulli_numbers(62)
-_ODD_ZETA = odd_zeta_table(20)
+_B2K = [float(b) for b in bernoulli_numbers(62).values[2::2]]  # B_2, B_4, ..., B_62
+# W/K = 2x + sum_{m>=1} _TAYLOR[m-1] x^(2m+1), _TAYLOR[m-1] = 4 m zeta(2m+1)
+_TAYLOR = [4.0 * m * z for m, z in enumerate(odd_zeta_table(20).values, start=1)]
 
 
 # ---------------------------------------------------------------------------
-# elementary pieces
+# elementary pieces.  Every evaluator takes a float or an ndarray of any
+# shape and returns that shape; a float is the 0-d case of the same code.
+# np.float_power is libm's pow, as float ** int is; np.power's square is
+# not, to the last bit.
 
 
-def sgn(x: float) -> float:
-    """Sign function with sgn(0) = 0."""
-    return 0.0 if x == 0 else math.copysign(1.0, x)
+def _piecewise(x: np.ndarray, conds: list, funcs: list):
+    """np.piecewise with a last func for the rest; a 0-d x goes to its func
+    unindexed, as indexing would make every operation on it an array operation."""
+    if x.ndim:
+        return np.piecewise(x, conds, funcs)
+    f = next((f for c, f in zip(conds, funcs) if c), funcs[-1])
+    return f(x) if callable(f) else np.float64(f)
 
 
 def fejer_K(x):
     """(sin(pi x)/(pi x))^2; removable singularity at 0 handled by sinc."""
-    return np.sinc(x) ** 2
+    return np.float_power(np.sinc(x), 2)
 
 
 def _sinpi_over_pi_sq(x):
     """(sin(pi x)/pi)^2, stable for all real x."""
-    x = np.asarray(x, dtype=float)
     frac = x - np.round(x)
-    return (np.sin(np.pi * frac) / np.pi) ** 2
+    return np.float_power(np.sin(np.pi * frac) / np.pi, 2)
 
 
-def trigamma(x: float, cfg: KernelConfig = DEFAULT_CONFIG) -> float:
+@np.errstate(over="ignore")  # x^(2k+1) -> inf above x ~ 1e14, and B_2k / inf = 0 is the limit
+def trigamma(x, cfg: KernelConfig = DEFAULT_CONFIG):
     """sum_{n>=0} 1/(x+n)^2 for x > 0.
 
     Upward shift recurrence until x >= crossover, then the Bernoulli
     asymptotic series 1/x + 1/(2x^2) + sum B_2k / x^(2k+1); the first
     omitted term bounds the remainder.
     """
-    if x <= 0:
+    x = np.asarray(x, dtype=float)
+    if (x <= 0).any():
         raise ValueError("trigamma requires x > 0")
     acc = 0.0
-    while x < cfg.crossover_x0:
-        acc += 1.0 / (x * x)
-        x += 1.0
+    low = x < cfg.crossover_x0
+    while low.any():  # a done element gains 0.0 in acc and in x, exactly
+        acc = acc + 1.0 / (x * x) * low
+        x = x + low
+        low = x < cfg.crossover_x0
     s = 1.0 / x + 0.5 / (x * x)
-    xp = x**3
-    for k in range(1, cfg.asymptotic_pairs + 1):
-        s += float(_BERNOULLI[2 * k]) / xp
-        xp *= x * x
-    return acc + s
+    xp = np.float_power(x, 3)
+    for b2k in _B2K[: cfg.asymptotic_pairs]:
+        s = s + b2k / xp
+        xp = xp * (x * x)
+    return (acc + s)[()]
 
 
 # ---------------------------------------------------------------------------
 # W: fast route and direct-series oracle
 
 
-def _w_taylor(x: float, cfg: KernelConfig) -> float:
+def _w_taylor(x: np.ndarray, cfg: KernelConfig) -> np.ndarray:
     s = 2.0 * x
-    xp = x**3
-    for m in range(1, cfg.taylor_terms + 1):
-        s += 4.0 * m * _ODD_ZETA[m] * xp
-        xp *= x * x
-    return float(fejer_K(x)) * s
+    xp = np.float_power(x, 3)
+    for c in _TAYLOR[: cfg.taylor_terms]:
+        s = s + c * xp
+        xp = xp * (x * x)
+    return fejer_K(x) * s
 
 
-def _w_fast_pos(x: float, cfg: KernelConfig) -> float:
-    if x <= cfg.taylor_radius:
-        return _w_taylor(x, cfg)
+@np.errstate(over="ignore")
+def _w_trigamma(x: np.ndarray, cfg: KernelConfig) -> np.ndarray:
     bracket = 0.5 / (x * x) + trigamma(x + 1.0, cfg) - 1.0 / x
-    return 1.0 - 2.0 * float(_sinpi_over_pi_sq(x)) * bracket
+    return 1.0 - 2.0 * _sinpi_over_pi_sq(x) * bracket
 
 
 def _w_oracle_pos(x: float, cfg: KernelConfig) -> float:
@@ -213,39 +224,37 @@ def _w_oracle_pos(x: float, cfg: KernelConfig) -> float:
     return float(_sinpi_over_pi_sq(x)) * s
 
 
-def W_eval(
-    x: float,
-    cfg: KernelConfig = DEFAULT_CONFIG,
-    mode: Literal["fast", "oracle"] = "fast",
-) -> float:
-    """The odd interpolation kernel W at a real point."""
-    if x == 0:
-        return 0.0
-    if x < 0:
-        return -W_eval(-x, cfg, mode)
+def W_eval(x, cfg: KernelConfig = DEFAULT_CONFIG, mode: Literal["fast", "oracle"] = "fast"):
+    """The odd interpolation kernel W, with W(-0.0) = +0.0; the oracle
+    route sums the direct series one point at a time."""
+    x = np.asarray(x, dtype=float)
+    a = np.abs(x)
     if mode == "oracle":
-        return _w_oracle_pos(x, cfg)
-    return _w_fast_pos(x, cfg)
+        w = np.array([_w_oracle_pos(float(v), cfg) for v in a.flat]).reshape(a.shape)
+    else:
+        w = _piecewise(a, [a <= cfg.taylor_radius],
+                       [lambda t: _w_taylor(t, cfg), lambda t: _w_trigamma(t, cfg)])
+    return np.where(x < 0, -w, w)[()]
 
 
 # ---------------------------------------------------------------------------
 # the B / b / S_ell / sigma_ell family
 
 
-def B_eval(x: float, cfg: KernelConfig = DEFAULT_CONFIG) -> float:
-    return W_eval(x, cfg) + float(fejer_K(x))
+def B_eval(x, cfg: KernelConfig = DEFAULT_CONFIG):
+    return W_eval(x, cfg) + fejer_K(x)
 
 
-def b_eval(x: float, cfg: KernelConfig = DEFAULT_CONFIG) -> float:
-    return W_eval(x, cfg) - float(fejer_K(x))
+def b_eval(x, cfg: KernelConfig = DEFAULT_CONFIG):
+    return W_eval(x, cfg) - fejer_K(x)
 
 
-def S_eval(ell: float, x: float, cfg: KernelConfig = DEFAULT_CONFIG) -> float:
-    return 0.5 * (B_eval(x, cfg) + B_eval(ell - x, cfg))
+def S_eval(ell: float, x, cfg: KernelConfig = DEFAULT_CONFIG):
+    return 0.5 * (B_eval(x, cfg) + B_eval(ell - np.asarray(x, dtype=float), cfg))
 
 
-def sigma_eval(ell: float, x: float, cfg: KernelConfig = DEFAULT_CONFIG) -> float:
-    return 0.5 * (b_eval(x, cfg) + b_eval(ell - x, cfg))
+def sigma_eval(ell: float, x, cfg: KernelConfig = DEFAULT_CONFIG):
+    return 0.5 * (b_eval(x, cfg) + b_eval(ell - np.asarray(x, dtype=float), cfg))
 
 
 def interval_majorant_direct(ell: int, x: float) -> float:
@@ -265,43 +274,41 @@ def interval_majorant_direct(ell: int, x: float) -> float:
     return float(_sinpi_over_pi_sq(x)) * s
 
 
-def chi_box(x: float, ell: float) -> float:
+def chi_box(x, ell: float):
     """Indicator of [0, ell], endpoints included."""
-    return 1.0 if 0.0 <= x <= ell else 0.0
+    x = np.asarray(x, dtype=float)
+    return np.where((0.0 <= x) & (x <= ell), 1.0, 0.0)[()]
 
 
 # ---------------------------------------------------------------------------
 # Fourier-side profile Q and the smoothing constant
 
 
-def _one_minus_absv_vcot(v: float) -> float:
+def _pi_u_cot(u):
+    """pi u cot(pi u) = 1 - (pi u)^2/3 - (pi u)^4/45 - ... for small |u|."""
+    t = np.float_power(math.pi * u, 2)
+    return 1.0 - t / 3.0 - t * t / 45.0
+
+
+def _one_minus_absv_vcot(v):
     """(1-|v|) * v * cot(pi v) for 0 < |v| < 1, stably near both ends."""
-    a = abs(v)
-    if a < 1e-4:
-        # v*cot(pi v) = (1/pi)(1 - (pi v)^2/3 - (pi v)^4/45 - ...)
-        t = (math.pi * a) ** 2
-        return (1.0 - a) * (1.0 - t / 3.0 - t * t / 45.0) / math.pi
-    if a > 1.0 - 1e-4:
+    a = np.abs(np.asarray(v, dtype=float))
+    near_0, near_1 = a < 1e-4, a > 1.0 - 1e-4
+    return _piecewise(a, [near_0, near_1, (a > 0.5) & ~near_1], [
+        lambda a: (1.0 - a) * _pi_u_cot(a) / math.pi,
         # with u = 1-|v|:  u*|v|*cot(pi|v|) = -|v|*u*cot(pi u)
-        u = 1.0 - a
-        t = (math.pi * u) ** 2
-        return -a * (1.0 - t / 3.0 - t * t / 45.0) / math.pi
-    if a > 0.5:
-        u = 1.0 - a  # cot(pi v) = -cot(pi u), evaluated away from the zero of sin
-        cot = -math.cos(math.pi * u) / math.sin(math.pi * u)
-    else:
-        cot = math.cos(math.pi * a) / math.sin(math.pi * a)
-    return (1.0 - a) * a * cot
+        lambda a: -a * _pi_u_cot(1.0 - a) / math.pi,
+        # cot(pi v) = -cot(pi u), evaluated away from the zero of sin
+        lambda a: (1.0 - a) * a * (-np.cos(np.pi * (1.0 - a)) / np.sin(np.pi * (1.0 - a))),
+        lambda a: (1.0 - a) * a * (np.cos(np.pi * a) / np.sin(np.pi * a)),
+    ])[()]
 
 
-def Q_eval(v: float) -> float:
+def Q_eval(v):
     """|v|/pi + (1-|v|) v cot(pi v) on [-1,1]; 0 outside (even function)."""
-    a = abs(v)
-    if a >= 1.0:
-        return 0.0
-    if a == 0.0:
-        return 1.0 / math.pi
-    return a / math.pi + _one_minus_absv_vcot(a)
+    a = np.abs(np.asarray(v, dtype=float))
+    funcs = [0.0, 1.0 / math.pi, lambda a: a / math.pi + _one_minus_absv_vcot(a)]
+    return _piecewise(a, [a >= 1.0, a == 0.0], funcs)[()]
 
 
 def lambda_constant(tol: float = 5e-8) -> float:
@@ -309,11 +316,9 @@ def lambda_constant(tol: float = 5e-8) -> float:
     if not tol > 0:
         raise ValueError(f"tol must be > 0 (got {tol!r})")
 
-    def f(xi: float) -> float:
-        return math.hypot(Q_eval(xi), xi * (1.0 - xi))
-
+    f = lambda xi: np.hypot(Q_eval(xi), xi * (1.0 - xi))
     grid = np.linspace(0.0, 1.0, 4001)
-    vals = np.array([f(x) for x in grid])
+    vals = f(grid)
     i = int(np.argmax(vals))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
@@ -354,10 +359,11 @@ class FamilyReport:
     extra_integrals: tuple[tuple[float, float], ...]  # (R, integral over [-R,R])
 
 
-def _family_extra(ell: int, eta: float, x: float, cfg: KernelConfig) -> float:
-    if abs(x) < 1e-9 or abs(x - ell) < 1e-9:
-        return 0.0  # removable zeros of the extra term for integer ell
-    return eta * float(_sinpi_over_pi_sq(x)) * ell / (x * (ell - x))
+def _family_extra(ell: int, eta: float, x, cfg: KernelConfig):
+    x = np.asarray(x, dtype=float)
+    # removable zeros of the extra term for integer ell
+    zero = (np.abs(x) < 1e-9) | (np.abs(x - ell) < 1e-9)
+    return _piecewise(x, [zero], [0.0, lambda x: eta * _sinpi_over_pi_sq(x) * ell / (x * (ell - x))])[()]
 
 
 def extremal_family_check(
@@ -370,11 +376,9 @@ def extremal_family_check(
     """Check that S_ell + eta * (sin pi x/pi)^2 ell/(x(ell-x)) majorizes chi_[0,ell]."""
     if not (ell >= 1 and float(ell).is_integer()):
         raise ValueError(f"ell must be a positive integer (got {ell!r})")
-    gaps = []
-    for x in grid:
-        fx = S_eval(ell, x, cfg) + _family_extra(ell, eta, x, cfg)
-        gaps.append(fx - chi_box(x, ell))
-    min_gap = min(gaps)
+    grid = np.asarray(grid, dtype=float)
+    gaps = S_eval(ell, grid, cfg) + _family_extra(ell, eta, grid, cfg) - chi_box(grid, ell)
+    min_gap = np.min(gaps)
 
     def extra_integrand(x: float) -> float:
         return _family_extra(ell, 1.0, x, cfg) if eta == 0 else _family_extra(ell, eta, x, cfg) / eta

@@ -37,8 +37,8 @@ def test_criterion_02_l1_brackets():
         assert err <= 1e-6
         assert body - err <= 1.0 <= body + tail + err
 
-    bracket(lambda x: kr.B_eval(x) - kr.sgn(x), [-50.0, 0.0, 50.0])
-    bracket(lambda x: kr.sgn(x) - kr.b_eval(x), [-50.0, 0.0, 50.0])
+    bracket(lambda x: kr.B_eval(x) - np.sign(x), [-50.0, 0.0, 50.0])
+    bracket(lambda x: np.sign(x) - kr.b_eval(x), [-50.0, 0.0, 50.0])
     for ell in (1.0, 2.0, 7.5):
         bracket(
             lambda x, ell=ell: kr.S_eval(ell, x) - kr.chi_box(x, ell),
@@ -50,8 +50,9 @@ def test_criterion_02_l1_brackets():
 
 def test_criterion_03_w_consistency():
     rng = np.random.default_rng(20)
-    for x in rng.uniform(-30, 30, 1000):
-        assert abs(kr.W_eval(float(x)) - kr.W_eval(float(x), mode="oracle")) <= 1e-10
+    xs = rng.uniform(-30, 30, 1000)
+    gap = np.abs(kr.W_eval(xs) - kr.W_eval(xs, mode="oracle"))
+    assert np.all(gap <= 1e-10), xs[~(gap <= 1e-10)]
     pts = np.concatenate([[-0.5, 0.5], rng.uniform(-3, 3, 23)])
     assert len(pts) == 25
     for x in pts:
@@ -63,32 +64,25 @@ def test_criterion_03_w_consistency():
 def test_criterion_04_majorant_suites():
     rng = np.random.default_rng(21)
     xs = rng.uniform(-40, 40, 100000)
-    for x in xs:
-        x = float(x)
-        k2 = 2.0 * float(kr.fejer_K(x))
-        s = kr.sgn(x)
-        B, b = kr.B_eval(x), kr.b_eval(x)
-        assert b - 1e-12 <= s <= B + 1e-12
-        assert abs(B - s) <= k2 + 1e-12
-        w = kr.W_eval(x)
-        if x > 0:
-            assert 1.0 - 0.5 * k2 - 1e-12 <= w <= 1.0 + 1e-12
-        elif x < 0:
-            assert -1.0 - 1e-12 <= w <= -1.0 + 0.5 * k2 + 1e-12
+    k2 = 2.0 * kr.fejer_K(xs)
+    s = np.sign(xs)
+    B, b = kr.B_eval(xs), kr.b_eval(xs)
+    w = kr.W_eval(xs)
+    pos, neg = xs > 0, xs < 0
+    ok = (b - 1e-12 <= s) & (s <= B + 1e-12) & (np.abs(B - s) <= k2 + 1e-12)
+    ok &= ~pos | ((1.0 - 0.5 * k2 - 1e-12 <= w) & (w <= 1.0 + 1e-12))
+    ok &= ~neg | ((-1.0 - 1e-12 <= w) & (w <= -1.0 + 0.5 * k2 + 1e-12))
+    assert ok.all(), xs[~ok]
     for ell in (1.0, 2.0, 7.5):
-        for x in rng.uniform(-20, 20, 20000):
-            x = float(x)
-            assert (
-                kr.sigma_eval(ell, x) - 1e-12
-                <= kr.chi_box(x, ell)
-                <= kr.S_eval(ell, x) + 1e-12
-            )
+        x = rng.uniform(-20, 20, 20000)
+        chi = kr.chi_box(x, ell)
+        ok = (kr.sigma_eval(ell, x) - 1e-12 <= chi) & (chi <= kr.S_eval(ell, x) + 1e-12)
+        assert ok.all(), (ell, x[~ok])
     off = rng.uniform(-40, 40, 1500)
     off = off[np.abs(off - np.round(off)) > 1e-3][:1000]
     assert len(off) == 1000
-    for x in off:
-        x = float(x)
-        assert kr.b_eval(x) < kr.sgn(x) < kr.B_eval(x)
+    ok = (kr.b_eval(off) < np.sign(off)) & (np.sign(off) < kr.B_eval(off))
+    assert ok.all(), off[~ok]
 
 
 def test_criterion_05_identity_suite():
@@ -99,8 +93,9 @@ def test_criterion_05_identity_suite():
     assert abs(par.detail["lhs"] - 2.0 / 3.0) <= 1e-8
     assert abs(par.detail["rhs"] - 2.0 / 3.0) <= 1e-7
     assert ip.classical_identity_residual("poisson", 2.0).residual <= 1e-12
-    for v in np.linspace(0.0, 1.0, 501):
-        assert abs(kr.Q_eval(float(v)) + kr.Q_eval(1.0 - float(v)) - 1.0 / math.pi) <= 1e-12
+    vs = np.linspace(0.0, 1.0, 501)
+    gap = np.abs(kr.Q_eval(vs) + kr.Q_eval(1.0 - vs) - 1.0 / math.pi)
+    assert np.all(gap <= 1e-12), vs[~(gap <= 1e-12)]
 
 
 def test_criterion_06_scalar_smoothing_bound():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -361,6 +362,42 @@ class TestConfigAndDeterminism:
         assert out == ""
         assert err.startswith("error: BSLIB_CONFIG ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "config, flags, named",
+        [
+            ({"seed": [1]}, (), "seed"),
+            ({"tol": "x"}, (), "tol"),
+            ({"format": "xml"}, (), "format"),
+            ({"seed": 1.7}, (), "seed"),
+            ({"tol": -1}, (), "tol"),
+            (None, ("--tol", "nan"), "--tol"),
+            (None, ("--tol", "0"), "--tol"),
+        ],
+    )
+    def test_bad_config_value_or_tol_is_a_usage_error(
+        self, capsys, tmp_path, monkeypatch, config, flags, named
+    ):
+        monkeypatch.delenv("BSLIB_CONFIG", raising=False)
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            monkeypatch.setenv("BSLIB_CONFIG", str(cfg))
+            named = f"BSLIB_CONFIG {cfg}: {named}"
+        code, out, err = run(capsys, "eval", "--fn", "K", "--x", "0.0", *flags)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"error: {named} ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [("eval", "--x", "0.5"),
+                                      ("table", "--from", "0", "--to", "1", "--step", "0.5")])
+    def test_eval_and_table_measure_runtime(self, capsys, monkeypatch, argv):
+        ticks = iter([10.0, 10.25])
+        monkeypatch.setattr(cli, "time", types.SimpleNamespace(monotonic=lambda: next(ticks)))
+        code, payload, _ = run_json(capsys, argv[0], "--fn", "W", *argv[1:], "--format", "json")
+        assert code == EXIT_OK
+        assert payload["runtime_ms"] == 250
 
     def test_demo_deterministic_modulo_runtime(self, capsys):
         _, a, _ = run_json(capsys, "demo", "--scenario", "clt-haar", "--samples", "5000", "--N", "50")

@@ -288,8 +288,9 @@ class TestLawsAndPartitions:
     def test_box_probability(self):
         G = em.product_normal_target(2)
         a, b = np.array([-1.0, -0.5]), np.array([1.0, 0.5])
-        p1 = e1.normal_cdf(1.0) - e1.normal_cdf(-1.0)
-        p2 = e1.normal_cdf(0.5) - e1.normal_cdf(-0.5)
+        Phi = e1.normal_law().cdf
+        p1 = Phi(1.0) - Phi(-1.0)
+        p2 = Phi(0.5) - Phi(-0.5)
         assert em.box_probability(G.cdf, a, b) == pytest.approx(p1 * p2, abs=1e-12)
 
     def test_dirac_collapse_consistency(self):

@@ -1,6 +1,7 @@
 """Kernel evaluators: oracle comparisons and majorant/minorant invariants."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,132 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, special
 
 from bslib import kernels as kr
+
+
+# branch switches, singular points of the closed forms, integers, large
+# |x| and points where libm's pow(s, 2) and s * s differ in the last bit
+# for s = sinc(x) or sin(pi x)/pi, each with both signs; then a dense and
+# a random sweep
+_EDGES = [0.0, 1e-300, 1e-9, 1e-4 - 1e-12, 1e-4, 1e-4 + 1e-12, 0.4 - 1e-12, 0.4, 0.4 + 1e-12,
+          0.5, 1.0 - 1e-4, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 7.5, 8.0, 123.456, 1e6, 1e9, 1e14, 1e100,
+          0.025197, 0.349253, 0.51848, 0.832936, 12.452007]
+SWEEP = np.concatenate([_EDGES, np.negative(_EDGES), np.arange(-40.0, 41.0),
+                        np.linspace(-3.0, 3.0, 601), np.random.default_rng(4).uniform(-50, 50, 400)])
+
+ARRAY_KERNELS = {
+    "fejer_K": kr.fejer_K,
+    "trigamma": lambda x: kr.trigamma(np.abs(x) + 0.01),
+    "W_eval": kr.W_eval,
+    "B_eval": kr.B_eval,
+    "b_eval": kr.b_eval,
+    "S_eval": lambda x: kr.S_eval(2.0, x),
+    "sigma_eval": lambda x: kr.sigma_eval(7.5, x),
+    "Q_eval": kr.Q_eval,
+    "one_minus_absv_vcot": lambda v: kr._one_minus_absv_vcot(np.fmod(v, 1.0)),  # |v| < 1
+    "chi_box": lambda x: kr.chi_box(x, 2.0),
+    "family_extra": lambda x: kr._family_extra(2, 0.05, x, kr.DEFAULT_CONFIG),
+}
+
+
+# The scalar loops the array code replaced, operation for operation (the
+# old Q used math.cos/math.sin, which agree with numpy's here): the array
+# code must match them to the last bit.
+_B2K = [float(b) for b in kr.bernoulli_numbers(62).values[2:21:2]]
+_ZETA = kr.odd_zeta_table(20).values
+
+
+def _loop_trigamma(x):
+    acc = 0.0
+    while x < 8.0:
+        acc += 1.0 / (x * x)
+        x += 1.0
+    s, xp = 1.0 / x + 0.5 / (x * x), x**3
+    for b in _B2K:
+        s += b / xp
+        xp *= x * x
+    return acc + s
+
+
+def _loop_W(x):
+    if x == 0 or x < 0:
+        return 0.0 if x == 0 else -_loop_W(-x)
+    if x <= 0.4:
+        s, xp = 2.0 * x, x**3
+        for m in range(1, 21):
+            s += 4.0 * m * _ZETA[m - 1] * xp
+            xp *= x * x
+        return np.sinc(x) ** 2 * s
+    sin2 = (np.sin(np.pi * (x - np.round(x))) / np.pi) ** 2
+    return 1.0 - 2.0 * sin2 * (0.5 / (x * x) + _loop_trigamma(x + 1.0) - 1.0 / x)
+
+
+def _loop_Q(v):
+    a = abs(v)
+    if a >= 1.0 or a == 0.0:
+        return 0.0 if a >= 1.0 else 1.0 / math.pi
+    u = 1.0 - a if a > 0.5 else a
+    t = (math.pi * u) ** 2
+    if a < 1e-4:
+        rest = (1.0 - a) * (1.0 - t / 3.0 - t * t / 45.0) / math.pi
+    elif a > 1.0 - 1e-4:
+        rest = -a * (1.0 - t / 3.0 - t * t / 45.0) / math.pi
+    else:
+        cot = np.cos(np.pi * u) / np.sin(np.pi * u)
+        rest = (1.0 - a) * a * (-cot if a > 0.5 else cot)
+    return a / math.pi + rest
+
+
+class TestArrayContract:
+    """Every kernel takes a float or an ndarray of any shape and returns
+    that shape; a float is the 0-d case of the same code."""
+
+    @pytest.mark.parametrize("name", ARRAY_KERNELS)
+    def test_array_call_equals_scalar_calls(self, name):
+        f = ARRAY_KERNELS[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = f(SWEEP)
+            scalars = [f(float(x)) for x in SWEEP]
+        assert all(np.ndim(v) == 0 for v in scalars)
+        assert [float(v).hex() for v in values] == [float(v).hex() for v in scalars]
+
+    @pytest.mark.parametrize("array, loop", [
+        (lambda x: kr.trigamma(np.abs(x) + 0.01), lambda x: _loop_trigamma(abs(x) + 0.01)),
+        (kr.W_eval, _loop_W),
+        (kr.Q_eval, _loop_Q),
+    ])
+    def test_array_call_equals_the_replaced_scalar_loop(self, array, loop):
+        assert [float(v).hex() for v in array(SWEEP)] == [float(loop(float(x))).hex() for x in SWEEP]
+
+    @pytest.mark.parametrize("name", ARRAY_KERNELS)
+    def test_shapes_kept(self, name):
+        f = ARRAY_KERNELS[name]
+        grid = SWEEP[:12]
+        assert np.shape(f(0.3)) == ()
+        assert f(np.empty(0)).shape == (0,)
+        assert f(grid).shape == (12,)
+        assert np.array_equal(f(grid.reshape(3, 4)), f(grid).reshape(3, 4))
+
+    def test_odd_symmetry_gives_positive_zero(self):
+        for x in (0.0, -0.0, np.array([-0.0, 0.0])):
+            assert not np.any(np.signbit(kr.W_eval(x)))
+
+    def test_huge_x_overflows_quietly_to_the_limit(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kr.W_eval(np.array([1e155, -1e200])).tolist() == [1.0, -1.0]
+            assert kr.trigamma(1e200) == 1e-200
+
+    def test_oracle_on_an_array_is_the_per_point_oracle(self):
+        xs = np.array([[-1.5, 0.0], [2.0, 0.3]])
+        w = kr.W_eval(xs, mode="oracle")
+        assert w.shape == (2, 2)
+        assert w.tolist() == [[kr.W_eval(float(x), mode="oracle") for x in row] for row in xs]
+
+    @pytest.mark.parametrize("xs", [[1.0, 0.0, 2.0], [[3.0], [-1.0]]])
+    def test_trigamma_rejects_any_nonpositive_element(self, xs):
+        with pytest.raises(ValueError):
+            kr.trigamma(np.array(xs))
 
 
 class TestTables:
@@ -81,10 +208,9 @@ class TestW:
             assert kr.W_eval(float(k)) == pytest.approx(1.0, abs=1e-13)
 
     def test_fast_vs_oracle(self):
-        for x in np.linspace(-30, 30, 101):
-            f = kr.W_eval(float(x))
-            o = kr.W_eval(float(x), mode="oracle")
-            assert abs(f - o) <= 1e-10
+        xs = np.linspace(-30, 30, 101)
+        gap = np.abs(kr.W_eval(xs) - kr.W_eval(xs, mode="oracle"))
+        assert np.all(gap <= 1e-10), xs[~(gap <= 1e-10)]
 
     @given(st.floats(min_value=-40, max_value=40))
     @settings(max_examples=80, deadline=None)
@@ -94,11 +220,11 @@ class TestW:
     def test_one_sided_window(self):
         # for x > 0: 1 - K(x) <= W(x) <= 1, mirrored for x < 0
         rng = np.random.default_rng(11)
-        for x in rng.uniform(1e-6, 50, 2000):
-            k = float(kr.fejer_K(x))
-            w = kr.W_eval(float(x))
-            assert 1.0 - k - 1e-12 <= w <= 1.0 + 1e-12
-            assert -1.0 - 1e-12 <= kr.W_eval(float(-x)) <= -1.0 + k + 1e-12
+        xs = rng.uniform(1e-6, 50, 2000)
+        k, w, w_neg = kr.fejer_K(xs), kr.W_eval(xs), kr.W_eval(-xs)
+        ok = (1.0 - k - 1e-12 <= w) & (w <= 1.0 + 1e-12)
+        ok &= (-1.0 - 1e-12 <= w_neg) & (w_neg <= -1.0 + k + 1e-12)
+        assert ok.all(), xs[~ok]
 
     def test_taylor_identity_small_x(self):
         # W/K - 2x - sum of odd-zeta terms bounded by the first omitted term
@@ -116,7 +242,7 @@ class TestW:
     def test_decay_diagnostic(self):
         # |W - sgn| * x^3 stays bounded on [5, 100]
         worst = max(
-            abs(kr.W_eval(float(x)) - kr.sgn(float(x))) * x**3
+            abs(kr.W_eval(float(x)) - np.sign(float(x))) * x**3
             for x in np.linspace(5, 100, 400)
         )
         assert worst < 10.0
@@ -133,33 +259,32 @@ class TestFamily:
     @given(st.floats(min_value=-50, max_value=50))
     @settings(max_examples=200, deadline=None)
     def test_majorant_sandwich(self, x):
-        assert kr.b_eval(x) - 1e-12 <= kr.sgn(x) <= kr.B_eval(x) + 1e-12
+        assert kr.b_eval(x) - 1e-12 <= np.sign(x) <= kr.B_eval(x) + 1e-12
 
     @given(st.floats(min_value=-50, max_value=50))
     @settings(max_examples=100, deadline=None)
     def test_reflection_and_distance(self, x):
         k = float(kr.fejer_K(x))
         assert kr.B_eval(x) + kr.B_eval(-x) == pytest.approx(2.0 * k, abs=1e-12)
-        assert abs(kr.B_eval(x) - kr.sgn(x)) <= 2.0 * k + 1e-12
-        assert abs(kr.b_eval(x) - kr.sgn(x)) <= 2.0 * k + 1e-12
+        assert abs(kr.B_eval(x) - np.sign(x)) <= 2.0 * k + 1e-12
+        assert abs(kr.b_eval(x) - np.sign(x)) <= 2.0 * k + 1e-12
 
     def test_strictness_off_integers(self):
         rng = np.random.default_rng(5)
         xs = rng.uniform(-50, 50, 2000)
-        xs = xs[np.abs(xs - np.round(xs)) > 1e-3]
-        for x in xs[:1000]:
-            assert kr.b_eval(float(x)) < kr.sgn(float(x)) < kr.B_eval(float(x))
+        xs = xs[np.abs(xs - np.round(xs)) > 1e-3][:1000]
+        ok = (kr.b_eval(xs) < np.sign(xs)) & (np.sign(xs) < kr.B_eval(xs))
+        assert ok.all(), xs[~ok]
 
     def test_interval_sandwich(self):
         rng = np.random.default_rng(7)
         for ell in (0.5, 1.0, 2.0, 7.5):
-            for x in rng.uniform(-20, 20, 3000):
-                lo = kr.sigma_eval(ell, float(x))
-                hi = kr.S_eval(ell, float(x))
-                chi = kr.chi_box(float(x), ell)
-                assert lo - 1e-12 <= chi <= hi + 1e-12
-                gap = float(kr.fejer_K(x)) + float(kr.fejer_K(ell - x))
-                assert hi - lo <= 2.0 * gap + 1e-12
+            xs = rng.uniform(-20, 20, 3000)
+            lo, hi = kr.sigma_eval(ell, xs), kr.S_eval(ell, xs)
+            chi = kr.chi_box(xs, ell)
+            gap = kr.fejer_K(xs) + kr.fejer_K(ell - xs)
+            ok = (lo - 1e-12 <= chi) & (chi <= hi + 1e-12) & (hi - lo <= 2.0 * gap + 1e-12)
+            assert ok.all(), (ell, xs[~ok])
 
     def test_integer_ell_matches_direct_series(self):
         for ell in (1, 2, 3):
@@ -181,10 +306,10 @@ class TestQAndLambda:
         assert kr.Q_eval(v) == pytest.approx(kr.Q_eval(-v), abs=1e-14)
 
     def test_reflection_sum(self):
-        for v in np.linspace(0, 1, 201):
-            assert kr.Q_eval(float(v)) + kr.Q_eval(1.0 - float(v)) == pytest.approx(
-                1.0 / math.pi, abs=1e-12
-            )
+        vs = np.linspace(0, 1, 201)
+        assert kr.Q_eval(vs) + kr.Q_eval(1.0 - vs) == pytest.approx(
+            np.full(vs.shape, 1.0 / math.pi), abs=1e-12
+        )
 
     def test_lambda_value_and_brackets(self):
         lam = kr.lambda_constant(5e-8)
@@ -218,8 +343,8 @@ class TestBracketIntegrals:
     def test_majorant_l1_bracket(self):
         # integral of (B - sgn) over [-50, 50] plus tail bracket contains 1
         for func in (
-            lambda x: kr.B_eval(x) - kr.sgn(x),
-            lambda x: kr.sgn(x) - kr.b_eval(x),
+            lambda x: kr.B_eval(x) - np.sign(x),
+            lambda x: np.sign(x) - kr.b_eval(x),
         ):
             lo, e1 = integrate.quad(func, -50, 0, limit=400)
             hi, e2 = integrate.quad(func, 0, 50, limit=400)

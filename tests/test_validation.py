@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from bslib import clt
+from bslib import esseen1d as e1
+from bslib import esseen_multi as em
 from bslib import interpolation as ip
 from bslib import kernels as kr
 
@@ -49,6 +51,8 @@ def test_asserts_only_guard_internal_invariants():
 
 
 _SAMPLES = ip.sample_function(math.cos, 1.0, 3, 0.5)
+_F2 = em.product_law([e1.standardized_binomial(16)] * 2)
+_G2 = em.product_normal_target(2)
 
 
 @pytest.mark.parametrize(
@@ -57,6 +61,8 @@ _SAMPLES = ip.sample_function(math.cos, 1.0, 3, 0.5)
         (lambda: kr.KernelConfig(series_terms=5), "series_terms"),
         (lambda: kr.KernelConfig(asymptotic_pairs=0), "asymptotic_pairs"),
         (lambda: kr.KernelConfig(asymptotic_pairs=31), "asymptotic_pairs"),
+        (lambda: kr.KernelConfig(taylor_terms=0), "taylor_terms"),
+        (lambda: kr.KernelConfig(taylor_terms=21), "taylor_terms"),
         (lambda: kr.KernelConfig(taylor_radius=0.0), "taylor_radius"),
         (lambda: kr.KernelConfig(taylor_radius=0.6), "taylor_radius"),
         (lambda: kr.KernelConfig(tol=0.0), "tol"),
@@ -77,6 +83,14 @@ _SAMPLES = ip.sample_function(math.cos, 1.0, 3, 0.5)
         (lambda: clt.lyapunov_normalizer(
             clt.CoefficientScheme("vector", lambda N: np.ones((N, 2))), 4), "scheme"),
         (lambda: clt.ks_distance(np.array([0.5, 0.1]), lambda x: x), "samples"),
+        (lambda: em.esseen_bound_k(_F2, _G2, (12, 12), (0.3, -0.4), panels=0, order=0), "panels"),
+        (lambda: em.esseen_bound_k(_F2, _G2, (12, 12), (0.3, -0.4), panels=-2), "panels"),
+        (lambda: em.esseen_bound_k(_F2, _G2, (12, 12), (0.3, -0.4), order=0), "order"),
+        (lambda: em.esseen_bound_k(_F2, _G2, (12, 12), (0.3, -0.4), panels=2.5), "panels"),
+        (lambda: em.esseen_bound_truncated(_F2, _G2, (12, 12), 8.0, panels=0), "panels"),
+        (lambda: em.esseen_bound_truncated(_F2, _G2, (12, 12), 8.0, order=-1), "order"),
+        (lambda: em.esseen_bound_slab(_F2, _G2, (12, 12), panels=0), "panels"),
+        (lambda: em.esseen_bound_slab(_F2, _G2, (12, 12), order=True), "order"),
     ],
 )
 def test_bad_parameter_named(call, name):
