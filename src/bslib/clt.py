@@ -17,7 +17,8 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-from .esseen1d import _leggauss, normal_law
+from .esseen1d import normal_law
+from .quadrature import leggauss
 
 __all__ = [
     "ComplexLawSpec",
@@ -200,7 +201,7 @@ def bessel_j0(r: float, nodes: int = 64, tol: float = 1e-12) -> float:
     prev = None
     n = nodes
     for _ in range(6):
-        x, w = _leggauss(n)
+        x, w = leggauss(n)
         theta = 0.5 * math.pi * (x + 1.0)
         val = float(np.sum(w * np.cos(r * np.cos(theta)))) * 0.5
         if prev is not None and abs(val - prev) < tol:

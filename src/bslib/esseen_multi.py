@@ -20,7 +20,8 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-from .esseen1d import Law, _check_laws, _leggauss, normal_law
+from .esseen1d import Law, _check_laws, normal_law
+from .quadrature import gauss_legendre, tensor_rule
 
 __all__ = [
     "Monomial",
@@ -152,11 +153,6 @@ def _d_set_apply(f_vec: Callable, points: np.ndarray, C: Sequence[int]) -> np.nd
 # factorizations and derivative bounds
 
 
-def _gauss_legendre(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = _leggauss(n)
-    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
-
-
 def factorization_residual(
     f: Callable,
     deriv: Callable,
@@ -195,17 +191,8 @@ def factorization_residual(
 
     lhs = apply_operator(word, f, v)
 
-    if lo < 0.0:
-        # split at 0 so the (1 - |u|) weight stays smooth per panel
-        xm, wm = _gauss_legendre(lo, 0.0, nodes)
-        xp, wp = _gauss_legendre(0.0, 1.0, nodes)
-        x, w = np.concatenate([xm, xp]), np.concatenate([wm, wp])
-    else:
-        x, w = _gauss_legendre(lo, 1.0, nodes)
-    grids = np.meshgrid(*([x] * m), indexing="ij")
-    ws = np.meshgrid(*([w] * m), indexing="ij")
-    u = np.stack([g.ravel() for g in grids], axis=-1)  # (N, m)
-    wt = np.prod(np.stack([g.ravel() for g in ws], axis=-1), axis=-1)
+    cuts = [lo, 0.0, 1.0] if lo < 0.0 else [lo, 1.0]  # split at 0: (1 - |u|) is smooth per panel
+    u, wt = tensor_rule([gauss_legendre(cuts[:-1], cuts[1:], nodes)] * m)  # u is (N, m)
     pts = np.tile(v, (u.shape[0], 1))
     pts[:, :m] = v[:m] * u
     vals = np.asarray([deriv(p) for p in pts], dtype=complex)
@@ -473,14 +460,8 @@ def partitions(k: int):
 
 def _axis_nodes(omega: float, panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric nodes/weights on [-omega, omega], dyadically refined at 0."""
-    xs, ws = [], []
-    edges = [omega * 2.0 ** (-i) for i in range(panels)] + [omega * 2.0 ** (-panels), 0.0]
-    for a, b in zip(edges[1:], edges[:-1]):
-        x, w = _gauss_legendre(a, b, order)
-        xs.append(x)
-        ws.append(w)
-    x = np.concatenate(xs)
-    w = np.concatenate(ws)
+    edges = np.append(omega * np.exp2(-np.arange(panels + 1.0)), 0.0)
+    x, w = gauss_legendre(edges[1:], edges[:-1], order)
     return np.concatenate([-x, x]), np.concatenate([w, w])
 
 
@@ -491,20 +472,11 @@ def _tensor_integral(
     k: int,
 ) -> float:
     """Integrate over the active axes with the remaining coordinates fixed."""
-    active = [j for j in range(k) if j not in fixed]
-    if not active:
-        p = np.zeros((1, k))
-        for j, val in fixed.items():
-            p[0, j] = val
-        return float(np.real(integrand(p)[0]))
-    grids = np.meshgrid(*[axes[i][0] for i in range(len(active))], indexing="ij")
-    wgrids = np.meshgrid(*[axes[i][1] for i in range(len(active))], indexing="ij")
-    pts = np.zeros((grids[0].size, k))
-    for idx, j in enumerate(active):
-        pts[:, j] = grids[idx].ravel()
+    u, wt = tensor_rule(axes)
+    pts = np.zeros((wt.size, k))
+    pts[:, [j for j in range(k) if j not in fixed]] = u
     for j, val in fixed.items():
         pts[:, j] = val
-    wt = np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1)
     return float(np.sum(wt * np.real(integrand(pts))))
 
 
@@ -533,6 +505,7 @@ def esseen_bound_k(
     G: Law,
     omegas: Sequence[float],
     t: Sequence[float],
+    *,
     constants: BoundConstants | None = None,
     panels: int | None = None,
     order: int | None = None,
@@ -542,6 +515,8 @@ def esseen_bound_k(
     consts = constants or BoundConstants.for_k(k)
     panels, order = _grid(panels, order, (12, 8) if k <= 2 else (7, 5))
     t = np.asarray(t, dtype=float)
+    if t.shape != (k,) or not np.all(np.isfinite(t)):
+        raise ValueError(f"t must be k = {k} finite numbers (got {tuple(t.ravel().tolist())})")
     diff = _cf_gap(F, G)
 
     def integrand(pts: np.ndarray, C, D) -> np.ndarray:
@@ -562,6 +537,7 @@ def esseen_bound_truncated(
     F: Law,
     G: Law,
     omegas: Sequence[float],
+    *,
     delta: float,
     mode: Literal["A", "B"] = "A",
     alpha: float | None = None,
@@ -586,7 +562,10 @@ def esseen_bound_truncated(
         delta = 1.0 + box_extent
     if not delta > 1.0:
         raise ValueError(f"delta must be > 1 (got {delta})")
-    a = alpha if alpha is not None else min(F.moment[0], G.moment[0])
+    a_max = min(F.moment[0], G.moment[0])
+    if alpha is not None and not 0.0 < alpha <= a_max:
+        raise ValueError(f"alpha must be in (0, {a_max:g}], the moment exponent of F and G (got {alpha!r})")
+    a = a_max if alpha is None else alpha
     diff = _cf_gap(F, G)
 
     def integrand(pts: np.ndarray) -> np.ndarray:
@@ -730,6 +709,7 @@ def esseen_bound_slab(
     F: Law,
     G: Law,
     omegas: Sequence[float],
+    *,
     constants: BoundConstants | None = None,
     tau: float = 1.0,
     panels: int | None = None,
@@ -737,6 +717,8 @@ def esseen_bound_slab(
 ) -> KBoundReport:
     """Slab-norm smoothing bound (t-free), k <= 2."""
     k = _check_laws(F, G, 2, omegas, 1.0)
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"tau must be finite and > 0 (got {tau!r})")
     consts = constants or BoundConstants.for_k(k)
     panels, order = _grid(panels, order, (6, 4))
     diff = _cf_gap(F, G)

@@ -19,7 +19,8 @@ from fractions import Fraction
 from typing import Literal, Sequence
 
 import numpy as np
-from scipy import integrate, optimize
+
+from .quadrature import integrate_panels
 
 __all__ = [
     "KernelConfig",
@@ -312,20 +313,22 @@ def Q_eval(v):
 
 
 def lambda_constant(tol: float = 5e-8) -> float:
-    """sup over xi in [0,1] of sqrt(Q(xi)^2 + xi^2 (1-xi)^2)."""
+    """sup over xi in [0,1] of sqrt(Q(xi)^2 + xi^2 (1-xi)^2): the maximum of a
+    4001-point grid, zoomed in on the two steps around its best point (33
+    points each time) until they span less than tol or stop shrinking."""
     if not tol > 0:
         raise ValueError(f"tol must be > 0 (got {tol!r})")
-
-    f = lambda xi: np.hypot(Q_eval(xi), xi * (1.0 - xi))
-    grid = np.linspace(0.0, 1.0, 4001)
-    vals = f(grid)
-    i = int(np.argmax(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    res = optimize.minimize_scalar(
-        lambda t: -f(t), bounds=(lo, hi), method="bounded", options={"xatol": tol / 10}
-    )
-    return max(float(-res.fun), float(vals[i]))
+    xs = np.linspace(0.0, 1.0, 4001)
+    best, width = -math.inf, math.inf
+    while True:
+        vals = np.hypot(Q_eval(xs), xs * (1.0 - xs))
+        i = int(np.argmax(vals))
+        best = max(best, float(vals[i]))
+        lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)]
+        if hi - lo < tol or hi - lo >= width:
+            return best
+        width = hi - lo
+        xs = np.linspace(lo, hi, 33)
 
 
 def fourier_W_check(x: float, cfg: KernelConfig = DEFAULT_CONFIG) -> tuple[float, float]:
@@ -335,15 +338,16 @@ def fourier_W_check(x: float, cfg: KernelConfig = DEFAULT_CONFIG) -> tuple[float
     in v); returns (value, achieved error estimate).
     """
 
-    def integrand(v: float) -> float:
+    def integrand(v: np.ndarray) -> np.ndarray:
         qv_over_v = 1.0 / math.pi + _one_minus_absv_vcot(v) / v
-        return qv_over_v * math.sin(2.0 * math.pi * x * v)
+        return qv_over_v * np.sin(2.0 * math.pi * x * v)
 
     # Q(v)/v -> 1/(pi v) as v -> 0, so the product tends to 2x; split off
     # a tiny interval where the integrand is replaced by that limit.
-    val, err = integrate.quad(integrand, 1e-8, 1.0, limit=200)
-    val += 2.0 * x * 1e-8  # limit-value contribution of [0, 1e-8]
-    return 2.0 * val, 2.0 * err + 4.0 * abs(x) * 1e-8
+    edges = np.linspace(1e-8, 1.0, 17)
+    val, err = integrate_panels(integrand, edges[:-1], edges[1:])
+    val = float(np.sum(val)) + 2.0 * x * 1e-8  # limit-value contribution of [0, 1e-8]
+    return 2.0 * val, 2.0 * float(np.sum(err)) + 4.0 * abs(x) * 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +361,7 @@ class FamilyReport:
     majorant_ok: bool
     min_gap: float
     extra_integrals: tuple[tuple[float, float], ...]  # (R, integral over [-R,R])
+    extra_errors: tuple[float, ...]  # the integrals' quadrature error estimates
 
 
 def _family_extra(ell: int, eta: float, x, cfg: KernelConfig):
@@ -380,11 +385,13 @@ def extremal_family_check(
     gaps = S_eval(ell, grid, cfg) + _family_extra(ell, eta, grid, cfg) - chi_box(grid, ell)
     min_gap = np.min(gaps)
 
-    def extra_integrand(x: float) -> float:
+    def extra_integrand(x: np.ndarray) -> np.ndarray:
         return _family_extra(ell, 1.0, x, cfg) if eta == 0 else _family_extra(ell, eta, x, cfg) / eta
 
-    integrals = []
+    integrals, errors = [], []
     for R in radii:
-        val, _ = integrate.quad(extra_integrand, -R, R, limit=400)
-        integrals.append((float(R), float(val)))
-    return FamilyReport(int(ell), eta, min_gap >= -1e-10, float(min_gap), tuple(integrals))
+        edges = np.union1d([-R, R], np.arange(math.ceil(-R), math.floor(R) + 1))
+        val, err = integrate_panels(extra_integrand, edges[:-1], edges[1:])
+        integrals.append((float(R), float(np.sum(val))))
+        errors.append(float(np.sum(err)))
+    return FamilyReport(int(ell), eta, min_gap >= -1e-10, float(min_gap), tuple(integrals), tuple(errors))

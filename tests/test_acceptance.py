@@ -137,7 +137,7 @@ def test_criterion_07_ring_expansion():
                 c * sp.prod(sym[tag][j] for j, tag in enumerate(mono))
                 for mono, c in S.items()
             )
-            assert sp.simplify(lhs.subs(subs) - rhs.subs(subs)) == 0  # exact
+            assert sp.simplify(lhs.xreplace(subs) - rhs.xreplace(subs)) == 0  # exact
     S2, _ = em.selberg_ring_expansion(2)
     assert dict(S2) == {
         ("chi", "delta"): 1,

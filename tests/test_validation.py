@@ -87,12 +87,46 @@ _G2 = em.product_normal_target(2)
         (lambda: em.esseen_bound_k(_F2, _G2, (12, 12), (0.3, -0.4), panels=-2), "panels"),
         (lambda: em.esseen_bound_k(_F2, _G2, (12, 12), (0.3, -0.4), order=0), "order"),
         (lambda: em.esseen_bound_k(_F2, _G2, (12, 12), (0.3, -0.4), panels=2.5), "panels"),
-        (lambda: em.esseen_bound_truncated(_F2, _G2, (12, 12), 8.0, panels=0), "panels"),
-        (lambda: em.esseen_bound_truncated(_F2, _G2, (12, 12), 8.0, order=-1), "order"),
+        (lambda: em.esseen_bound_truncated(_F2, _G2, (12, 12), delta=8.0, panels=0), "panels"),
+        (lambda: em.esseen_bound_truncated(_F2, _G2, (12, 12), delta=8.0, order=-1), "order"),
         (lambda: em.esseen_bound_slab(_F2, _G2, (12, 12), panels=0), "panels"),
         (lambda: em.esseen_bound_slab(_F2, _G2, (12, 12), order=True), "order"),
     ],
 )
 def test_bad_parameter_named(call, name):
     with pytest.raises(ValueError, match=f"^{name} "):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: em.esseen_bound_k(_F2, _G2, (12, 12), (0.3, -0.4, 0.2)), "t"),
+        (lambda: em.esseen_bound_k(_F2, _G2, (12, 12), (0.3,)), "t"),
+        (lambda: em.esseen_bound_k(_F2, _G2, (12, 12), (math.nan, 0.1)), "t"),
+        (lambda: em.esseen_bound_k(_F2, _G2, (12, 12), (math.inf, 0.0)), "t"),
+        (lambda: em.esseen_bound_slab(_F2, _G2, (12, 12), tau=0.0), "tau"),
+        (lambda: em.esseen_bound_slab(_F2, _G2, (12, 12), tau=-1.0), "tau"),
+        (lambda: em.esseen_bound_slab(_F2, _G2, (12, 12), tau=math.nan), "tau"),
+        (lambda: em.esseen_bound_truncated(_F2, _G2, (12, 12), delta=2.0, alpha=-1.0), "alpha"),
+        (lambda: em.esseen_bound_truncated(_F2, _G2, (12, 12), delta=2.0, alpha=math.nan), "alpha"),
+        # the moments are second moments: a larger alpha would shrink the exclusion term
+        (lambda: em.esseen_bound_truncated(_F2, _G2, (12, 12), delta=2.0, alpha=3.0), "alpha"),
+    ],
+)
+def test_bad_k_bound_argument_named(call, name):
+    with pytest.raises(ValueError, match=f"^{name} "):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: em.esseen_bound_k(_F2, _G2, (12, 12), (0.3, -0.4), None),
+        lambda: em.esseen_bound_truncated(_F2, _G2, (12, 12), 8.0),
+        lambda: em.esseen_bound_slab(_F2, _G2, (12, 12), (0.3, -0.4)),
+    ],
+)
+def test_k_bound_options_keyword_only(call):
+    with pytest.raises(TypeError):
         call()
