@@ -174,7 +174,7 @@ KERNELS = {
     "S": _array_table(lambda xs, ell: kr.S_eval(_box_length(ell), xs)),
     "sigma": _array_table(lambda xs, ell: kr.sigma_eval(_box_length(ell), xs)),
     "Q": _array_table(lambda xs, ell: kr.Q_eval(xs), 1e-14),
-    "lambda": _array_table(lambda xs, ell: np.full(xs.shape, kr.lambda_constant(5e-8)), 5e-8),
+    "lambda": _array_table(lambda xs, ell: np.full(xs.shape, kr.lambda_constant()), 5e-8),
     "cardinal": _cardinal_table,
     "vaaler": _vaaler_table,
 }
@@ -248,7 +248,7 @@ def _flag(name: str, ok: bool, detail: float = 0.0) -> dict:
 
 def _suite_kernels(tol: float) -> list[dict]:
     checks = []
-    lam = kr.lambda_constant(5e-8)
+    lam = kr.lambda_constant()
     checks.append(_check("lambda_constant", abs(lam - 0.3263598), 5e-8))
     checks.append(_check("W_half_closed_form", abs(kr.W_eval(0.5) - 8.0 / math.pi**2), tol))
     checks.append(_check("B_at_zero", abs(kr.B_eval(0.0) - 1.0), tol))
@@ -419,8 +419,8 @@ def _suite_clt(tol: float) -> list[dict]:
     # phase invariance of the scalar normalizer
     rng = np.random.default_rng(5)
     phases = np.exp(1j * rng.uniform(0, 2 * math.pi, 50))
-    base = clt.CoefficientScheme("scalar", lambda N: np.arange(1, N + 1, dtype=complex))
-    twist = clt.CoefficientScheme("scalar", lambda N: phases[:N] * np.arange(1, N + 1))
+    base = clt.index_scheme()
+    twist = clt.CoefficientScheme(lambda N: (phases[:N] * np.arange(1, N + 1))[:, None])
     s0, s1 = clt.lyapunov_normalizer(base, 50), clt.lyapunov_normalizer(twist, 50)
     resid = max(
         abs(s0.scale - s1.scale), abs(s0.lyapunov_sum - s1.lyapunov_sum),

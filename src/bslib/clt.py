@@ -1,8 +1,8 @@
 """Central-limit-theorem variants with quantitative log-CF gap bounds.
 
-Complex scalar statistics T_N = s_N^{-1} sum b_j X_j, their real-scalar
-reduction, and the vector 'twist' T_N = sigma_N^{-1} sum X_n (b_{n,j}),
-together with the elementary inequality toolbox used in the proofs, the
+The vector 'twist' T_N = sigma_N^{-1} sum X_n (b_{n,j}), of which the
+complex scalar statistic s_N^{-1} sum b_n X_n is the J = 1 case, together
+with the elementary inequality toolbox used in the proofs, the
 Haar-circle example law, and a reproducible Monte Carlo engine built on
 counter-based (Philox) random streams.
 """
@@ -13,7 +13,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -194,17 +194,17 @@ class ComplexLawSpec:
 
 
 @functools.lru_cache(maxsize=1 << 16)
-def bessel_j0(r: float, nodes: int = 64, tol: float = 1e-12) -> float:
-    """J0(r) = (1/pi) int_0^pi cos(r cos theta) dtheta, Gauss nodes doubled
-    until two successive levels agree to tol."""
+def bessel_j0(r: float) -> float:
+    """J0(r) = (1/pi) int_0^pi cos(r cos theta) dtheta, 64 Gauss nodes
+    doubled until two successive levels agree to 1e-12."""
     r = abs(float(r))
     prev = None
-    n = nodes
+    n = 64
     for _ in range(6):
         x, w = leggauss(n)
         theta = 0.5 * math.pi * (x + 1.0)
         val = float(np.sum(w * np.cos(r * np.cos(theta)))) * 0.5
-        if prev is not None and abs(val - prev) < tol:
+        if prev is not None and abs(val - prev) < 1e-12:
             return val
         prev = val
         n *= 2
@@ -244,30 +244,31 @@ def rademacher_product_law(scale: float = 1.0) -> ComplexLawSpec:
 
 @dataclass(frozen=True)
 class CoefficientScheme:
-    """Scalar (b_j, s_N) or vector (rows b_n in C^J, sigma_N, beta_j) weights.
+    """Weights b_n in C^J with the normalizer sigma_N and targets beta_j.
 
-    coeffs(N) returns the first N coefficients: shape (N,) in scalar mode,
-    (N, J) in vector mode.  sigma(N) must be supplied in vector mode; the
-    diagonal targets beta_j are declared, with the actual residual of the
-    normalization matrix reported by lyapunov_normalizer.
+    coeffs(N) returns the first N rows, shape (N, J).  A scalar statistic
+    s_N^{-1} sum b_n X_n is the J = 1 scheme: there sigma = None means
+    s_N = (sum |b_n|^2)^(1/2) and betas = None means (1,).  For J > 1 both
+    are required.  The diagonal targets beta_j are declared, with the
+    actual residual of the normalization matrix reported by
+    lyapunov_normalizer.
     """
 
-    mode: Literal["scalar", "vector"]
     coeffs: Callable[[int], np.ndarray]
     sigma: Callable[[int], float] | None = None
     betas: tuple[float, ...] | None = None
 
 
 def constant_scheme() -> CoefficientScheme:
-    return CoefficientScheme("scalar", lambda N: np.ones(N, dtype=complex))
+    return CoefficientScheme(lambda N: np.ones((N, 1), dtype=complex))
 
 
 def index_scheme() -> CoefficientScheme:
-    return CoefficientScheme("scalar", lambda N: np.arange(1, N + 1, dtype=complex))
+    return CoefficientScheme(lambda N: np.arange(1, N + 1, dtype=complex)[:, None])
 
 
 def geometric_scheme(ratio: float = 2.0) -> CoefficientScheme:
-    return CoefficientScheme("scalar", lambda N: ratio ** np.arange(1, N + 1, dtype=complex))
+    return CoefficientScheme(lambda N: ratio ** np.arange(1, N + 1, dtype=complex)[:, None])
 
 
 def alternating_vector_scheme(J: int = 2) -> CoefficientScheme:
@@ -279,36 +280,43 @@ def alternating_vector_scheme(J: int = 2) -> CoefficientScheme:
         rows[np.arange(N), np.arange(N) % J] = 1.0
         return rows
 
-    return CoefficientScheme("vector", coeffs, lambda N: math.sqrt(N), tuple([1.0 / J] * J))
+    return CoefficientScheme(coeffs, lambda N: math.sqrt(N), tuple([1.0 / J] * J))
+
+
+def _weights(scheme: CoefficientScheme, N: int):
+    """(b, |b|, sigma, e, betas): the rows b_n, their moduli and sigma_N,
+    each times 2^-e for the binade 2^e of max |b_nj|.  Scaling by a power
+    of two is exact, and it keeps the squares and cubes of |b| finite."""
+    b = np.asarray(scheme.coeffs(N))
+    mags = np.abs(b)
+    J = b.shape[-1]
+    if b.shape != (N, J) or not np.all(np.isfinite(mags)) or not np.any(mags > 0):
+        raise ValueError(f"scheme coefficients must be N = {N} finite rows, not all zero "
+                         f"(got shape {b.shape}, max |b| = {float(np.max(mags, initial=0.0))!r})")
+    if J > 1 and (scheme.sigma is None or scheme.betas is None):
+        raise ValueError(f"scheme must have sigma and betas for J = {J} > 1")
+    e = int(np.frexp(np.max(mags))[1])
+    mags = np.ldexp(mags, -e)
+    sigma = math.sqrt(np.sum(mags**2)) if scheme.sigma is None else math.ldexp(scheme.sigma(N), -e)
+    if not sigma > 0:
+        raise ValueError(f"scheme sigma must be > 0 (got {math.ldexp(sigma, e)!r} at N = {N})")
+    return b * math.ldexp(1.0, -e), mags, sigma, e, scheme.betas or (1.0,)
 
 
 @dataclass(frozen=True)
 class NormalizerStats:
-    mode: str
-    scale: float  # s_N or sigma_N
-    lyapunov_sum: float
-    max_ratio: float  # B_N/s_N or D_N/sigma_N
-    matrix_residual: float | None = None  # vector mode, max-entry norm
+    scale: float  # sigma_N (s_N for J = 1)
+    lyapunov_sum: float  # sum |b_nj|^3 / sigma_N^3
+    max_ratio: float  # D_N / sigma_N, D_N the largest row 1-norm (B_N / s_N for J = 1)
+    matrix_residual: float  # max-entry norm of sum conj(b_n) b_n^T / sigma_N^2 - diag(beta)
 
 
 def lyapunov_normalizer(scheme: CoefficientScheme, N: int) -> NormalizerStats:
-    b = scheme.coeffs(N)
-    if scheme.mode == "scalar":
-        mags = np.abs(b)
-        if not np.any(mags > 0):
-            raise ValueError("all coefficients vanish")
-        s = float(np.sqrt(np.sum(mags**2)))
-        return NormalizerStats("scalar", s, float(np.sum(mags**3)) / s**3, float(np.max(mags)) / s)
-    if scheme.sigma is None or scheme.betas is None:
-        raise ValueError("scheme must have sigma and betas in vector mode")
-    sigma = scheme.sigma(N)
-    if not np.any(np.abs(b) > 0) or sigma <= 0:
-        raise ValueError("degenerate vector scheme")
-    lyap = float(np.sum(np.abs(b) ** 3)) / sigma**3
-    C = np.sum(np.abs(b), axis=1)  # row 1-norms
+    b, mags, sigma, e, betas = _weights(scheme, N)
     M = (b.conj().T @ b) / sigma**2
-    resid = float(np.max(np.abs(M - np.diag(scheme.betas))))
-    return NormalizerStats("vector", sigma, lyap, float(np.max(C)) / sigma, resid)
+    resid = float(np.max(np.abs(M - np.diag(betas))))
+    max_ratio = float(np.max(np.sum(mags, axis=1))) / sigma
+    return NormalizerStats(math.ldexp(sigma, e), float(np.sum(mags**3)) / sigma**3, max_ratio, resid)
 
 
 # ---------------------------------------------------------------------------
@@ -325,32 +333,23 @@ class GapReport:
     branch_ok: bool
 
 
-def _factor_arguments(scheme: CoefficientScheme, N: int, xi) -> np.ndarray:
-    b = scheme.coeffs(N)
-    if scheme.mode == "scalar":
-        return np.conj(b) * complex(xi) / float(np.sqrt(np.sum(np.abs(b) ** 2)))
-    xi = np.asarray(xi, dtype=complex)
-    return (np.conj(b) @ xi) / scheme.sigma(N)
-
-
 def gaussian_limit_gap(
     law: ComplexLawSpec, scheme: CoefficientScheme, N: int, xi, A: float = 1.0
 ) -> GapReport:
-    """|log phi_N + (quadratic form)| against the proof bound (2/3) rho^3 A^3 L.
+    """|log phi_N + beta^2/2 * sum |U_n|^2| against the proof bound (2/3) rho^3 A^3 L.
 
-    Scalar mode compares against beta^2 |xi|^2 / 2; vector mode against the
-    exact quadratic form beta^2/2 * sum |U_n|^2.  L is the Lyapunov sum of
-    the scheme (row 1-norms in vector mode).  The branch of log phi_N is
-    the sum of principal logs of the individual factors, each of which
-    stays inside the unit disk about 1 under the admissibility condition.
+    U_n = conj(b_n) . xi / sigma_N are the factor arguments; for J = 1, xi
+    is a complex number and the quadratic form equals beta^2 |xi|^2 / 2.
+    L is the Lyapunov sum of the row 1-norms, sum_n (sum_j |b_nj|)^3 /
+    sigma_N^3.  The branch of log phi_N is the sum of principal logs of the
+    individual factors, each of which stays inside the unit disk about 1
+    under the admissibility condition.
     """
-    U = _factor_arguments(scheme, N, xi)
+    b, mags, sigma, _, _ = _weights(scheme, N)
+    U = (np.conj(b) @ np.atleast_1d(np.asarray(xi, dtype=complex))) / sigma
     stats = lyapunov_normalizer(scheme, N)
-    adm_value = 4.0 * law.beta2 * (A * stats.max_ratio) ** 2 + 2.0 * (law.rho * A) ** 3 * (
-        stats.lyapunov_sum if scheme.mode == "scalar" else float(
-            np.sum(np.sum(np.abs(scheme.coeffs(N)), axis=1) ** 3)
-        ) / stats.scale**3
-    )
+    L = float(np.sum(np.sum(mags, axis=1) ** 3)) / sigma**3
+    adm_value = 4.0 * law.beta2 * (A * stats.max_ratio) ** 2 + 2.0 * (law.rho * A) ** 3 * L
     admissible = adm_value < 1.0
 
     factors = np.array([law.cf(u) for u in U])
@@ -359,14 +358,7 @@ def gaussian_limit_gap(
         raise ArithmeticError("principal-log branch failed inside the admissible range")
     log_phi = complex(np.sum(np.log(factors))) if branch_ok else complex("nan")
 
-    if scheme.mode == "scalar":
-        quad = 0.5 * law.beta2 * abs(complex(xi)) ** 2
-        L = stats.lyapunov_sum
-    else:
-        quad = 0.5 * law.beta2 * float(np.sum(np.abs(U) ** 2))
-        C = np.sum(np.abs(scheme.coeffs(N)), axis=1)
-        L = float(np.sum(C**3)) / stats.scale**3
-    gap = abs(log_phi + quad)
+    gap = abs(log_phi + 0.5 * law.beta2 * float(np.sum(np.abs(U) ** 2)))
     bound = (2.0 / 3.0) * law.rho3 * A**3 * L
     holds = bool(gap <= bound) if admissible else True
     return GapReport(gap, bound, admissible, holds, adm_value, branch_ok)
@@ -415,7 +407,7 @@ class StatReport:
     covariance_target: np.ndarray
     covariance_stderr: float
     rectangle_max_gap: float
-    analytic_second_moment: complex  # E(T^2) diagnostic, scalar mode
+    analytic_second_moment: complex  # E(T_1^2) diagnostic, first component
     samples: int
 
 
@@ -424,29 +416,20 @@ def vector_statistic(
     scheme: CoefficientScheme,
     N: int,
     mc: MonteCarloConfig,
-    rect_grid: Sequence[float] = (-1.5, -0.5, 0.0, 0.5, 1.5),
 ) -> StatReport:
     """Monte Carlo replicas of T_N with marginal / covariance / rectangle checks.
 
-    The limit has independent components, so rectangle probabilities are
-    compared against products of 1-D normal CDFs with variances beta_j
-    beta^2 per real coordinate.
+    The limit has independent components, so rectangle probabilities on
+    the grid {-1.5, -0.5, 0, 0.5, 1.5}^2 are compared against products of
+    1-D normal CDFs with variances beta_j beta^2 per real coordinate.
     """
-    b = scheme.coeffs(N)
-    if scheme.mode == "scalar":
-        scale = float(np.sqrt(np.sum(np.abs(b) ** 2)))
-        b = b[:, None]
-        J = 1
-        betas = (1.0,)
-    else:
-        scale = scheme.sigma(N)
-        J = b.shape[1]
-        betas = scheme.betas
+    b, _, sigma, _, betas = _weights(scheme, N)
+    J = b.shape[1]
     T = np.zeros((mc.samples, J), dtype=complex)
     for n in range(N):
         X = law.sampler(_stream(mc.seed, n), mc.samples)
         T += np.outer(X, b[n])
-    T /= scale
+    T /= sigma
 
     # component variances of the limit: each real coordinate ~ N(0, beta_j beta^2)
     var = [bj * law.beta2 for bj in betas]
@@ -459,7 +442,7 @@ def vector_statistic(
     cov_stderr = float(np.max(np.abs(T) ** 2)) / math.sqrt(mc.samples)
     cov_stderr = max(cov_stderr, 4.0 * max(var) / math.sqrt(mc.samples))
 
-    grid = np.asarray(rect_grid, dtype=float)
+    grid = np.array([-1.5, -0.5, 0.0, 0.5, 1.5])
     worst = 0.0
     for j in range(J):
         # the share of samples with Re <= grid[a] and Im <= grid[b], at [a, b]

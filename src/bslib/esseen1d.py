@@ -90,10 +90,8 @@ def normal_law(mu: float = 0.0, sigma: float = 1.0) -> Law:
     return Law(cdf, cf, (2.0, second), (m,))
 
 
-def standardized_binomial(n: int, p: float = 0.5) -> Law:
+def standardized_binomial(n: int) -> Law:
     """(S - n/2)/(sqrt(n)/2) for S ~ Binomial(n, 1/2)."""
-    if p != 0.5:
-        raise ValueError(f"p must be 0.5 (only the symmetric case is wired up), got {p!r}")
     logp = n * math.log(0.5)
     j = np.arange(n + 1)
     log_pmf = gammaln(n + 1) - gammaln(j + 1) - gammaln(n - j + 1) + logp
@@ -192,12 +190,14 @@ def _omega_array(omegas, name: str) -> np.ndarray:
     return om
 
 
+_EXCLUSION_TOL = 1e-8  # sets the cut eps: the exclusion term 4 m eps^alpha is a tenth of it
+
+
 def _sweep(
     F: Law,
     G: Law,
     omegas: np.ndarray,
     constants: tuple[float, float] = (C1_DEFAULT, C2_DEFAULT),
-    tol: float = 1e-8,
 ) -> list[EsseenReport]:
     """The smoothing bound at every Omega from one pass of quadrature.
 
@@ -213,7 +213,7 @@ def _sweep(
     alpha = min(F.moment[0], G.moment[0])
     a_t = min(alpha, 1.0)
     msum = F.moment[1] + G.moment[1]
-    eps = (tol / (40.0 * max(msum, 1e-300))) ** (1.0 / a_t)
+    eps = (_EXCLUSION_TOL / (40.0 * max(msum, 1e-300))) ** (1.0 / a_t)
     epss = np.minimum(eps, omegas / 4.0)
     edges = np.unique(np.concatenate([epss, np.arange(1.0, omegas.max(), 4.0), omegas]))
 
@@ -245,7 +245,6 @@ def esseen_bound_1d(
     G: Law,
     omega: float,
     constants: tuple[float, float] = (C1_DEFAULT, C2_DEFAULT),
-    tol: float = 1e-8,
 ) -> EsseenReport:
     """c1 * int_{|zeta|<=Omega} |phi - psi|/|zeta| + c2 * m / Omega.
 
@@ -253,7 +252,7 @@ def esseen_bound_1d(
     |phi(w) - psi(w)| <= 2 |w|^alpha~ * (moment sum), alpha~ = min(alpha, 1).
     It is the one-Omega case of the sweep behind `best_esseen_bound`.
     """
-    return _sweep(F, G, _omega_array(omega, "omega"), constants, tol)[0]
+    return _sweep(F, G, _omega_array(omega, "omega"), constants)[0]
 
 
 def gaussian_mollify(F: Law, eps: float) -> Law:
@@ -338,7 +337,7 @@ def convergence_harness_1d(
 # Fourier-side representations of the extremal pair
 
 
-def representation_residual(which: str, x: float, tol: float = 1e-8) -> float:
+def representation_residual(which: str, x: float) -> float:
     """|pv-int_{-1}^{1} [1/(pi i v) + R(v)] e^{2 pi i x v} dv  -  target(x)|
 
     with R = T/i + (1-|v|) for the majorant and T/i - (1-|v|) for the
@@ -354,6 +353,6 @@ def representation_residual(which: str, x: float, tol: float = 1e-8) -> float:
         R = T / 1j + sign * (1.0 - np.abs(v))
         return (1.0 / (math.pi * 1j * v) + R) * np.exp(2j * math.pi * x * v)
 
-    val, _ = pv_integral(h, 1.0, tol)
+    val, _ = pv_integral(h, 1.0, 1e-8)
     target = B_eval(x) if which == "B" else b_eval(x)
     return abs(val - target)

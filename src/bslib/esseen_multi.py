@@ -123,30 +123,19 @@ def operator_terms(word: Sequence[tuple[str, int]], k: int) -> dict[tuple[int, .
     return terms
 
 
-def apply_operator(word: Sequence[tuple[str, int]], f: Callable, v: Sequence[float]) -> complex:
-    """Evaluate the composite operator word applied to f at the point v."""
+def apply_operator(word: Sequence[tuple[str, int]], f: Callable, v) -> complex | np.ndarray:
+    """Evaluate the composite operator word applied to f at v.
+
+    v is one k-vector, with f a function of one point, or an (N, k) array
+    of rows, with f taking (N, k) points to (N,) values (the `Law` contract);
+    the result is a complex number or (N,) complex values.
+    """
     v = np.asarray(v, dtype=float)
-    k = v.size
-    out = 0.0 + 0.0j
-    for t, c in operator_terms(word, k).items():
-        out += c * complex(f(v * np.asarray(t, dtype=float)))
-    return out
-
-
-def _d_set_apply(f_vec: Callable, points: np.ndarray, C: Sequence[int]) -> np.ndarray:
-    """D_C f on an (N, k) array of points, via the 2^{|C|} signed average."""
-    C = list(C)
-    if not C:
-        return np.asarray(f_vec(points), dtype=complex)
-    out = np.zeros(points.shape[0], dtype=complex)
-    for signs in itertools.product((1.0, -1.0), repeat=len(C)):
-        pts = points.copy()
-        parity = 1.0
-        for s, j in zip(signs, C):
-            pts[:, j] *= s
-            parity *= s
-        out += parity * np.asarray(f_vec(pts), dtype=complex)
-    return out / 2.0 ** len(C)
+    out = np.zeros(v.shape[:-1], dtype=complex)
+    for t, c in operator_terms(word, v.shape[-1]).items():
+        # column-major points: numpy then multiplies whole columns, not rows of k
+        out += c * np.asarray(f(np.multiply(v, t, order="F")), dtype=complex)
+    return complex(out) if v.ndim == 1 else out
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +227,16 @@ def _mixed_partial(
     return acc / scale
 
 
+# the factor on a sup estimated from grid values, for the sup between grid points
+_SUP_SAFETY = 1.5
+
+
 def _sup_estimate(
     f: Callable,
     sigma: Sequence[int],
     orders: Sequence[int],
     v: np.ndarray,
     eps_patterns: Sequence[tuple[tuple[float, ...], Sequence[int]]],
-    safety: float = 1.5,
 ) -> float:
     """Estimate an M_sigma / N_sigma style sup on a refinement grid.
 
@@ -269,7 +261,7 @@ def _sup_estimate(
         if best_prev is not None and best <= best_prev * 1.1:
             break
         best_prev = best
-    return safety * best
+    return _SUP_SAFETY * best
 
 
 def derivative_bound_check(f: Callable, spec: dict, v: Sequence[float]) -> BoundCheck:
@@ -278,7 +270,7 @@ def derivative_bound_check(f: Callable, spec: dict, v: Sequence[float]) -> Bound
     spec keys: which in {"4.24", "4.26", "4.27", "4.28"}, h, ell, and for
     the Delta-variants n, m, delta (L = ell + delta).  f is a scalar
     function of a k-vector; sups are estimated on refinement grids with
-    a 1.5 Lipschitz safety factor (reported inconclusive when the safety
+    the _SUP_SAFETY Lipschitz factor (reported inconclusive when the safety
     margin exceeds the slack).
     """
     v = np.asarray(v, dtype=float)
@@ -300,7 +292,7 @@ def derivative_bound_check(f: Callable, spec: dict, v: Sequence[float]) -> Bound
             ]
             est = _sup_estimate(f, s, [1] * h, v, patterns)
             prod_safe *= est
-            prod_raw *= est / 1.5
+            prod_raw *= est / _SUP_SAFETY
         power = 1.0 / math.comb(ell, h)
         vfac = float(np.prod(np.abs(v[:ell]) ** (h / ell)))
         rhs = vfac * prod_safe**power
@@ -336,7 +328,7 @@ def derivative_bound_check(f: Callable, spec: dict, v: Sequence[float]) -> Bound
         patterns = [(pat, others) for pat in itertools.product(*pools)]
         est = _sup_estimate(f, s, orders, v, patterns)
         prod_safe *= est
-        prod_raw *= est / 1.5
+        prod_raw *= est / _SUP_SAFETY
     power = 1.0 / math.comb(L, h)
     if which == "4.28":
         base = float(np.prod(np.abs(v[:ell]) ** 2) * np.prod(np.abs(v[n : n + delta])))
@@ -520,7 +512,7 @@ def esseen_bound_k(
     diff = _cf_gap(F, G)
 
     def integrand(pts: np.ndarray, C, D) -> np.ndarray:
-        val = np.abs(_d_set_apply(diff, pts, C))
+        val = np.abs(apply_operator([("D", j) for j in C], diff, pts))
         for j in C:
             val = val / np.abs(pts[:, j])
         for j in D:
@@ -626,13 +618,12 @@ def slab_norm(
     tau: float = 1.0,
     flavor: Literal["bar", "double_bar"] = "double_bar",
     grid: int = 7,
-    safety: float = 1.5,
 ) -> float:
     """Slab-wise sup quantity |f|_C (bar) or ||f||_C (double_bar) at v.
 
     The one-point form of `slab_norms`, which documents the computation.
     """
-    return float(slab_norms(f, C, [v], tau, flavor, grid, safety)[0])
+    return float(slab_norms(f, C, [v], tau, flavor, grid)[0])
 
 
 def slab_norms(
@@ -642,13 +633,12 @@ def slab_norms(
     tau: float = 1.0,
     flavor: Literal["bar", "double_bar"] = "double_bar",
     grid: int = 7,
-    safety: float = 1.5,
 ) -> np.ndarray:
     """|f|_C (bar) or ||f||_C (double_bar) at every row v of the (N, k) array V.
 
     Coordinates of C with |v_j| >= tau contribute sign flips; if none is
     small the value is the exact max of |f| over the flips.  Coordinates
-    with |v_j| < tau are 'small': the value becomes `safety` (default 1.5)
+    with |v_j| < tau are 'small': the value becomes _SUP_SAFETY = 1.5
     times the max of central-difference first partials |S_j f| (j small)
     over the flips crossed with a (2 grid + 1)-point grid per small
     coordinate on the short-circuit set (|xi_j| <= |v_j| for bar,
@@ -670,11 +660,11 @@ def slab_norms(
         Cs = [j for j, s in zip(C, pattern) if s]
         for lo in range(0, rows.size, _SLAB_CHUNK):
             r = rows[lo : lo + _SLAB_CHUNK]
-            out[r] = _slab_group(f, V[r], Cb, Cs, tau, flavor, 2 * grid + 1, safety)
+            out[r] = _slab_group(f, V[r], Cb, Cs, tau, flavor, 2 * grid + 1)
     return out
 
 
-def _slab_group(f, V, Cb, Cs, tau, flavor, npts, safety) -> np.ndarray:
+def _slab_group(f, V, Cb, Cs, tau, flavor, npts) -> np.ndarray:
     """slab_norms for rows of V whose big/small split of C is (Cb, Cs)."""
     n, k = V.shape
     signs = np.array(list(itertools.product((1.0, -1.0), repeat=len(Cb))))
@@ -702,7 +692,7 @@ def _slab_group(f, V, Cb, Cs, tau, flavor, npts, safety) -> np.ndarray:
         dn[:, j] -= h
         d = np.abs(np.asarray(f(up)) - np.asarray(f(dn))) / (2 * h)
         best = np.maximum(best, d.reshape(n, -1).max(axis=1))
-    return safety * best
+    return _SUP_SAFETY * best
 
 
 def esseen_bound_slab(

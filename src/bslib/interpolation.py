@@ -16,7 +16,7 @@ from typing import Literal
 
 import numpy as np
 
-from .kernels import fejer_K, trigamma, DEFAULT_CONFIG
+from .kernels import fejer_K, trigamma
 from .quadrature import integrate_panels
 
 __all__ = [
@@ -196,7 +196,7 @@ def _fejer_residual(x: float, M: int = 10**4) -> ResidualReport:
 
 
 def _sandwich(omega: float, refined: bool) -> ResidualReport:
-    s = trigamma(omega + 1.0, DEFAULT_CONFIG)
+    s = trigamma(omega + 1.0)
     lo = 1.0 / omega - (0.5 if refined else 1.0) / omega**2
     hi = 1.0 / omega
     ok = lo < s < hi

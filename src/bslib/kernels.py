@@ -23,7 +23,11 @@ import numpy as np
 from .quadrature import integrate_panels
 
 __all__ = [
-    "KernelConfig",
+    "TAYLOR_RADIUS",
+    "TAYLOR_TERMS",
+    "CROSSOVER_X0",
+    "ASYMPTOTIC_PAIRS",
+    "SERIES_TERMS",
     "BernoulliTable",
     "OddZetaTable",
     "bernoulli_numbers",
@@ -40,12 +44,11 @@ __all__ = [
     "fourier_W_check",
     "extremal_family_check",
     "chi_box",
-    "DEFAULT_CONFIG",
 ]
 
 
 # ---------------------------------------------------------------------------
-# configuration and cached tables
+# constants and cached tables
 
 
 @dataclass(frozen=True)
@@ -79,28 +82,6 @@ class OddZetaTable:
         return self.values[m - 1]
 
 
-@dataclass(frozen=True)
-class KernelConfig:
-    series_terms: int = 10**6
-    asymptotic_pairs: int = 10
-    crossover_x0: float = 8.0
-    taylor_radius: float = 0.4
-    taylor_terms: int = 20
-    tol: float = 1e-12
-
-    def __post_init__(self):
-        if not self.series_terms >= 10:
-            raise ValueError(f"series_terms must be >= 10 (got {self.series_terms!r})")
-        if not 1 <= self.asymptotic_pairs <= 30:
-            raise ValueError(f"asymptotic_pairs must be in 1..30 (got {self.asymptotic_pairs!r})")
-        if not 1 <= self.taylor_terms <= 20:
-            raise ValueError(f"taylor_terms must be in 1..20 (got {self.taylor_terms!r})")
-        if not 0 < self.taylor_radius <= 0.5:
-            raise ValueError(f"taylor_radius must be in (0, 0.5] (got {self.taylor_radius!r})")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be > 0 (got {self.tol!r})")
-
-
 def bernoulli_numbers(n: int) -> BernoulliTable:
     """B_0 .. B_n from the defining recurrence sum_j C(m+1,j) B_j = 0."""
     if not n >= 2:
@@ -125,10 +106,17 @@ def odd_zeta_table(m_max: int = 20) -> OddZetaTable:
     return OddZetaTable(tuple(_zeta_em(2 * m + 1) for m in range(1, m_max + 1)))
 
 
-DEFAULT_CONFIG = KernelConfig()
+# W's fast route is the Taylor series for |x| <= TAYLOR_RADIUS and the
+# trigamma closed form beyond; the oracle is the direct series.
+TAYLOR_RADIUS = 0.4  # below it the trigamma form is 1 minus nearly 1 and loses digits
+TAYLOR_TERMS = 20  # the first omitted term, 84 zeta(43) 0.4^43, is 7e-16
+CROSSOVER_X0 = 8.0  # trigamma shifts x up to here; then B_22/x^23 <= 1e-17
+ASYMPTOTIC_PAIRS = 10  # Bernoulli terms of trigamma's series, at most the 31 of _B2K
+SERIES_TERMS = 10**4  # W oracle terms; its tail needs T -+ x large, so |x| <= T/2
+
 _B2K = [float(b) for b in bernoulli_numbers(62).values[2::2]]  # B_2, B_4, ..., B_62
 # W/K = 2x + sum_{m>=1} _TAYLOR[m-1] x^(2m+1), _TAYLOR[m-1] = 4 m zeta(2m+1)
-_TAYLOR = [4.0 * m * z for m, z in enumerate(odd_zeta_table(20).values, start=1)]
+_TAYLOR = [4.0 * m * z for m, z in enumerate(odd_zeta_table(TAYLOR_TERMS).values, start=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +147,7 @@ def _sinpi_over_pi_sq(x):
 
 
 @np.errstate(over="ignore")  # x^(2k+1) -> inf above x ~ 1e14, and B_2k / inf = 0 is the limit
-def trigamma(x, cfg: KernelConfig = DEFAULT_CONFIG):
+def trigamma(x):
     """sum_{n>=0} 1/(x+n)^2 for x > 0.
 
     Upward shift recurrence until x >= crossover, then the Bernoulli
@@ -170,14 +158,14 @@ def trigamma(x, cfg: KernelConfig = DEFAULT_CONFIG):
     if (x <= 0).any():
         raise ValueError("trigamma requires x > 0")
     acc = 0.0
-    low = x < cfg.crossover_x0
+    low = x < CROSSOVER_X0
     while low.any():  # a done element gains 0.0 in acc and in x, exactly
         acc = acc + 1.0 / (x * x) * low
         x = x + low
-        low = x < cfg.crossover_x0
+        low = x < CROSSOVER_X0
     s = 1.0 / x + 0.5 / (x * x)
     xp = np.float_power(x, 3)
-    for b2k in _B2K[: cfg.asymptotic_pairs]:
+    for b2k in _B2K[:ASYMPTOTIC_PAIRS]:
         s = s + b2k / xp
         xp = xp * (x * x)
     return (acc + s)[()]
@@ -187,54 +175,56 @@ def trigamma(x, cfg: KernelConfig = DEFAULT_CONFIG):
 # W: fast route and direct-series oracle
 
 
-def _w_taylor(x: np.ndarray, cfg: KernelConfig) -> np.ndarray:
+def _w_taylor(x: np.ndarray) -> np.ndarray:
     s = 2.0 * x
     xp = np.float_power(x, 3)
-    for c in _TAYLOR[: cfg.taylor_terms]:
+    for c in _TAYLOR:
         s = s + c * xp
         xp = xp * (x * x)
     return fejer_K(x) * s
 
 
 @np.errstate(over="ignore")
-def _w_trigamma(x: np.ndarray, cfg: KernelConfig) -> np.ndarray:
-    bracket = 0.5 / (x * x) + trigamma(x + 1.0, cfg) - 1.0 / x
+def _w_trigamma(x: np.ndarray) -> np.ndarray:
+    bracket = 0.5 / (x * x) + trigamma(x + 1.0) - 1.0 / x
     return 1.0 - 2.0 * _sinpi_over_pi_sq(x) * bracket
 
 
-def _w_oracle_pos(x: float, cfg: KernelConfig) -> float:
-    # direct partial sum of the defining series plus a sandwich-bracket
-    # tail midpoint:  sum_{n>=1} 1/(n+w)^2  in  (1/w - 1/w^2, 1/w),
-    # refined midpoint 1/w - 1/(2 w^2).
+def _w_oracle_pos(x: float) -> float:
+    # the defining series summed directly to T = SERIES_TERMS, plus both
+    # tails sum_{k>T} 1/(k -+ x)^2 = psi_1(w + 1), w = T -+ x, from
+    # psi_1(w + 1) = 1/w - 1/(2w^2) + 1/(6w^3) - R with |R| <= 1/(30 w^5)
     if x == 0.0:
         return 0.0
     k0 = round(x)
     if abs(x - k0) < 1e-12 and k0 >= 1:
         return 1.0  # double-pole coefficient at positive integers
-    T = cfg.series_terms
-    s = 2.0 / x
-    chunk = 250_000
-    lo = 1
-    while lo <= T:
-        hi = min(lo + chunk - 1, T)
-        k = np.arange(lo, hi + 1, dtype=float)
-        s += float(np.sum(1.0 / (x - k) ** 2 - 1.0 / (x + k) ** 2))
-        lo = hi + 1
-    wm, wp = T - x, T + x
-    s += (1.0 / wm - 0.5 / wm**2) - (1.0 / wp - 0.5 / wp**2)
+    def tail(w: float) -> float:
+        return 1.0 / w - 0.5 / w**2 + 1.0 / (6.0 * w**3)
+
+    k = np.arange(1.0, SERIES_TERMS + 1.0)
+    s = 2.0 / x + float(np.sum(1.0 / (x - k) ** 2 - 1.0 / (x + k) ** 2))
+    s += tail(SERIES_TERMS - x) - tail(SERIES_TERMS + x)
     return float(_sinpi_over_pi_sq(x)) * s
 
 
-def W_eval(x, cfg: KernelConfig = DEFAULT_CONFIG, mode: Literal["fast", "oracle"] = "fast"):
-    """The odd interpolation kernel W, with W(-0.0) = +0.0; the oracle
-    route sums the direct series one point at a time."""
+def W_eval(x, mode: Literal["fast", "oracle"] = "fast"):
+    """The odd interpolation kernel W, with W(-0.0) = +0.0.
+
+    The oracle route sums the direct series one point at a time:
+    SERIES_TERMS = 10^4 terms plus a three-term tail, for |x| <=
+    SERIES_TERMS/2 only, where the tail's remainder is below
+    1/(15 pi^2 (SERIES_TERMS/2)^5) ~ 2e-21.
+    """
     x = np.asarray(x, dtype=float)
     a = np.abs(x)
     if mode == "oracle":
-        w = np.array([_w_oracle_pos(float(v), cfg) for v in a.flat]).reshape(a.shape)
+        if not np.all(a <= SERIES_TERMS / 2):
+            raise ValueError(f"x must satisfy |x| <= {SERIES_TERMS // 2} for the oracle "
+                             f"(got max |x| = {float(np.max(a))!r})")
+        w = np.array([_w_oracle_pos(float(v)) for v in a.flat]).reshape(a.shape)
     else:
-        w = _piecewise(a, [a <= cfg.taylor_radius],
-                       [lambda t: _w_taylor(t, cfg), lambda t: _w_trigamma(t, cfg)])
+        w = _piecewise(a, [a <= TAYLOR_RADIUS], [_w_taylor, _w_trigamma])
     return np.where(x < 0, -w, w)[()]
 
 
@@ -242,20 +232,20 @@ def W_eval(x, cfg: KernelConfig = DEFAULT_CONFIG, mode: Literal["fast", "oracle"
 # the B / b / S_ell / sigma_ell family
 
 
-def B_eval(x, cfg: KernelConfig = DEFAULT_CONFIG):
-    return W_eval(x, cfg) + fejer_K(x)
+def B_eval(x):
+    return W_eval(x) + fejer_K(x)
 
 
-def b_eval(x, cfg: KernelConfig = DEFAULT_CONFIG):
-    return W_eval(x, cfg) - fejer_K(x)
+def b_eval(x):
+    return W_eval(x) - fejer_K(x)
 
 
-def S_eval(ell: float, x, cfg: KernelConfig = DEFAULT_CONFIG):
-    return 0.5 * (B_eval(x, cfg) + B_eval(ell - np.asarray(x, dtype=float), cfg))
+def S_eval(ell: float, x):
+    return 0.5 * (B_eval(x) + B_eval(ell - np.asarray(x, dtype=float)))
 
 
-def sigma_eval(ell: float, x, cfg: KernelConfig = DEFAULT_CONFIG):
-    return 0.5 * (b_eval(x, cfg) + b_eval(ell - np.asarray(x, dtype=float), cfg))
+def sigma_eval(ell: float, x):
+    return 0.5 * (b_eval(x) + b_eval(ell - np.asarray(x, dtype=float)))
 
 
 def interval_majorant_direct(ell: int, x: float) -> float:
@@ -312,12 +302,10 @@ def Q_eval(v):
     return _piecewise(a, [a >= 1.0, a == 0.0], funcs)[()]
 
 
-def lambda_constant(tol: float = 5e-8) -> float:
+def lambda_constant() -> float:
     """sup over xi in [0,1] of sqrt(Q(xi)^2 + xi^2 (1-xi)^2): the maximum of a
     4001-point grid, zoomed in on the two steps around its best point (33
-    points each time) until they span less than tol or stop shrinking."""
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0 (got {tol!r})")
+    points each time) until they span less than 5e-8 or stop shrinking."""
     xs = np.linspace(0.0, 1.0, 4001)
     best, width = -math.inf, math.inf
     while True:
@@ -325,13 +313,13 @@ def lambda_constant(tol: float = 5e-8) -> float:
         i = int(np.argmax(vals))
         best = max(best, float(vals[i]))
         lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)]
-        if hi - lo < tol or hi - lo >= width:
+        if hi - lo < 5e-8 or hi - lo >= width:
             return best
         width = hi - lo
         xs = np.linspace(lo, hi, 33)
 
 
-def fourier_W_check(x: float, cfg: KernelConfig = DEFAULT_CONFIG) -> tuple[float, float]:
+def fourier_W_check(x: float) -> tuple[float, float]:
     """Evaluate W(x) through its Fourier representation.
 
     Integrates (Q(v)/v) sin(2 pi x v) over [-1,1] (the integrand is even
@@ -364,32 +352,27 @@ class FamilyReport:
     extra_errors: tuple[float, ...]  # the integrals' quadrature error estimates
 
 
-def _family_extra(ell: int, eta: float, x, cfg: KernelConfig):
+def _family_extra(ell: int, eta: float, x):
     x = np.asarray(x, dtype=float)
     # removable zeros of the extra term for integer ell
     zero = (np.abs(x) < 1e-9) | (np.abs(x - ell) < 1e-9)
     return _piecewise(x, [zero], [0.0, lambda x: eta * _sinpi_over_pi_sq(x) * ell / (x * (ell - x))])[()]
 
 
-def extremal_family_check(
-    ell: int,
-    eta: float,
-    grid: Sequence[float],
-    radii: Sequence[float] = (10.5, 20.5, 40.5),
-    cfg: KernelConfig = DEFAULT_CONFIG,
-) -> FamilyReport:
-    """Check that S_ell + eta * (sin pi x/pi)^2 ell/(x(ell-x)) majorizes chi_[0,ell]."""
+def extremal_family_check(ell: int, eta: float, grid: Sequence[float]) -> FamilyReport:
+    """Check that S_ell + eta * (sin pi x/pi)^2 ell/(x(ell-x)) majorizes chi_[0,ell],
+    and integrate the extra term over [-R, R] for R = 10.5, 20.5, 40.5."""
     if not (ell >= 1 and float(ell).is_integer()):
         raise ValueError(f"ell must be a positive integer (got {ell!r})")
     grid = np.asarray(grid, dtype=float)
-    gaps = S_eval(ell, grid, cfg) + _family_extra(ell, eta, grid, cfg) - chi_box(grid, ell)
+    gaps = S_eval(ell, grid) + _family_extra(ell, eta, grid) - chi_box(grid, ell)
     min_gap = np.min(gaps)
 
     def extra_integrand(x: np.ndarray) -> np.ndarray:
-        return _family_extra(ell, 1.0, x, cfg) if eta == 0 else _family_extra(ell, eta, x, cfg) / eta
+        return _family_extra(ell, 1.0, x) if eta == 0 else _family_extra(ell, eta, x) / eta
 
     integrals, errors = [], []
-    for R in radii:
+    for R in (10.5, 20.5, 40.5):
         edges = np.union1d([-R, R], np.arange(math.ceil(-R), math.floor(R) + 1))
         val, err = integrate_panels(extra_integrand, edges[:-1], edges[1:])
         integrals.append((float(R), float(np.sum(val))))

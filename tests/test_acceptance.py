@@ -18,7 +18,7 @@ from bslib import kernels as kr
 
 def test_criterion_01_lambda_constant():
     t0 = time.perf_counter()
-    lam = kr.lambda_constant(5e-8)
+    lam = kr.lambda_constant()
     elapsed = time.perf_counter() - t0
     assert abs(lam - 0.3263598) <= 5e-8
     assert elapsed < 1.0

@@ -109,7 +109,7 @@ def _reference_rows(name, xs, ell, tol):
         "S": lambda x: (kr.S_eval(ell, x), tol),
         "sigma": lambda x: (kr.sigma_eval(ell, x), tol),
         "Q": lambda x: (kr.Q_eval(x), 1e-14),
-        "lambda": lambda x: (kr.lambda_constant(5e-8), 5e-8),
+        "lambda": lambda x: (kr.lambda_constant(), 5e-8),
     }[name]
     return [point(x) for x in xs]
 

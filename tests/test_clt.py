@@ -159,6 +159,24 @@ class TestNormalizers:
         st_ = clt.lyapunov_normalizer(clt.geometric_scheme(2.0), 40)
         assert st_.max_ratio == pytest.approx(math.sqrt(3.0) / 2.0, rel=1e-9)
 
+    def test_geometric_ratio_two_without_overflow(self):
+        # |b_n| = 2^n: squares and cubes overflow from N = 342 unless scaled
+        st_ = clt.lyapunov_normalizer(clt.geometric_scheme(2.0), 400)
+        assert st_.max_ratio == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-12)
+        assert st_.lyapunov_sum == pytest.approx((8.0 / 7.0) * 0.75**1.5, abs=1e-12)
+        st_ = clt.lyapunov_normalizer(clt.geometric_scheme(2.0), 1000)
+        assert st_.scale == pytest.approx(2.0**1000 * math.sqrt(4.0 / 3.0), rel=1e-12)
+        rep = clt.gaussian_limit_gap(clt.haar_circle_law(), clt.geometric_scheme(2.0), 1000, 1.0)
+        assert not rep.admissible and rep.holds and rep.branch_ok
+        # 2^1024 is not a float
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="^scheme "):
+            clt.lyapunov_normalizer(clt.geometric_scheme(2.0), 1100)
+
+    @pytest.mark.parametrize("scheme, N", [(clt.constant_scheme(), 100), (clt.constant_scheme(), 1001),
+                                           (clt.index_scheme(), 50), (clt.index_scheme(), 1600)])
+    def test_one_column_residual(self, scheme, N):
+        assert clt.lyapunov_normalizer(scheme, N).matrix_residual <= 1e-15
+
     def test_alternating_vector_residual(self):
         scheme = clt.alternating_vector_scheme(2)
         # exact diagonalization when J divides N
@@ -171,7 +189,7 @@ class TestNormalizers:
         assert resid[-1] < 1e-3
 
     def test_degenerate_rejected(self):
-        zero = clt.CoefficientScheme("scalar", lambda N: np.zeros(N, dtype=complex))
+        zero = clt.CoefficientScheme(lambda N: np.zeros((N, 1), dtype=complex))
         with pytest.raises(ValueError):
             clt.lyapunov_normalizer(zero, 5)
 
@@ -222,6 +240,23 @@ class TestGapBound:
         rep = clt.gaussian_limit_gap(law, clt.geometric_scheme(2.0), 40, 1.0)
         assert not rep.admissible
         assert rep.holds  # vacuous by convention
+
+    @pytest.mark.parametrize("N", [400, 1600])
+    @pytest.mark.parametrize("scheme", [clt.constant_scheme(), clt.index_scheme()], ids=["constant", "index"])
+    @pytest.mark.parametrize("law", [clt.haar_circle_law(), clt.rademacher_product_law(1.0)],
+                             ids=lambda l: l.name)
+    def test_one_column_gap_against_direct_sum(self, law, scheme, N):
+        xi = 0.6 - 0.3j
+        b = scheme.coeffs(N)[:, 0]
+        U = np.conj(b) * xi / math.sqrt(float(np.sum(np.abs(b) ** 2)))
+        if law.name == "haar_circle":
+            factors = special.j0(np.abs(U))
+        else:
+            factors = np.cos(U.real) * np.cos(U.imag)
+        logs = [cmath.log(complex(z)) for z in factors]
+        log_phi = complex(math.fsum(z.real for z in logs), math.fsum(z.imag for z in logs))
+        expect = abs(log_phi + 0.5 * law.beta2 * abs(xi) ** 2)
+        assert abs(clt.gaussian_limit_gap(law, scheme, N, xi).gap - expect) <= 1e-13 * N
 
     def test_vector_gap_holds(self):
         law = clt.haar_circle_law()

@@ -216,7 +216,6 @@ class TestValidation:
              "omegas"),
             (lambda: e1.pv_integral(np.cos, 0.0), "A"),
             (lambda: e1.gaussian_mollify(e1.point_mass(0.0), 0.0), "eps"),
-            (lambda: e1.standardized_binomial(10, p=0.3), "p"),
             # a law on R^2, or a G without a density bound, is not a 1-D pair
             (lambda: e1.esseen_bound_1d(em.product_normal_target(2), e1.normal_law(), 8.0), "^F"),
             (lambda: e1.best_esseen_bound(e1.normal_law(), em.product_normal_target(2)), "^G"),

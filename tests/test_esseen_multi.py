@@ -153,6 +153,32 @@ class TestOperatorAlgebra:
                 assert abs(a - b.conjugate()) <= 1e-14
 
 
+    def test_rows_equal_one_point_calls(self):
+        # the (N, k) form is the one-point form row by row, to the last bit
+        def f(p):
+            return np.exp(1j * (0.7 * p[..., 0] - 1.3 * p[..., 1] + 0.4 * p[..., 2])) * (1.0 + p[..., 0] ** 2)
+
+        def hexes(z):
+            return [(float(c.real).hex(), float(c.imag).hex()) for c in np.atleast_1d(z)]
+
+        V = np.random.default_rng(5).uniform(-2, 2, (40, 3))
+        words = [[("D", 0), ("D", 2)], [("E", 1)], [("P", 0), ("P", 2)], [("Delta", 1)],
+                 [("E", 0), ("Delta", 0), ("D", 1), ("P", 2)]]
+        for word in words:
+            rows = em.apply_operator(word, f, V)
+            assert rows.shape == (40,)
+            assert hexes(rows) == [h for v in V for h in hexes(em.apply_operator(word, f, v))]
+
+    def test_cancelling_word_gives_zeros(self):
+        def f(p):
+            return np.exp(1j * p[..., 0]) + p[..., 1]
+
+        V = np.random.default_rng(6).uniform(-2, 2, (7, 2))
+        assert em.operator_terms([("D", 0), ("E", 0)], 2) == {}
+        assert np.array_equal(em.apply_operator([("D", 0), ("E", 0)], f, V), np.zeros(7, dtype=complex))
+        assert em.apply_operator([("D", 1), ("P", 1)], f, V[0]) == 0j
+
+
 # ---------------------------------------------------------------------------
 # factorizations and derivative bounds
 

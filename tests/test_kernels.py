@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,7 +33,7 @@ ARRAY_KERNELS = {
     "Q_eval": kr.Q_eval,
     "one_minus_absv_vcot": lambda v: kr._one_minus_absv_vcot(np.fmod(v, 1.0)),  # |v| < 1
     "chi_box": lambda x: kr.chi_box(x, 2.0),
-    "family_extra": lambda x: kr._family_extra(2, 0.05, x, kr.DEFAULT_CONFIG),
+    "family_extra": lambda x: kr._family_extra(2, 0.05, x),
 }
 
 
@@ -212,6 +213,22 @@ class TestW:
         gap = np.abs(kr.W_eval(xs) - kr.W_eval(xs, mode="oracle"))
         assert np.all(gap <= 1e-10), xs[~(gap <= 1e-10)]
 
+    def test_oracle_far_out_against_mpmath(self):
+        # W = (sin pi x / pi)^2 (psi_1(1 - x) - psi_1(1 + x) + 2/x), at 40 digits
+        with mpmath.workdps(40):
+            for x in (99.7, 512.25, 999.3, 3000.4, -4999.9):
+                m = mpmath.mpf(x)
+                ref = (mpmath.sin(mpmath.pi * m) / mpmath.pi) ** 2 * (
+                    mpmath.psi(1, 1 - m) - mpmath.psi(1, 1 + m) + 2 / m)
+                assert abs(kr.W_eval(x, mode="oracle") - float(ref)) <= 1e-14
+
+    def test_oracle_rejects_x_beyond_its_tail_bracket(self):
+        # the tail expansion needs SERIES_TERMS -+ x large; at |x| >= SERIES_TERMS
+        # it would be evaluated at w <= 0
+        for x in (kr.SERIES_TERMS / 2 + 0.5, -1e6 - 0.5, 1e6 + 0.5, math.nan):
+            with pytest.raises(ValueError, match="^x "):
+                kr.W_eval(np.array([0.3, x]), mode="oracle")
+
     @given(st.floats(min_value=-40, max_value=40))
     @settings(max_examples=80, deadline=None)
     def test_oddness(self, x):
@@ -312,7 +329,7 @@ class TestQAndLambda:
         )
 
     def test_lambda_value_and_brackets(self):
-        lam = kr.lambda_constant(5e-8)
+        lam = kr.lambda_constant()
         assert lam == pytest.approx(0.3263598, abs=5e-8)
         assert lam >= 1.0 / math.pi
         assert lam < 0.5

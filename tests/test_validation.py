@@ -58,20 +58,10 @@ _G2 = em.product_normal_target(2)
 @pytest.mark.parametrize(
     "call, name",
     [
-        (lambda: kr.KernelConfig(series_terms=5), "series_terms"),
-        (lambda: kr.KernelConfig(asymptotic_pairs=0), "asymptotic_pairs"),
-        (lambda: kr.KernelConfig(asymptotic_pairs=31), "asymptotic_pairs"),
-        (lambda: kr.KernelConfig(taylor_terms=0), "taylor_terms"),
-        (lambda: kr.KernelConfig(taylor_terms=21), "taylor_terms"),
-        (lambda: kr.KernelConfig(taylor_radius=0.0), "taylor_radius"),
-        (lambda: kr.KernelConfig(taylor_radius=0.6), "taylor_radius"),
-        (lambda: kr.KernelConfig(tol=0.0), "tol"),
         (lambda: kr.bernoulli_numbers(1), "n"),
         (lambda: kr.interval_majorant_direct(1.5, 0.3), "ell"),
         (lambda: kr.interval_majorant_direct(0, 0.3), "ell"),
         (lambda: kr.interval_majorant_direct(math.inf, 0.3), "ell"),
-        (lambda: kr.lambda_constant(0.0), "tol"),
-        (lambda: kr.lambda_constant(math.nan), "tol"),
         (lambda: kr.extremal_family_check(2.5, 0.1, [0.5]), "ell"),
         (lambda: kr.extremal_family_check(math.nan, 0.1, [0.5]), "ell"),
         (lambda: ip.SampleSet(0.0, 1, (0.0, 1.0, 0.0)), "alpha"),
@@ -81,7 +71,7 @@ _G2 = em.product_normal_target(2)
         (lambda: ip.vaaler_interpolation(_SAMPLES, 0.3), "derivatives"),
         (lambda: clt.MonteCarloConfig(seed=1, samples=10**3, N=0), "N"),
         (lambda: clt.lyapunov_normalizer(
-            clt.CoefficientScheme("vector", lambda N: np.ones((N, 2))), 4), "scheme"),
+            clt.CoefficientScheme(lambda N: np.ones((N, 2))), 4), "scheme"),
         (lambda: clt.ks_distance(np.array([0.5, 0.1]), lambda x: x), "samples"),
         (lambda: em.esseen_bound_k(_F2, _G2, (12, 12), (0.3, -0.4), panels=0, order=0), "panels"),
         (lambda: em.esseen_bound_k(_F2, _G2, (12, 12), (0.3, -0.4), panels=-2), "panels"),
