@@ -224,7 +224,7 @@ def rademacher_product_law(scale: float = 1.0) -> ComplexLawSpec:
     """z = scale*(eps1 + i*eps2) with independent signs: a product law dE x dE.
 
     beta^2 = scale^2, rho3 = (sqrt(2)*scale)^3, cf = cos(scale*Re xi) *
-    cos(scale*Im xi).  Its real marginal feeds the real-scalar CLT path.
+    cos(scale*Im xi).
     """
 
     def sampler(rng, size):
@@ -268,7 +268,12 @@ def index_scheme() -> CoefficientScheme:
 
 
 def geometric_scheme(ratio: float = 2.0) -> CoefficientScheme:
-    return CoefficientScheme(lambda N: ratio ** np.arange(1, N + 1, dtype=complex)[:, None])
+    def coeffs(N: int) -> np.ndarray:
+        # a power past the float range is inf, which _weights rejects naming scheme
+        with np.errstate(over="ignore"):
+            return ratio ** np.arange(1, N + 1, dtype=complex)[:, None]
+
+    return CoefficientScheme(coeffs)
 
 
 def alternating_vector_scheme(J: int = 2) -> CoefficientScheme:

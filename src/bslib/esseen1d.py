@@ -50,6 +50,10 @@ class Law:
     `moment` is (alpha, integral of (max_j |x_j|)^alpha).  `density_bounds`
     bounds each marginal density, one per axis, and is None when a marginal
     has atoms; `atoms` are where `sup_cdf_distance` takes one-sided limits.
+    `factors` holds the k laws on R of a law with independent coordinates,
+    or is empty.  The partition and truncated bounds of `esseen_multi` read
+    the cf on their tensor grids from the factors when there are any, so a
+    copy with another `cf` must also set `factors` (or `factors=()`).
     """
 
     cdf: Callable[[ArrayLike], ArrayLike]
@@ -58,6 +62,15 @@ class Law:
     density_bounds: tuple[float, ...] | None = None
     atoms: tuple[float, ...] = ()
     k: int = 1
+    factors: tuple["Law", ...] = ()
+
+    def __post_init__(self):
+        fs = self.factors
+        if not isinstance(fs, tuple):
+            raise ValueError(f"factors must be a tuple of laws on R (got {type(fs).__name__})")
+        if fs and (len(fs) != self.k or not all(isinstance(f, Law) and f.k == 1 for f in fs)):
+            got = [f.k if isinstance(f, Law) else type(f).__name__ for f in fs]
+            raise ValueError(f"factors must be () or k = {self.k} laws on R (got k = {got})")
 
 
 def _check_laws(F: Law, G: Law | None = None, k_max: int = 1, omegas=None, omega_floor=0.0) -> int:

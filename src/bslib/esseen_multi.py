@@ -347,9 +347,10 @@ def derivative_bound_check(f: Callable, spec: dict, v: Sequence[float]) -> Bound
 def product_law(components: Sequence[Law]) -> Law:
     """The law on R^k of independent coordinates with the given laws on R.
 
-    Its cdf and cf multiply the components' values column by column.  Its
-    density bounds are the components' bounds, or None if one has none.
-    One component gives that law, which keeps the k = 1 array contract.
+    Its cdf and cf multiply the components' values column by column, and
+    its `factors` are the components.  Its density bounds are the
+    components' bounds, or None if one has none.  One component gives that
+    law, which keeps the k = 1 array contract.
     """
     for j, c in enumerate(components):
         if c.k != 1:
@@ -380,11 +381,12 @@ def product_law(components: Sequence[Law]) -> Law:
             out *= c.cf(u)[inv]
         return out.reshape(pts.shape[:-1])[()]
 
-    return Law(cdf, cf, moment, bounds, k=k)
+    return Law(cdf, cf, moment, bounds, k=k, factors=tuple(components))
 
 
 def product_normal_target(k: int) -> Law:
-    """The standard normal law on R^k, with the closed-form joint cf: one exp per point."""
+    """The standard normal law on R^k, with the closed-form joint cf (one exp
+    per point) and the k normal factors, which the tensor-grid bounds read."""
 
     def cf(pts: np.ndarray) -> np.ndarray:
         return np.exp(-0.5 * np.sum(np.asarray(pts, dtype=float) ** 2, axis=-1)) + 0.0j
@@ -457,19 +459,54 @@ def _axis_nodes(omega: float, panels: int, order: int) -> tuple[np.ndarray, np.n
     return np.concatenate([-x, x]), np.concatenate([w, w])
 
 
-def _tensor_integral(
-    axes: Sequence[tuple[np.ndarray, np.ndarray]],
-    integrand: Callable[[np.ndarray], np.ndarray],
-    fixed: dict[int, float],
-    k: int,
-) -> float:
-    """Integrate over the active axes with the remaining coordinates fixed."""
-    u, wt = tensor_rule(axes)
-    pts = np.zeros((wt.size, k))
-    pts[:, [j for j in range(k) if j not in fixed]] = u
-    for j, val in fixed.items():
-        pts[:, j] = val
-    return float(np.sum(wt * np.real(integrand(pts))))
+# a coordinate held at 0, as the B-coordinates of a partition are: the one-node rule
+_ZERO_AXIS = (np.zeros(1), np.ones(1))
+
+
+def _along(x: np.ndarray, j: int, k: int) -> np.ndarray:
+    """The 1-D array x shaped to run along axis j of a k-axis grid."""
+    return np.reshape(x, (-1,) + (1,) * (k - 1 - j))
+
+
+def _grid_points(xs: Sequence[np.ndarray]) -> np.ndarray:
+    """The (N, k) points of the tensor grid of the axis arrays xs, the last
+    coordinate varying fastest, stored column by column."""
+    return np.array([g.ravel() for g in np.meshgrid(*xs, indexing="ij")]).T
+
+
+def _cf_grid(law: Law, xs: Sequence[np.ndarray]) -> np.ndarray:
+    """law.cf on the tensor grid of the axis arrays xs, in the grid's shape.
+
+    A law with factors calls each factor's cf once, on its own axis, and
+    multiplies the values by broadcasting in the order of the factors, as
+    its joint cf multiplies them; any other law's cf gets the grid's points.
+    """
+    k = len(xs)
+    if law.factors:
+        out = np.ones((), dtype=complex)
+        for j, (c, x) in enumerate(zip(law.factors, xs)):
+            out = out * _along(c.cf(x), j, k)
+        return out
+    return np.reshape(law.cf(_grid_points(xs)), [x.size for x in xs])
+
+
+def _gap_grid(F: Law, G: Law, xs: Sequence[np.ndarray], C: Sequence[int] = ()) -> np.ndarray:
+    """D_C (phi - psi) on the tensor grid of xs: the sum over operator_terms
+    of c_t (phi - psi)(t o x), the transforms acting on the axes."""
+    out = np.zeros([x.size for x in xs], dtype=complex)
+    for t, c in operator_terms([("D", j) for j in C], len(xs)).items():
+        txs = [tj * x for tj, x in zip(t, xs)]
+        out += c * (_cf_grid(F, txs) - _cf_grid(G, txs))
+    return out
+
+
+def _grid_integral(axes: Sequence[tuple[np.ndarray, np.ndarray]], values: np.ndarray) -> float:
+    """The product of the 1-D rules axes = [(nodes, weights), ...] applied
+    to values on their tensor grid."""
+    wt = np.ones(())
+    for j, (_, w) in enumerate(axes):
+        wt = wt * _along(w, j, len(axes))
+    return float(np.sum(wt * values))
 
 
 def _grid(panels, order, default: tuple[int, int]) -> tuple[int, int]:
@@ -481,14 +518,14 @@ def _grid(panels, order, default: tuple[int, int]) -> tuple[int, int]:
     return (default[0] if panels is None else panels, default[1] if order is None else order)
 
 
-def _partition_terms(k, omegas, panels, order, integrand) -> dict[str, float]:
-    """The tensor integral of integrand(pts, C, D) for each partition (B, C, D),
-    with the B-coordinates fixed at 0."""
+def _partition_terms(omegas, panels, order, integrand) -> dict[str, float]:
+    """The tensor integral of integrand(xs, C, D) over the grid of the axis
+    arrays xs for each partition (B, C, D), the B-axes the one node 0."""
+    rules = [_axis_nodes(om, panels, order) for om in omegas]
     terms = {}
-    for B, C, D in partitions(k):
-        axes = [_axis_nodes(omegas[j], panels, order) for j in range(k) if j not in B]
-        integral = _tensor_integral(axes, lambda pts: integrand(pts, C, D), dict.fromkeys(B, 0.0), k)
-        terms[f"B={B} C={C} D={D}"] = integral
+    for B, C, D in partitions(len(omegas)):
+        axes = [_ZERO_AXIS if j in B else rule for j, rule in enumerate(rules)]
+        terms[f"B={B} C={C} D={D}"] = _grid_integral(axes, integrand([x for x, _ in axes], C, D))
     return terms
 
 
@@ -509,17 +546,16 @@ def esseen_bound_k(
     t = np.asarray(t, dtype=float)
     if t.shape != (k,) or not np.all(np.isfinite(t)):
         raise ValueError(f"t must be k = {k} finite numbers (got {tuple(t.ravel().tolist())})")
-    diff = _cf_gap(F, G)
 
-    def integrand(pts: np.ndarray, C, D) -> np.ndarray:
-        val = np.abs(apply_operator([("D", j) for j in C], diff, pts))
+    def integrand(xs, C, D) -> np.ndarray:
+        val = np.abs(_gap_grid(F, G, xs, C))
         for j in C:
-            val = val / np.abs(pts[:, j])
+            val = val / _along(np.abs(xs[j]), j, k)
         for j in D:
-            val = val * (1.0 / omegas[j] + np.abs(np.sin(t[j] * pts[:, j])) / np.abs(pts[:, j]))
+            val = val * _along(1.0 / omegas[j] + np.abs(np.sin(t[j] * xs[j])) / np.abs(xs[j]), j, k)
         return val
 
-    terms = _partition_terms(k, omegas, panels, order, integrand)
+    terms = _partition_terms(omegas, panels, order, integrand)
     tail = consts.c2 * sum(m / om for m, om in zip(G.density_bounds, omegas))
     total = consts.c1 * sum(terms.values()) + tail
     return KBoundReport(total, terms, tail, 0.0, consts.as_dict(), {"t": tuple(t), "omegas": tuple(omegas)})
@@ -558,20 +594,15 @@ def esseen_bound_truncated(
     if alpha is not None and not 0.0 < alpha <= a_max:
         raise ValueError(f"alpha must be in (0, {a_max:g}], the moment exponent of F and G (got {alpha!r})")
     a = a_max if alpha is None else alpha
-    diff = _cf_gap(F, G)
-
-    def integrand(pts: np.ndarray) -> np.ndarray:
-        val = np.abs(diff(pts))
-        for j in range(k):
-            if use_triangle_replacement:
-                # delta / |v_triangle| >= 1/|v_bullet| pointwise
-                val = val * delta / np.maximum(np.abs(pts[:, j]), 1.0)
-            else:
-                val = val * np.minimum(delta, 1.0 / np.abs(pts[:, j]))  # 1/|v_bullet|
-        return val
-
-    axes = [_axis_nodes(omegas[j], panels, order) for j in range(k)]
-    I = _tensor_integral(axes, integrand, {}, k)
+    axes = [_axis_nodes(om, panels, order) for om in omegas]
+    val = np.abs(_gap_grid(F, G, [x for x, _ in axes]))
+    for j, (x, _) in enumerate(axes):
+        if use_triangle_replacement:
+            # delta / |v_triangle| >= 1/|v_bullet| pointwise
+            val = val * delta / _along(np.maximum(np.abs(x), 1.0), j, k)
+        else:
+            val = val * _along(np.minimum(delta, 1.0 / np.abs(x)), j, k)  # 1/|v_bullet|
+    I = _grid_integral(axes, val)
     tail = (consts.c6 if mode == "A" else consts.c9) * sum(
         m / om for m, om in zip(G.density_bounds, omegas)
     )
@@ -713,15 +744,17 @@ def esseen_bound_slab(
     panels, order = _grid(panels, order, (6, 4))
     diff = _cf_gap(F, G)
 
-    def integrand(pts: np.ndarray, C, D) -> np.ndarray:
-        out = slab_norms(diff, C, pts, tau, "double_bar", grid=5)
+    def integrand(xs, C, D) -> np.ndarray:
+        # the slab norms' candidate sets are grids about each point: one call on all the points
+        out = slab_norms(diff, C, _grid_points(xs), tau, "double_bar", grid=5)
+        out = out.reshape([x.size for x in xs])
         for j in C:
-            out = out / np.maximum(np.abs(pts[:, j]), 1.0)  # |v_triangle|
+            out = out / _along(np.maximum(np.abs(xs[j]), 1.0), j, k)  # |v_triangle|
         for j in D:
             out = out / omegas[j]
         return out
 
-    terms = _partition_terms(k, omegas, panels, order, integrand)
+    terms = _partition_terms(omegas, panels, order, integrand)
     tail = consts.c2 * sum(m / om for m, om in zip(G.density_bounds, omegas))
     total = consts.c_hat1 * sum(terms.values()) + tail
     return KBoundReport(total, terms, tail, 0.0, consts.as_dict(), {"tau": tau, "omegas": tuple(omegas)})

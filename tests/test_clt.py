@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -168,9 +169,11 @@ class TestNormalizers:
         assert st_.scale == pytest.approx(2.0**1000 * math.sqrt(4.0 / 3.0), rel=1e-12)
         rep = clt.gaussian_limit_gap(clt.haar_circle_law(), clt.geometric_scheme(2.0), 1000, 1.0)
         assert not rep.admissible and rep.holds and rep.branch_ok
-        # 2^1024 is not a float
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="^scheme "):
-            clt.lyapunov_normalizer(clt.geometric_scheme(2.0), 1100)
+        # 2^1024 is not a float: the ValueError is the only signal, no overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^scheme "):
+                clt.lyapunov_normalizer(clt.geometric_scheme(2.0), 1100)
 
     @pytest.mark.parametrize("scheme, N", [(clt.constant_scheme(), 100), (clt.constant_scheme(), 1001),
                                            (clt.index_scheme(), 50), (clt.index_scheme(), 1600)])

@@ -320,15 +320,17 @@ class TestLawsAndPartitions:
         assert em.box_probability(G.cdf, a, b) == pytest.approx(p1 * p2, abs=1e-12)
 
     def test_dirac_collapse_consistency(self):
-        # fixing a coordinate at 0 in the tensor integral equals the
-        # lower-dimensional integral of the zero-section
-        axes = [em._axis_nodes(4.0, 8, 6)]
+        # a coordinate held at 0 by the one-node axis (node 0, weight 1) in
+        # the tensor integral equals the lower-dimensional integral of the
+        # zero-section
+        rule = em._axis_nodes(4.0, 8, 6)
 
-        def g(pts):
-            return np.exp(-0.3 * np.sum(pts**2, axis=1))
+        def g(x0, x1):
+            return np.exp(-0.3 * (x0**2 + x1**2))
 
-        collapsed = em._tensor_integral(axes, g, {0: 0.0}, 2)
-        direct = em._tensor_integral(axes, lambda q: np.exp(-0.3 * q[:, 0] ** 2), {}, 1)
+        zero = em._ZERO_AXIS[0]
+        collapsed = em._grid_integral([em._ZERO_AXIS, rule], g(zero[:, None], rule[0]))
+        direct = em._grid_integral([rule], g(0.0, rule[0]))
         assert collapsed == pytest.approx(direct, rel=1e-10)
 
 
@@ -530,7 +532,8 @@ class TestValidation:
 
 
 # ---------------------------------------------------------------------------
-# tensor-quadrature evaluation: distinct-node cf calls, batched slab norms
+# tensor-quadrature evaluation: distinct-node joint cf calls, separable grids,
+# batched slab norms
 
 
 def _shifted_gaussian(mu):
@@ -568,6 +571,63 @@ class TestProductLawCf:
         for j, c in enumerate(comps):
             expect *= c.cf(pts[:, j])
         assert np.array_equal(vals, expect)
+
+
+def _generic(law):
+    """The same law without factors: the bounds then call its joint cf on grid points."""
+    return dataclasses.replace(law, factors=())
+
+
+def _separable_pair(k):
+    F = em.product_law([_shifted_gaussian(0.4), e1.standardized_binomial(25), _shifted_gaussian(-1.3)][:k])
+    G = em.product_law([e1.normal_law(0.0), e1.normal_law(0.3, 1.2), e1.normal_law(-0.2, 0.8)][:k])
+    return F, G
+
+
+class TestSeparableGrid:
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_cf_grid_equals_joint_cf(self, k):
+        F, _ = _separable_pair(k)
+        x, _ = em._axis_nodes(6.0, 3, 4)
+        xs = [x, -x[::2], np.zeros(1)][:k]  # signs flipped, and a one-node axis at 0
+        grid = em._cf_grid(F, xs)
+        assert grid.shape == tuple(a.size for a in xs)
+        assert np.array_equal(grid.ravel(), F.cf(em._grid_points(xs)))
+        assert np.array_equal(em._cf_grid(_generic(F), xs), grid)
+
+    def test_one_factor_call_per_axis(self):
+        calls = [[], [], []]
+        F, G = _separable_pair(3)
+        F = em.product_law([_counting(c, log) for c, log in zip(F.factors, calls)])
+        em.esseen_bound_truncated(F, G, (9.0,) * 3, delta=4.0, panels=3, order=4)
+        x, _ = em._axis_nodes(9.0, 3, 4)
+        for log in calls:
+            assert len(log) == 1 and np.array_equal(log[0], x)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_partition_bound_routes_identical(self, k):
+        F, G = _separable_pair(k)
+        om, t = (11.0, 9.0, 10.0)[:k], (0.3, -0.7, 0.45)[:k]
+        grid = dict(panels=4, order=5) if k == 2 else dict(panels=3, order=4)
+        sep = em.esseen_bound_k(F, G, om, t, **grid)
+        gen = em.esseen_bound_k(_generic(F), _generic(G), om, t, **grid)
+        assert {key: v.hex() for key, v in sep.integral_terms.items()} == {
+            key: v.hex() for key, v in gen.integral_terms.items()}
+        assert sep.total.hex() == gen.total.hex()
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("triangle", [False, True])
+    def test_truncated_integrals_routes_identical(self, k, triangle):
+        F, G = _separable_pair(k)
+        om = (11.0, 9.0, 10.0)[:k]
+        grid = dict(panels=4, order=5) if k == 2 else dict(panels=3, order=4)
+        for mode in ("A", "B"):
+            kw = dict(delta=6.0, mode=mode, box_extent=3.0, use_triangle_replacement=triangle, **grid)
+            sep = em.esseen_bound_truncated(F, G, om, **kw)
+            gen = em.esseen_bound_truncated(_generic(F), _generic(G), om, **kw)
+            assert sep.integral_terms["truncated_integral"].hex() == \
+                gen.integral_terms["truncated_integral"].hex()
+            assert sep.total.hex() == gen.total.hex()
 
 
 def _pointwise_slab_norm(f, C, v, tau, flavor, grid, safety=1.5):
@@ -637,8 +697,8 @@ class TestBatchedSlabNorm:
 
 class TestPinnedTotals:
     # totals recorded from the per-point implementation (a scalar cf call
-    # per grid point, one slab norm per quadrature point); the
-    # distinct-node and batched paths must reproduce them
+    # per grid point, one slab norm per quadrature point); the separable
+    # grid and batched paths must reproduce them
     @pytest.mark.parametrize(
         "name, expect",
         [

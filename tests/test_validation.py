@@ -5,6 +5,7 @@ explicitly.  The lint below keeps asserts to the internal invariants.
 """
 
 import ast
+import dataclasses
 import math
 from pathlib import Path
 
@@ -81,6 +82,12 @@ _G2 = em.product_normal_target(2)
         (lambda: em.esseen_bound_truncated(_F2, _G2, (12, 12), delta=8.0, order=-1), "order"),
         (lambda: em.esseen_bound_slab(_F2, _G2, (12, 12), panels=0), "panels"),
         (lambda: em.esseen_bound_slab(_F2, _G2, (12, 12), order=True), "order"),
+        # a law's factors are k laws on R, held in a tuple
+        (lambda: e1.Law(_G2.cdf, _G2.cf, (2.0, 2.0), k=2, factors=(e1.normal_law(),)), "factors"),
+        (lambda: e1.Law(_G2.cdf, _G2.cf, (2.0, 2.0), k=2, factors=(e1.normal_law(), _G2)), "factors"),
+        (lambda: e1.Law(_G2.cdf, _G2.cf, (2.0, 2.0), k=2, factors=(e1.normal_law(), "N")), "factors"),
+        (lambda: e1.Law(_G2.cdf, _G2.cf, (2.0, 2.0), k=2, factors=[e1.normal_law()] * 2), "factors"),
+        (lambda: dataclasses.replace(_F2, k=3), "factors"),
     ],
 )
 def test_bad_parameter_named(call, name):
