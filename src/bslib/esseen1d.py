@@ -39,6 +39,8 @@ __all__ = [
 C1_DEFAULT = 0.25
 C2_DEFAULT = math.pi
 
+_IH_BLOCK = 1 << 15  # Irwin-Hall cdf: rows times points per block, 256 KiB of floats
+
 
 @dataclass(frozen=True)
 class Law:
@@ -126,20 +128,41 @@ def standardized_binomial(n: int) -> Law:
 def irwin_hall_standardized(n: int) -> Law:
     """Standardized sum of n independent uniforms on [-1/2, 1/2]."""
     s = math.sqrt(n / 12.0)
+    block = max(1, _IH_BLOCK // n)  # points per block
 
-    def cdf(t):
+    def rows(x):
         # F_m(x) = [x F_{m-1}(x) + (m - x) F_{m-1}(x - 1)] / m for the sum of
         # m uniforms on [0, 1]: a convex combination for 0 <= x <= m, so no
         # cancellation (the alternating sum of (x - j)^n / n! loses every
         # digit by n = 32).  Row j holds F_m(x - j); clipping the weight's
-        # x - j to [0, m] keeps F_m exactly 0 below 0 and 1 above m.
-        x = n / 2.0 + np.asarray(t, dtype=float) * s
-        y = x.reshape(1, -1) - np.arange(n).reshape(-1, 1)
-        f = np.clip(y, 0.0, 1.0)
+        # x - j to [0, m] keeps F_m exactly 0 below 0 and 1 above m.  So
+        # step m updates only the rows j <= n - m, which F_n(x) still needs,
+        # with x - j in [0, m] for some x: the rows below it hold 1 and the
+        # rows above it 0 for every x, as they have since step 1.
+        y = x.reshape(1, -1) - np.arange(n, dtype=float).reshape(-1, 1)
+        f = np.minimum(np.maximum(y, 0.0), 1.0)  # np.clip, as no -0.0 arises, with less overhead
+        # the extreme x, clamped to [-1, n + 1]; a NaN keeps every row
+        lo, hi = x.min(), x.max()
+        lo = math.ceil(min(lo, n + 1.0)) if lo >= -1.0 else -1
+        hi = math.floor(max(hi, -1.0)) if hi <= n + 1.0 else n + 1
         for m in range(2, n + 1):
-            w = np.clip(y[: n - m + 1], 0.0, m)
-            f = (w * f[:-1] + (m - w) * f[1:]) / m
-        return np.clip(f[0], 0.0, 1.0).reshape(x.shape)[()]
+            a, b = max(0, lo - m), min(n - m, hi)
+            if a <= b:
+                # (w f[j] + (m - w) f[j + 1]) / m, in place and in that order
+                w = np.clip(y[a : b + 1], 0.0, m)
+                g = w * f[a : b + 1]
+                np.multiply(np.subtract(m, w, out=w), f[a + 1 : b + 2], out=w)
+                np.divide(np.add(g, w, out=g), m, out=f[a : b + 1])
+        return f[0]
+
+    def cdf(t):
+        # blocks of points keep the n rows in cache and their x-range narrow
+        x = n / 2.0 + np.asarray(t, dtype=float) * s
+        flat = x.reshape(-1)
+        f = np.empty(flat.size)
+        for i in range(0, flat.size, block):
+            f[i : i + block] = rows(flat[i : i + block])
+        return np.minimum(np.maximum(f, 0.0), 1.0).reshape(x.shape)[()]
 
     def cf(t):
         u = np.asarray(t, dtype=float) / (2.0 * s)

@@ -395,11 +395,6 @@ def product_normal_target(k: int) -> Law:
     return law if k == 1 else dataclasses.replace(law, cf=cf)
 
 
-def _cf_gap(F: Law, G: Law) -> Callable[[np.ndarray], np.ndarray]:
-    """phi - psi on (N, k) points as (N,) values; a law on R gives (N, 1)."""
-    return lambda pts: np.ravel(F.cf(pts) - G.cf(pts))
-
-
 @dataclass(frozen=True)
 class BoundConstants:
     """Pinned values for the 'explicitly computable' constants.
@@ -642,6 +637,11 @@ def box_probability(cdf: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: n
 _SLAB_CHUNK = 256  # rows per batched slab-norm evaluation; bounds the candidate arrays
 
 
+def _check_tau(tau) -> None:
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"tau must be finite and > 0 (got {tau!r})")
+
+
 def slab_norm(
     f: Callable[[np.ndarray], np.ndarray],
     C: Sequence[int],
@@ -652,7 +652,8 @@ def slab_norm(
 ) -> float:
     """Slab-wise sup quantity |f|_C (bar) or ||f||_C (double_bar) at v.
 
-    The one-point form of `slab_norms`, which documents the computation.
+    The one-point form of `slab_norms`, which documents the computation
+    and the checks on the parameters.
     """
     return float(slab_norms(f, C, [v], tau, flavor, grid)[0])
 
@@ -675,9 +676,25 @@ def slab_norms(
     coordinate on the short-circuit set (|xi_j| <= |v_j| for bar,
     |xi_j| <= tau for double_bar).  Empty C returns |f(v)|.  Rows are grouped by which
     coordinates of C are small and evaluated in chunks of _SLAB_CHUNK rows.
+
+    This is the per-row route: `esseen_bound_slab` takes the double-bar
+    norms on its tensor grids by `_slab_grid` instead, which is tested
+    against this function row by row.  C must hold distinct coordinates
+    0..k-1 of the k columns of V, tau must be finite and > 0, flavor one of
+    "bar" and "double_bar", and grid an integer >= 1; otherwise a
+    ValueError names the parameter.
     """
     V = np.asarray(V, dtype=float)
     C = list(C)
+    k = V.shape[-1]
+    if not all(isinstance(j, numbers.Integral) and not isinstance(j, bool) and 0 <= j < k for j in C) \
+            or len(set(C)) != len(C):
+        raise ValueError(f"C must hold distinct coordinates in 0..{k - 1} (got {C!r})")
+    _check_tau(tau)
+    if flavor not in ("bar", "double_bar"):
+        raise ValueError(f"flavor must be 'bar' or 'double_bar' (got {flavor!r})")
+    if isinstance(grid, bool) or not isinstance(grid, numbers.Integral) or grid < 1:
+        raise ValueError(f"grid must be an integer >= 1 (got {grid!r})")
     if not C:
         # hypot rounds as abs() of one complex value does; np.abs on a
         # complex array can differ from it in the last bit
@@ -726,6 +743,61 @@ def _slab_group(f, V, Cb, Cs, tau, flavor, npts) -> np.ndarray:
     return _SUP_SAFETY * best
 
 
+def _slab_grid(F: Law, G: Law, xs: Sequence[np.ndarray], C: Sequence[int], tau: float) -> np.ndarray:
+    """slab_norms(phi - psi, C, _grid_points(xs), tau, "double_bar", grid=5)
+    in the grid's shape, phi - psi taken once per candidate grid, not per row.
+
+    A double-bar candidate set depends on a point only through its non-C
+    coordinates and its big C-coordinates (|v_j| >= tau), each taken with
+    both signs; each small one runs over the same grid on [-tau, tau].  So
+    the points with one big/small pattern of C form a tensor sub-grid, and
+    their candidates under one sign flip form one tensor grid: its small
+    axes are the slab grid, and phi - psi, from the joint cfs, is taken
+    there once.  The max over the flips and the small axes is broadcast
+    along the small axes.
+    """
+    shape = [x.size for x in xs]
+
+    def gap(axes):
+        pts = _grid_points(axes)
+        return np.ravel(F.cf(pts) - G.cf(pts)).reshape([x.size for x in axes])
+
+    if not C:
+        z = gap(xs)
+        return np.hypot(z.real, z.imag)
+    npts, h = 11, 1e-4
+    half = tau * (1 - 1e-9)
+    slab = np.arange(npts) * (2 * half / (npts - 1)) - half  # slab_norms' arithmetic
+    slab[-1] = half
+    small = {j: np.abs(xs[j]) < tau for j in C}
+    out = np.empty(shape)
+    for pattern in itertools.product((False, True), repeat=len(C)):
+        rows = [np.arange(n) for n in shape]
+        for j, s in zip(C, pattern):
+            rows[j] = np.flatnonzero(small[j] == s)
+        if any(r.size == 0 for r in rows):
+            continue
+        Cb = [j for j, s in zip(C, pattern) if not s]
+        Cs = [j for j, s in zip(C, pattern) if s]
+        best = np.zeros(())
+        for signs in itertools.product((1.0, -1.0), repeat=len(Cb)):
+            axes = [x[r] for x, r in zip(xs, rows)]
+            for sg, j in zip(signs, Cb):
+                axes[j] = sg * axes[j]
+            if not Cs:
+                best = np.maximum(best, np.abs(gap(axes)))
+                continue
+            for j in Cs:
+                axes[j] = slab
+            for j in Cs:
+                up, dn = list(axes), list(axes)
+                up[j], dn[j] = slab + h, slab - h
+                d = np.abs(gap(up) - gap(dn)) / (2 * h)
+                best = np.maximum(best, d.max(axis=tuple(Cs), keepdims=True))
+        out[np.ix_(*rows)] = _SUP_SAFETY * best if Cs else best
+    return out
+
+
 def esseen_bound_slab(
     F: Law,
     G: Law,
@@ -738,16 +810,12 @@ def esseen_bound_slab(
 ) -> KBoundReport:
     """Slab-norm smoothing bound (t-free), k <= 2."""
     k = _check_laws(F, G, 2, omegas, 1.0)
-    if not 0.0 < tau < math.inf:
-        raise ValueError(f"tau must be finite and > 0 (got {tau!r})")
+    _check_tau(tau)
     consts = constants or BoundConstants.for_k(k)
     panels, order = _grid(panels, order, (6, 4))
-    diff = _cf_gap(F, G)
 
     def integrand(xs, C, D) -> np.ndarray:
-        # the slab norms' candidate sets are grids about each point: one call on all the points
-        out = slab_norms(diff, C, _grid_points(xs), tau, "double_bar", grid=5)
-        out = out.reshape([x.size for x in xs])
+        out = _slab_grid(F, G, xs, C, tau)
         for j in C:
             out = out / _along(np.maximum(np.abs(xs[j]), 1.0), j, k)  # |v_triangle|
         for j in D:

@@ -330,12 +330,20 @@ def fourier_W_check(x: float) -> tuple[float, float]:
         qv_over_v = 1.0 / math.pi + _one_minus_absv_vcot(v) / v
         return qv_over_v * np.sin(2.0 * math.pi * x * v)
 
-    # Q(v)/v -> 1/(pi v) as v -> 0, so the product tends to 2x; split off
-    # a tiny interval where the integrand is replaced by that limit.
-    edges = np.linspace(1e-8, 1.0, 17)
+    # Q(v)/v -> 1/(pi v) as v -> 0, so the product tends to 2x; on [0, eps]
+    # the integrand is replaced by that limit.  The error of that: with
+    # Q(v) - 1/pi = (1 - v)(v cot(pi v) - 1/pi) and 0 <= 1 - u cot u <= u^2/2
+    # for 0 < u <= 1, Q(v)/v = 1/(pi v) + r(v) with |r(v)| <= pi v / 2; with
+    # y = 2 pi x v, sin y = y - rho(y) and |rho(y)| <= |y|^3 / 6.  So
+    #   |(Q(v)/v) sin y - 2x| <= |r| |y| + |rho| / (pi v) + |r| |rho|
+    #                         <= pi^2 |x| v^2 + (4 pi^2 / 3) |x|^3 v^2 + (2 pi^4 / 3) |x|^3 v^4,
+    # whose integral over [0, eps] is at most (pi^2 / 3)(|x| + 2 |x|^3) eps^3 for eps <= 1/pi.
+    eps = 1e-8
+    edges = np.linspace(eps, 1.0, 17)
     val, err = integrate_panels(integrand, edges[:-1], edges[1:])
-    val = float(np.sum(val)) + 2.0 * x * 1e-8  # limit-value contribution of [0, 1e-8]
-    return 2.0 * val, 2.0 * float(np.sum(err)) + 4.0 * abs(x) * 1e-8
+    val = float(np.sum(val)) + 2.0 * x * eps  # limit-value contribution of [0, eps]
+    cut = math.pi**2 / 3.0 * (abs(x) + 2.0 * abs(x) ** 3) * eps**3
+    return 2.0 * val, 2.0 * (float(np.sum(err)) + cut)
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,19 @@ class TestArrayLaws:
         exact = np.array([_irwin_hall_cdf_exact(n, float(t)) for t in grid])
         assert np.max(np.abs(got - exact)) <= 1e-15
 
+    def test_irwin_hall_cdf_blocks_and_bands(self):
+        # n = 128 takes 256 points per block, so the grid spans two blocks;
+        # each point alone has the narrowest band of rows
+        n, grid = 128, np.linspace(-8, 8, 401)
+        F = e1.irwin_hall_standardized(n)
+        got = F.cdf(grid)
+        exact = np.array([_irwin_hall_cdf_exact(n, float(t)) for t in grid])
+        assert np.max(np.abs(got - exact)) <= 1e-15
+        assert np.array_equal(got, [F.cdf(float(t)) for t in grid])
+        edge = F.cdf(np.array([[math.nan, -math.inf], [math.inf, 0.0]]))
+        assert np.isnan(edge[0, 0]) and edge[0, 1] == 0.0 and edge[1, 0] == 1.0
+        assert edge[1, 1] == F.cdf(0.0) and F.cdf(np.zeros(0)).shape == (0,)
+
     def test_irwin_hall_sup_distance_n32(self):
         F, G = e1.irwin_hall_standardized(32), e1.normal_law()
         sup = e1.sup_cdf_distance(F.cdf, G.cdf, np.linspace(-8, 8, 2001), F.atoms)

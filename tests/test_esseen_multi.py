@@ -695,6 +695,69 @@ class TestBatchedSlabNorm:
             assert np.array_equal(batched, pointwise)
 
 
+def _slab_pairs():
+    F, G = _separable_pair(2)
+    comp = e1.standardized_binomial(100)
+    return {
+        "product": (em.product_law([comp] * 2), em.product_normal_target(2)),
+        "generic": (_generic(F), _generic(G)),
+    }
+
+
+class TestSlabGrid:
+    """The bound's tensor-grid slab norms against the per-row `slab_norms`."""
+
+    @staticmethod
+    def _per_row(F, G, xs, C, tau):
+        def f(pts):
+            return np.ravel(F.cf(pts) - G.cf(pts))
+
+        return em.slab_norms(f, C, em._grid_points(xs), tau, "double_bar", grid=5)
+
+    @pytest.mark.parametrize("pair", ["product", "generic"])
+    @pytest.mark.parametrize("tau", [1.0, 0.7])
+    @pytest.mark.parametrize("omega", [9.0, 12.0, 15.0])
+    def test_equals_per_row_on_every_partition(self, pair, tau, omega):
+        F, G = _slab_pairs()[pair]
+        rule = em._axis_nodes(omega, 6, 4)  # the bound's default grid
+        for B, C, D in em.partitions(2):
+            xs = [em._ZERO_AXIS[0] if j in B else rule[0] for j in range(2)]
+            grid = em._slab_grid(F, G, xs, C, tau)
+            assert grid.shape == tuple(x.size for x in xs)
+            assert np.array_equal(grid.ravel(), self._per_row(F, G, xs, C, tau))
+
+    @pytest.mark.parametrize("tau", [1.0, 0.7])
+    def test_hand_made_axes(self, tau):
+        F, G = _slab_pairs()["generic"]
+        edge = [tau * (1 - 1e-12), tau, tau * (1 + 1e-12), 0.0, 0.3, 2.0]
+        axis = np.array(edge + [-e for e in edge[:3]] + [-2.0])  # unsorted, not symmetric
+        big = np.array([2.5, -1.5, 3.0])  # no small node: that pattern's sub-grid is empty
+        for xs in ([axis, axis], [axis, big], [big, axis[::-1]], [np.zeros(1), axis]):
+            for C in ((), (0,), (1,), (0, 1)):
+                grid = em._slab_grid(F, G, xs, C, tau)
+                assert np.array_equal(grid.ravel(), self._per_row(F, G, xs, C, tau))
+
+    def test_law_on_R(self):
+        F, G = e1.standardized_binomial(30), e1.normal_law()
+        axis = np.array([-2.0, -1.0, -0.5, 0.0, 0.4, 1.0, 3.0])
+        for C in ((), (0,)):
+            grid = em._slab_grid(F, G, [axis], C, 1.0)
+            assert np.array_equal(grid, self._per_row(F, G, [axis], C, 1.0))
+
+    def test_cf_points_per_bound(self):
+        # one cf call per pattern, flip and shifted slab grid: 18,225 points at
+        # panels 6, order 4; per-row candidate sets took 531,441
+        F, G = _slab_pairs()["product"]
+        sizes = []
+
+        def cf(pts):
+            sizes.append(np.shape(pts)[0])
+            return F.cf(pts)
+
+        em.esseen_bound_slab(dataclasses.replace(F, cf=cf), G, (12.0, 12.0))
+        assert 0 < sum(sizes) <= 36_000
+
+
 class TestPinnedTotals:
     # totals recorded from the per-point implementation (a scalar cf call
     # per grid point, one slab norm per quadrature point); the separable

@@ -82,6 +82,13 @@ def test_site_matches_reference_within_its_error(site):
     assert abs(val - ref) <= err + ref_err
 
 
+@pytest.mark.parametrize("x", [0.5, -0.3, 2.9, 10.0])
+def test_fourier_W_estimate_not_padded(x):
+    # the replaced [0, 1e-8] piece adds O((|x| + |x|^3) 1e-24) to the
+    # estimate, so the panels' own estimates make it up
+    assert kr.fourier_W_check(x)[1] <= 1e-12
+
+
 def test_runtime_imports_no_scipy_integrate_or_optimize():
     code = (
         "import sys, io, contextlib\n"

@@ -116,6 +116,36 @@ def test_bad_k_bound_argument_named(call, name):
         call()
 
 
+def _cos(pts):
+    return np.cos(pts[:, 0]) + 0j
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        (dict(grid=0), "grid"),
+        (dict(grid=-1), "grid"),
+        (dict(grid=2.0), "grid"),
+        (dict(grid=True), "grid"),
+        (dict(flavor="Bar"), "flavor"),
+        (dict(tau=-1.0), "tau"),
+        (dict(tau=0.0), "tau"),
+        (dict(tau=math.nan), "tau"),
+        (dict(tau=math.inf), "tau"),
+        (dict(C=[5]), "C"),
+        (dict(C=[-1]), "C"),
+        (dict(C=[0, 0]), "C"),
+        (dict(C=[0.5]), "C"),
+    ],
+)
+def test_bad_slab_norm_argument_named(kwargs, name):
+    args = {"C": [0, 1], "tau": 1.0, "flavor": "double_bar", "grid": 3, **kwargs}
+    with pytest.raises(ValueError, match=f"^{name} "):
+        em.slab_norm(_cos, v=[0.3, 2.0], **args)
+    with pytest.raises(ValueError, match=f"^{name} "):
+        em.slab_norms(_cos, V=np.array([[0.3, 2.0], [1.5, -0.2]]), **args)
+
+
 @pytest.mark.parametrize(
     "call",
     [
