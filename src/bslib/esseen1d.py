@@ -193,7 +193,10 @@ def pv_integral(h: Callable[[np.ndarray], np.ndarray], A: float, tol: float = 1e
     between the cuts eps = A 2^-j, j = 39, ..., 6, and A.  Suffix sums
     give the partial integrals over [eps, A] for eps = A 2^-6, A 2^-7, ...;
     the first that differs from the one before by less than tol is
-    returned with that difference plus its quadrature error estimate.
+    returned.  Its error estimate adds the integral over [A 2^-39, eps],
+    which the finer panels give, to that difference (the integral over
+    [eps, 2 eps]), which stands in for the narrower [0, A 2^-39] piece no
+    panel reaches, and to the quadrature error estimates of all panels.
     Raises if the partial integrals fail to Cauchy-converge.
     """
     if not A > 0:
@@ -206,7 +209,7 @@ def pv_integral(h: Callable[[np.ndarray], np.ndarray], A: float, tol: float = 1e
     if not hit.size:
         raise ArithmeticError("principal-value refinement did not converge")
     j = hit[0] + 1
-    return complex(partial[j]), float(steps[j - 1] + partial_err[j])
+    return complex(partial[j]), float(steps[j - 1] + abs(partial[-1] - partial[j]) + partial_err[-1])
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from typing import Callable, Literal, Sequence
 import numpy as np
 
 from .esseen1d import Law, _check_laws, normal_law
-from .quadrature import gauss_legendre, tensor_rule
+from .quadrature import gauss_legendre
 
 __all__ = [
     "Monomial",
@@ -181,13 +181,14 @@ def factorization_residual(
     lhs = apply_operator(word, f, v)
 
     cuts = [lo, 0.0, 1.0] if lo < 0.0 else [lo, 1.0]  # split at 0: (1 - |u|) is smooth per panel
-    u, wt = tensor_rule([gauss_legendre(cuts[:-1], cuts[1:], nodes)] * m)  # u is (N, m)
+    axes = [gauss_legendre(cuts[:-1], cuts[1:], nodes)] * m
+    u = _grid_points([x for x, _ in axes])  # (N, m), the last coordinate fastest
     pts = np.tile(v, (u.shape[0], 1))
     pts[:, :m] = v[:m] * u
     vals = np.asarray([deriv(p) for p in pts], dtype=complex)
     if weight_fn is not None:
-        wt = wt * weight_fn(u)
-    rhs = front * np.sum(wt * vals)
+        vals = vals * weight_fn(u)
+    rhs = front * _grid_integral(axes, vals.reshape([x.size for x, _ in axes]))
     return abs(lhs - rhs)
 
 
@@ -371,15 +372,11 @@ def product_law(components: Sequence[Law]) -> Law:
         return out[()]
 
     def cf(pts: np.ndarray) -> np.ndarray:
-        # tensor grids repeat each coordinate value many times: evaluate the
-        # component cf once, on the column's distinct values, and scatter
         pts = np.asarray(pts, dtype=float)
-        rows = pts.reshape(-1, k)
-        out = np.ones(rows.shape[0], dtype=complex)
+        out = np.ones(pts.shape[:-1], dtype=complex)
         for j, c in enumerate(components):
-            u, inv = np.unique(rows[:, j], return_inverse=True)
-            out *= c.cf(u)[inv]
-        return out.reshape(pts.shape[:-1])[()]
+            out *= c.cf(pts[..., j])  # in place: numpy's complex product (FMA) is not symmetric
+        return out[()]
 
     return Law(cdf, cf, moment, bounds, k=k, factors=tuple(components))
 
@@ -495,13 +492,13 @@ def _gap_grid(F: Law, G: Law, xs: Sequence[np.ndarray], C: Sequence[int] = ()) -
     return out
 
 
-def _grid_integral(axes: Sequence[tuple[np.ndarray, np.ndarray]], values: np.ndarray) -> float:
+def _grid_integral(axes: Sequence[tuple[np.ndarray, np.ndarray]], values: np.ndarray) -> float | complex:
     """The product of the 1-D rules axes = [(nodes, weights), ...] applied
-    to values on their tensor grid."""
+    to values on their tensor grid: a float, or a complex for complex values."""
     wt = np.ones(())
     for j, (_, w) in enumerate(axes):
         wt = wt * _along(w, j, len(axes))
-    return float(np.sum(wt * values))
+    return np.sum(wt * values).item()
 
 
 def _grid(panels, order, default: tuple[int, int]) -> tuple[int, int]:

@@ -29,24 +29,28 @@ __all__ = [
 ]
 
 _NODE_WINDOW = 1e-6
+# Points reconstructed together: a block's tail-sum temporaries hold
+# _BLOCK x 5000 floats (2.6 MB), however many points there are.  Per-point
+# results do not depend on the block size.
+_BLOCK = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
     """Nodal data of a band-limited function of exponential type 2*pi*alpha.
 
     values[i] holds f at node index k = i - M, with node spacing 1/(2*alpha)
-    (cardinal modes) or 1/alpha (value+derivative mode, where derivatives
-    must be supplied).  decay_const / decay_exponent describe the model
-    |f(x)| <= decay_const / (1 + |x|)^decay_exponent used for certified
-    truncation-error estimates.
+    (cardinal modes) or 1/alpha (value+derivative mode); derivatives, which
+    that mode and the extended cardinal mode need, hold f' likewise.  Both
+    are kept as read-only float arrays.  decay_const / decay_exponent
+    describe the model |f(x)| <= decay_const / (1 + |x|)^decay_exponent
+    used for certified truncation-error estimates.
     """
 
     alpha: float
     M: int
-    values: tuple[float, ...]
-    derivatives: tuple[float, ...] | None = None
-    origin_data: tuple[float, float] | None = None  # (f(0), f'(0))
+    values: np.ndarray
+    derivatives: np.ndarray | None = None
     decay_const: float = 1.0
     decay_exponent: float = 2.0
 
@@ -55,12 +59,15 @@ class SampleSet:
             raise ValueError(f"alpha must be > 0 (got {self.alpha!r})")
         if not self.M >= 1:
             raise ValueError(f"M must be >= 1 (got {self.M!r})")
-        if len(self.values) != 2 * self.M + 1:
-            raise ValueError(f"values must have 2 M + 1 = {2 * self.M + 1} entries (got {len(self.values)})")
-        if not all(math.isfinite(v) for v in self.values):
-            raise ValueError("values must be finite")
-        if self.derivatives is not None and len(self.derivatives) != len(self.values):
-            raise ValueError(f"derivatives must have {len(self.values)} entries (got {len(self.derivatives)})")
+        n = 2 * self.M + 1
+        for name in ("values",) if self.derivatives is None else ("values", "derivatives"):
+            x = np.array(getattr(self, name), dtype=float)
+            x.flags.writeable = False
+            object.__setattr__(self, name, x)
+            if x.shape != (n,):
+                raise ValueError(f"{name} must have 2 M + 1 = {n} entries (got shape {x.shape})")
+            if not np.isfinite(x).all():
+                raise ValueError(f"{name} must be finite")
 
     def value(self, k: int) -> float:
         return self.values[k + self.M]
@@ -72,87 +79,90 @@ class SampleSet:
 
 
 def sample_function(f, alpha: float, M: int, spacing: float, fprime=None, **decay) -> SampleSet:
-    """Convenience: tabulate f (and optionally f') on k*spacing, |k| <= M."""
-    ks = range(-M, M + 1)
-    vals = tuple(float(f(k * spacing)) for k in ks)
-    derivs = tuple(float(fprime(k * spacing)) for k in ks) if fprime else None
-    origin = (float(f(0.0)), float(fprime(0.0))) if fprime else None
-    return SampleSet(alpha, M, vals, derivs, origin, **decay)
+    """Tabulate the array functions f (and optionally f') on the nodes
+    k*spacing, |k| <= M, with one call of each on the node array."""
+    nodes = np.arange(-M, M + 1) * spacing
+    return SampleSet(alpha, M, f(nodes), None if fprime is None else fprime(nodes), **decay)
 
 
-def _tail_estimate(samples: SampleSet, z: float, spacing: float) -> float:
+def _tail_estimate(samples: SampleSet, z: np.ndarray, spacing: float) -> np.ndarray:
     # sum_{|k|>M} |f(k*spacing)| / |z - k*spacing|, bounded via the decay model
     # by a finite sum plus an integral tail.
-    C, p = samples.decay_const, samples.decay_exponent
-    M = samples.M
+    C, p, M = samples.decay_const, samples.decay_exponent, samples.M
     if p <= 1.0:
-        return math.inf
-    k = np.arange(M + 1, M + 5001, dtype=float)
-    xs = k * spacing
+        return np.full(z.shape, math.inf)
+    xs = np.arange(M + 1, M + 5001, dtype=float) * spacing
     per = C / (1.0 + xs) ** p
-    s = float(np.sum(per / np.abs(z - xs) + per / np.abs(z + xs)))
+    s = np.sum(per / np.abs(z[:, None] - xs) + per / np.abs(z[:, None] + xs), axis=-1)
     X = (M + 5000) * spacing
-    s += 2.0 * C / ((p - 1.0) * (1.0 + X) ** (p - 1.0) * max(X - abs(z), spacing)) / spacing
-    return s
+    return s + 2.0 * C / ((p - 1.0) * (1.0 + X) ** (p - 1.0) * np.maximum(X - np.abs(z), spacing)) / spacing
 
 
-def cardinal_series(
-    samples: SampleSet,
-    z: float,
-    mode: Literal["basic", "extended"] = "basic",
-) -> tuple[float, float]:
-    """Reconstruct f(z) from samples at k/(2*alpha); returns (value, err_est)."""
-    a = samples.alpha
+def _reconstruct(samples: SampleSet, z, h: float, slope, series):
+    """(values, err_est) at the float or array z, in z's shape (floats for
+    a float z).  A point within _NODE_WINDOW of a sampled node k*h takes
+    that sample, plus slope times the offset when slope is not None, and
+    err_est 0; the other points take series(z), _BLOCK points at a time."""
+    zs = np.asarray(z, dtype=float)
+    if not np.isfinite(zs).all():
+        raise ValueError(f"z must be finite (got {zs[~np.isfinite(zs)].flat[0]!r})")
+    z1 = zs.ravel()
+    k = np.round(z1 / h)
+    node = (np.abs(z1 - k * h) < _NODE_WINDOW) & (np.abs(k) <= samples.M)
+    val, err = np.zeros(z1.size), np.zeros(z1.size)
+    i = k[node].astype(int) + samples.M
+    val[node] = samples.values[i] if slope is None else samples.values[i] + slope[i] * (z1[node] - k[node] * h)
+    rest = np.flatnonzero(~node)
+    for start in range(0, rest.size, _BLOCK):
+        j = rest[start : start + _BLOCK]
+        val[j], err[j] = series(z1[j])
+    if zs.ndim == 0:
+        return float(val[0]), float(err[0])
+    return val.reshape(zs.shape), err.reshape(zs.shape)
+
+
+def cardinal_series(samples: SampleSet, z, mode: Literal["basic", "extended"] = "basic"):
+    """Reconstruct f at the float or array z from samples at k/(2*alpha);
+    returns (values, err_est) in z's shape.  The extended mode needs the
+    derivatives, for f'(0)."""
+    a, M = samples.alpha, samples.M
     h = 1.0 / (2.0 * a)
-    M = samples.M
-
-    k_near = round(z / h)
-    if abs(z - k_near * h) < _NODE_WINDOW and abs(k_near) <= M:
-        return samples.value(int(k_near)), 0.0
-
-    front = math.sin(2.0 * math.pi * a * z) / (2.0 * math.pi * a)
-    if mode == "basic":
-        ks = np.arange(-M, M + 1)
-        vals = np.asarray(samples.values)
-        s = float(np.sum(np.where(ks % 2 == 0, 1.0, -1.0) * vals / (z - ks * h)))
-        err = abs(front) * _tail_estimate(samples, z, h)
-        return front * s, err
-
-    # extended mode: f'(0) and f(0)/z terms plus the compensated bracket
-    if samples.origin_data is None:
-        raise ValueError("origin_data (f(0), f'(0)) is needed in extended mode (got None)")
-    f0, fp0 = samples.origin_data
-    s = fp0 + f0 / z
     ks = np.arange(-M, M + 1)
-    ks = ks[ks != 0]
-    vals = np.array([samples.value(int(k)) for k in ks])
-    sign = np.where(ks % 2 == 0, 1.0, -1.0)
-    s += float(np.sum(sign * vals * (1.0 / (z - ks * h) + 1.0 / (ks * h))))
-    err = abs(front) * 2.0 * _tail_estimate(samples, z, h)
-    return front * s, err
+    signed = np.where(ks % 2 == 0, 1.0, -1.0) * samples.values
+    if mode != "basic":
+        if samples.derivatives is None:
+            raise ValueError("derivatives (f'(0)) are needed in extended mode (got None)")
+        f0, fp0 = samples.values[M], samples.derivatives[M]
+        ks, signed = ks[ks != 0], signed[ks != 0]
+
+    def series(zb):
+        front = np.sin(2.0 * math.pi * a * zb) / (2.0 * math.pi * a)
+        d = zb[:, None] - ks * h
+        if mode == "basic":
+            return front * np.sum(signed / d, axis=-1), np.abs(front) * _tail_estimate(samples, zb, h)
+        # extended mode: f'(0) and f(0)/z terms plus the compensated bracket
+        s = fp0 + f0 / zb + np.sum(signed * (1.0 / d + 1.0 / (ks * h)), axis=-1)
+        return front * s, np.abs(front) * 2.0 * _tail_estimate(samples, zb, h)
+
+    return _reconstruct(samples, z, h, None, series)
 
 
-def vaaler_interpolation(samples: SampleSet, z: float) -> tuple[float, float]:
-    """Value+derivative reconstruction from data at k/alpha; (value, err_est)."""
+def vaaler_interpolation(samples: SampleSet, z):
+    """Value+derivative reconstruction at the float or array z from data at
+    k/alpha; returns (values, err_est) in z's shape."""
     if samples.derivatives is None:
         raise ValueError("derivatives are needed for value+derivative interpolation (got None)")
-    a = samples.alpha
+    a, M = samples.alpha, samples.M
     h = 1.0 / a
-    M = samples.M
+    nodes = np.arange(-M, M + 1) * h
 
-    k_near = round(z / h)
-    if abs(z - k_near * h) < _NODE_WINDOW and abs(k_near) <= M:
-        k = int(k_near)
-        return samples.value(k) + samples.derivative(k) * (z - k * h), 0.0
+    def series(zb):
+        d = zb[:, None] - nodes
+        s = np.sum(samples.values / d**2 + samples.derivatives / d, axis=-1)
+        front = np.float_power(np.sin(math.pi * a * zb) / (math.pi * a), 2)
+        return front * s, front * 2.0 * _tail_estimate(samples, zb, h) / np.maximum(M * h - np.abs(zb), h)
 
-    ks = np.arange(-M, M + 1)
-    nodes = ks * h
-    vals = np.asarray(samples.values)
-    ders = np.asarray(samples.derivatives)
-    s = float(np.sum(vals / (z - nodes) ** 2 + ders / (z - nodes)))
-    front = (math.sin(math.pi * a * z) / (math.pi * a)) ** 2
-    err = front * 2.0 * _tail_estimate(samples, z, h) / max((M * h - abs(z)), h)
-    return front * s, err
+    return _reconstruct(samples, z, h, samples.derivatives, series)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 from numpy.typing import ArrayLike
 
-__all__ = ["integrate_panels", "leggauss", "gauss_legendre", "tensor_rule"]
+__all__ = ["integrate_panels", "leggauss", "gauss_legendre"]
 
 
 # QUADPACK's qk21 (Piessens et al. 1983): the 21-point Kronrod rule on
@@ -59,17 +59,6 @@ def gauss_legendre(a: ArrayLike, b: ArrayLike, n: int) -> tuple[np.ndarray, np.n
     x, w = leggauss(n)
     a, b = np.asarray(a, dtype=float)[..., None], np.asarray(b, dtype=float)[..., None]
     return (0.5 * (b - a) * x + 0.5 * (a + b)).ravel(), (0.5 * (b - a) * w).ravel()
-
-
-def tensor_rule(axes: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """The product of the 1-D rules axes[i] = (nodes, weights): an (N, d)
-    array of nodes, the last coordinate varying fastest, and their N weights."""
-    if not axes:
-        return np.zeros((1, 0)), np.ones(1)
-    grids = np.meshgrid(*(x for x, _ in axes), indexing="ij")
-    wgrids = np.meshgrid(*(w for _, w in axes), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    return pts, np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1)
 
 
 # Pieces are bisected until each error estimate is below _PANEL_TOL (or at

@@ -91,16 +91,18 @@ class TestTable:
 
 
 # the scalar kernels and sampling formulas called point by point, with the
-# err_est each name reports: a fixed estimate, the formula's own, or --tol
+# err_est each name reports: a fixed estimate, the formula's own, or --tol;
+# the sample sets are built node by node from scalar calls
 def _reference_rows(name, xs, ell, tol):
     f = lambda t: float(kr.fejer_K(t))
-    if name == "cardinal":
-        samples = ip.sample_function(f, 1.0, 400, 0.5, decay_const=1.0, decay_exponent=2.0)
-        return [ip.cardinal_series(samples, x) for x in xs]
-    if name == "vaaler":
+    if name in ("cardinal", "vaaler"):
+        nodes = [k * (0.5 if name == "cardinal" else 1.0) for k in range(-400, 401)]
         fp = lambda t: (f(t + 1e-6) - f(t - 1e-6)) / 2e-6
-        samples = ip.sample_function(f, 1.0, 400, 1.0, fp, decay_const=1.0, decay_exponent=2.0)
-        return [ip.vaaler_interpolation(samples, x) for x in xs]
+        derivs = [fp(t) for t in nodes] if name == "vaaler" else None
+        samples = ip.SampleSet(1.0, 400, [f(t) for t in nodes], derivs, decay_const=1.0,
+                               decay_exponent=2.0)
+        formula = ip.cardinal_series if name == "cardinal" else ip.vaaler_interpolation
+        return [formula(samples, x) for x in xs]
     point = {
         "K": lambda x: (f(x), 1e-15),
         "W": lambda x: (kr.W_eval(x), tol),

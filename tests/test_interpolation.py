@@ -1,6 +1,7 @@
 """Band-limited interpolation: reconstruction accuracy and identity residuals."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,12 +12,12 @@ from bslib.kernels import fejer_K
 
 
 def _fejer(x):
-    return float(fejer_K(x))
+    return fejer_K(x)
 
 
 def _fejer_prime(x):
     h = 1e-6
-    return (_fejer(x + h) - _fejer(x - h)) / (2 * h)
+    return (fejer_K(x + h) - fejer_K(x - h)) / (2 * h)
 
 
 class TestCardinalSeries:
@@ -69,9 +70,9 @@ class TestCardinalSeries:
             # the compensated form converges faster than the plain series
             assert abs(ve - g(z)) <= max(abs(vb - g(z)), 1e-9)
 
-    def test_extended_requires_origin_data(self):
+    def test_extended_requires_derivatives(self):
         samples = ip.sample_function(_fejer, 1.0, 10, 0.5)
-        with pytest.raises(ValueError, match="^origin_data"):
+        with pytest.raises(ValueError, match="^derivatives"):
             ip.cardinal_series(samples, 0.3, mode="extended")
 
 
@@ -89,6 +90,74 @@ class TestValueDerivativeFormula:
         val, err = ip.vaaler_interpolation(samples, 3.0)
         assert val == samples.value(3)
         assert err == 0.0
+
+
+def _formulas():
+    """Reconstruct-at-z functions of the basic, extended and value+derivative formulas."""
+    basic = ip.sample_function(_fejer, 1.0, 60, 0.5, decay_const=0.2)
+    g = lambda z: z * fejer_K(z)
+    gp = lambda z: fejer_K(z) + z * _fejer_prime(z)
+    ext = ip.sample_function(g, 1.0, 60, 0.5, fprime=gp, decay_const=0.5, decay_exponent=1.5)
+    vd = ip.sample_function(_fejer, 1.0, 30, 1.0, fprime=_fejer_prime, decay_const=0.2)
+    return [
+        lambda z: ip.cardinal_series(basic, z),
+        lambda z: ip.cardinal_series(ext, z, mode="extended"),
+        lambda z: ip.vaaler_interpolation(vd, z),
+    ]
+
+
+# nodes of both lattices, points within the node window, beyond the sampled
+# range (|z| > 30), and points between
+_TABLE = np.concatenate([np.arange(-3.0, 3.01, 0.25), [1.0 + 1e-13, -2.0 - 5e-7, 0.4 + 1e-12,
+                                                      31.3, -45.7, 0.5 + 2e-6, -7.3, 12.5]])
+
+
+def _hex(arr):
+    return [float(v).hex() for v in np.ravel(arr)]
+
+
+class TestArrayContract:
+    def test_sample_function_calls_once_on_the_node_array(self):
+        calls = {"f": [], "fprime": []}
+
+        def f(x):
+            calls["f"].append(np.array(x))
+            return fejer_K(x)
+
+        def fprime(x):
+            calls["fprime"].append(np.array(x))
+            return _fejer_prime(x)
+
+        samples = ip.sample_function(f, 1.0, 7, 1.0, fprime=fprime)
+        nodes = np.arange(-7, 8) * 1.0
+        for name in ("f", "fprime"):
+            assert len(calls[name]) == 1
+            assert np.array_equal(calls[name][0], nodes)
+        assert np.array_equal(samples.values, fejer_K(nodes))
+        assert not samples.values.flags.writeable
+        assert not samples.derivatives.flags.writeable
+
+    @pytest.mark.parametrize("which", range(3))
+    def test_array_equals_pointwise(self, which):
+        recon = _formulas()[which]
+        values, errs = recon(_TABLE)
+        rows = [recon(float(z)) for z in _TABLE]
+        assert all(isinstance(v, float) and isinstance(e, float) for v, e in rows)
+        assert _hex(values) == [v.hex() for v, _ in rows]
+        assert _hex(errs) == [e.hex() for _, e in rows]
+        # z's shape comes back, and the node rows give no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid_v, grid_e = recon(_TABLE[:24].reshape(4, 6))
+        assert grid_v.shape == grid_e.shape == (4, 6)
+        assert _hex(grid_v) == _hex(values[:24])
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_rows_do_not_depend_on_block_size(self, monkeypatch, block):
+        expect = [(_hex(v), _hex(e)) for v, e in (recon(_TABLE) for recon in _formulas())]
+        monkeypatch.setattr(ip, "_BLOCK", block)
+        got = [(_hex(v), _hex(e)) for v, e in (recon(_TABLE) for recon in _formulas())]
+        assert got == expect
 
 
 class TestClassicalIdentities:

@@ -82,6 +82,14 @@ def test_site_matches_reference_within_its_error(site):
     assert abs(val - ref) <= err + ref_err
 
 
+@pytest.mark.parametrize("site", [_pv_exp, _pv_cos], ids=["pv_exp", "pv_cos"])
+def test_pv_estimate_covers_excluded_piece(site):
+    # the paired integrands 2 sinh(v)/v and 2 cos(v) fall away from 0, so a
+    # Cauchy step alone is short of the excluded [-eps, eps] piece
+    val, err, ref, ref_err = site()
+    assert err >= 1.01 * abs(val - ref) + ref_err
+
+
 @pytest.mark.parametrize("x", [0.5, -0.3, 2.9, 10.0])
 def test_fourier_W_estimate_not_padded(x):
     # the replaced [0, 1e-8] piece adds O((|x| + |x|^3) 1e-24) to the

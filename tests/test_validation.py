@@ -51,7 +51,8 @@ def test_asserts_only_guard_internal_invariants():
     assert {a[:2] for a in found} == ALLOWED_ASSERTS  # the lint sees them
 
 
-_SAMPLES = ip.sample_function(math.cos, 1.0, 3, 0.5)
+_SAMPLES = ip.sample_function(np.cos, 1.0, 3, 0.5)
+_VD = ip.sample_function(np.cos, 1.0, 3, 1.0, lambda t: -np.sin(t))
 _F2 = em.product_law([e1.standardized_binomial(16)] * 2)
 _G2 = em.product_normal_target(2)
 
@@ -68,8 +69,16 @@ _G2 = em.product_normal_target(2)
         (lambda: ip.SampleSet(0.0, 1, (0.0, 1.0, 0.0)), "alpha"),
         (lambda: ip.SampleSet(1.0, 0, (0.0,)), "M"),
         (lambda: ip.SampleSet(1.0, 1, (0.0, 1.0, 0.0), derivatives=(0.0,)), "derivatives"),
+        (lambda: ip.SampleSet(1.0, 1, (0.0, 1.0, 0.0), derivatives=(0.0, math.nan, 0.0)), "derivatives"),
         (lambda: _SAMPLES.derivative(0), "derivatives"),
         (lambda: ip.vaaler_interpolation(_SAMPLES, 0.3), "derivatives"),
+        (lambda: ip.cardinal_series(_SAMPLES, 0.3, mode="extended"), "derivatives"),
+        (lambda: ip.cardinal_series(_SAMPLES, math.nan), "z"),
+        (lambda: ip.cardinal_series(_SAMPLES, math.inf), "z"),
+        (lambda: ip.cardinal_series(_SAMPLES, np.array([0.3, -math.inf])), "z"),
+        (lambda: ip.vaaler_interpolation(_VD, math.nan), "z"),
+        (lambda: ip.vaaler_interpolation(_VD, math.inf), "z"),
+        (lambda: ip.vaaler_interpolation(_VD, np.array([0.3, -math.inf])), "z"),
         (lambda: clt.MonteCarloConfig(seed=1, samples=10**3, N=0), "N"),
         (lambda: clt.lyapunov_normalizer(
             clt.CoefficientScheme(lambda N: np.ones((N, 2))), 4), "scheme"),
