@@ -15,7 +15,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -27,13 +27,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 CONFIG_ENV_VAR = "BSLIB_CONFIG"
-
-# smallest admissible values of the validity-critical constants; overrides
-# below these require --unsafe since they can make reported bounds unsound
-_CONSTANT_FLOORS = {
-    "c1": 0.25, "c2": math.pi, "c5": None, "c6": math.pi,
-    "c8": None, "c9": None, "c_hat1": None,
-}
 
 
 def _fmt(x: float) -> str:
@@ -81,13 +74,30 @@ class RunManifest:
     format: str
 
 
-def _parse_overrides(pairs: list[str], unsafe: bool) -> dict:
+def _constant_floors(args) -> dict:
+    """The bound constants the command reads, each with its validity floor:
+    the bound module's default.  Overrides below a floor need --unsafe,
+    since they can make the reported bound unsound."""
+    if args.command != "demo" or args.scenario not in ("esseen1d-binomial", "esseen-k"):
+        return {}
+    from . import esseen1d as e1
+
+    k = 1 if args.scenario == "esseen1d-binomial" else _demo_param(args, "k", 2)
+    if k == 1:
+        return {"c1": e1.C1_DEFAULT, "c2": e1.C2_DEFAULT}
+    from . import esseen_multi as em
+
+    return {name: getattr(em.BoundConstants.for_k(k), name) for name in ("c1", "c2", "c5", "c6")}
+
+
+def _parse_overrides(pairs: list[str], unsafe: bool, floors: dict) -> dict:
     out = {}
     for pair in pairs:
         name, _, text = pair.partition("=")
-        if name not in _CONSTANT_FLOORS:
+        if name not in floors:
             raise ValueError(
-                f"--const {pair}: unknown constant {name!r} (known: {', '.join(_CONSTANT_FLOORS)})"
+                f"--const {pair}: this command does not read {name!r} "
+                f"(it reads {', '.join(floors) or 'none'})"
             )
         try:
             v = float(text)
@@ -95,8 +105,8 @@ def _parse_overrides(pairs: list[str], unsafe: bool) -> dict:
             v = math.nan
         if not math.isfinite(v):
             raise ValueError(f"--const {pair}: the value must be a finite number")
-        floor = _CONSTANT_FLOORS[name]
-        if floor is not None and v < floor and not unsafe:
+        floor = floors[name]
+        if v < floor and not unsafe:
             raise ValueError(
                 f"--const {name}={v:g} is below the validity floor {floor:g}; "
                 "pass --unsafe to force it"
@@ -358,15 +368,15 @@ def _suite_esseen_k(tol: float) -> list[dict]:
     checks.append(_check("operator_resolution_of_identity", resid, 1e-12))
 
     a = np.array([1.3, 0.7])
-    f = lambda v: math.cos(float(a @ v) + 0.3)
-    d2 = lambda v: -a[0] * a[1] * math.cos(float(a @ v) + 0.3)
-    d4 = lambda v: a[0] ** 2 * a[1] ** 2 * math.cos(float(a @ v) + 0.3)
+    f = lambda v: np.cos(v @ a + 0.3)
+    d2 = lambda v: -a[0] * a[1] * np.cos(v @ a + 0.3)
+    d4 = lambda v: a[0] ** 2 * a[1] ** 2 * np.cos(v @ a + 0.3)
     v = np.array([0.7, -0.3])
     for which, dv in (("mixed", d2), ("delta", d2), ("e_delta", d4)):
         res = em.factorization_residual(f, dv, 2, which, v)
         checks.append(_check(f"factorization_{which}", res, 1e-8))
 
-    g = lambda w: math.sin(1.1 * w[0] + 0.2) * math.sin(0.9 * w[1] - 0.4)
+    g = lambda w: np.sin(1.1 * w[..., 0] + 0.2) * np.sin(0.9 * w[..., 1] - 0.4)
     bc = em.derivative_bound_check(g, {"which": "4.24", "h": 1, "ell": 2, "m": 2}, v)
     checks.append(_flag("difference_derivative_bound", bc.holds and not bc.inconclusive, bc.slack))
 
@@ -514,16 +524,7 @@ def _demo_esseen_k(args) -> tuple[list, list, list]:
         return _binomial_bound_1d(args, n, omega)
     F = em.product_law([e1.standardized_binomial(n)] * k)
     G = em.product_normal_target(k)
-    ov = args._overrides
-    base = em.BoundConstants.for_k(k).as_dict()
-    # k-dependent floors can only be checked here, once k is known
-    if not getattr(args, "unsafe", False):
-        low = [key for key, val in ov.items() if key in base and val < base[key]]
-        if low:
-            raise ValueError(f"--const {', '.join(low)} is below the validity floor for k={k}; "
-                             "pass --unsafe to force it")
-    base.update({key: val for key, val in ov.items() if key in base})
-    constants = em.BoundConstants(**base)
+    constants = replace(em.BoundConstants.for_k(k), **args._overrides)
     t = np.array([0.3, -0.4, 0.2][:k])
     grid = dict(constants=constants, panels=8 if k == 2 else 6, order=6 if k == 2 else 4)
     rep = em.esseen_bound_k(F, G, (omega,) * k, t, **grid)
@@ -694,7 +695,7 @@ def main(argv: list[str] | None = None) -> int:
             parameters=params,
             seed=args.seed,
             tolerances={"tol": args.tol},
-            constant_overrides=_parse_overrides(args.const, args.unsafe),
+            constant_overrides=_parse_overrides(args.const, args.unsafe, _constant_floors(args)),
             output=args.out,
             format=args.format,
         )

@@ -85,15 +85,20 @@ def sample_function(f, alpha: float, M: int, spacing: float, fprime=None, **deca
     return SampleSet(alpha, M, f(nodes), None if fprime is None else fprime(nodes), **decay)
 
 
-def _tail_estimate(samples: SampleSet, z: np.ndarray, spacing: float) -> np.ndarray:
-    # sum_{|k|>M} |f(k*spacing)| / |z - k*spacing|, bounded via the decay model
-    # by a finite sum plus an integral tail.
+def _tail_estimate(samples: SampleSet, z: np.ndarray, spacing: float, sine: np.ndarray) -> np.ndarray:
+    # sum_{|k|>M} |f(k*spacing)| / max(|z - k*spacing|, sine), bounded via the
+    # decay model by a finite sum plus an integral tail.  The caller's sine
+    # factor is at most |z - k*spacing|, so sine times a term is at most the
+    # decay-model value: finite at an unsampled lattice point z = k*spacing.
     C, p, M = samples.decay_const, samples.decay_exponent, samples.M
     if p <= 1.0:
         return np.full(z.shape, math.inf)
     xs = np.arange(M + 1, M + 5001, dtype=float) * spacing
     per = C / (1.0 + xs) ** p
-    s = np.sum(per / np.abs(z[:, None] - xs) + per / np.abs(z[:, None] + xs), axis=-1)
+    near = sine[:, None]
+    s = np.sum(
+        per / np.maximum(np.abs(z[:, None] - xs), near) + per / np.maximum(np.abs(z[:, None] + xs), near), axis=-1
+    )
     X = (M + 5000) * spacing
     return s + 2.0 * C / ((p - 1.0) * (1.0 + X) ** (p - 1.0) * np.maximum(X - np.abs(z), spacing)) / spacing
 
@@ -137,12 +142,13 @@ def cardinal_series(samples: SampleSet, z, mode: Literal["basic", "extended"] = 
 
     def series(zb):
         front = np.sin(2.0 * math.pi * a * zb) / (2.0 * math.pi * a)
+        tail = _tail_estimate(samples, zb, h, np.abs(front))
         d = zb[:, None] - ks * h
         if mode == "basic":
-            return front * np.sum(signed / d, axis=-1), np.abs(front) * _tail_estimate(samples, zb, h)
+            return front * np.sum(signed / d, axis=-1), np.abs(front) * tail
         # extended mode: f'(0) and f(0)/z terms plus the compensated bracket
         s = fp0 + f0 / zb + np.sum(signed * (1.0 / d + 1.0 / (ks * h)), axis=-1)
-        return front * s, np.abs(front) * 2.0 * _tail_estimate(samples, zb, h)
+        return front * s, np.abs(front) * 2.0 * tail
 
     return _reconstruct(samples, z, h, None, series)
 
@@ -159,8 +165,10 @@ def vaaler_interpolation(samples: SampleSet, z):
     def series(zb):
         d = zb[:, None] - nodes
         s = np.sum(samples.values / d**2 + samples.derivatives / d, axis=-1)
-        front = np.float_power(np.sin(math.pi * a * zb) / (math.pi * a), 2)
-        return front * s, front * 2.0 * _tail_estimate(samples, zb, h) / np.maximum(M * h - np.abs(zb), h)
+        sine = np.sin(math.pi * a * zb) / (math.pi * a)
+        front = np.float_power(sine, 2)
+        tail = _tail_estimate(samples, zb, h, np.abs(sine))
+        return front * s, front * 2.0 * tail / np.maximum(M * h - np.abs(zb), h)
 
     return _reconstruct(samples, z, h, samples.derivatives, series)
 

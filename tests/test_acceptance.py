@@ -170,8 +170,8 @@ def test_criterion_08_operator_algebra():
             assert combined == {tuple([1] * k): 1.0}
     # factorization residual on product cosines
     a = np.array([1.3, 0.7])
-    f = lambda v: math.cos(a[0] * v[0]) * math.cos(a[1] * v[1])
-    d2 = lambda v: a[0] * a[1] * math.sin(a[0] * v[0]) * math.sin(a[1] * v[1])
+    f = lambda p: np.cos(a[0] * p[..., 0]) * np.cos(a[1] * p[..., 1])
+    d2 = lambda p: a[0] * a[1] * np.sin(a[0] * p[..., 0]) * np.sin(a[1] * p[..., 1])
     for v in ((0.7, -0.3), (1.1, 0.9), (0.4, 1.6)):
         assert em.factorization_residual(f, d2, 2, "mixed", v) <= 1e-8
 
@@ -192,7 +192,7 @@ def test_criterion_09_multivariate_bounds():
     )
     repA = em.esseen_bound_truncated(F, G, omegas, delta=8.0, mode="A")
     assert math.isfinite(repA.total) and repA.total >= sup
-    repB = em.esseen_bound_truncated(F, G, omegas, delta=2.0, mode="B", box_extent=4.0)
+    repB = em.esseen_bound_truncated(F, G, omegas, delta=5.0, mode="B", box_extent=4.0)
     rng = np.random.default_rng(17)
     for _ in range(10):
         a = rng.uniform(-3, 0, 2)

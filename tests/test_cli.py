@@ -3,6 +3,7 @@
 import json
 import math
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,18 @@ class TestEval:
     def test_unknown_function_rejected(self, capsys):
         code, _, _ = run(capsys, "eval", "--fn", "nope")
         assert code == EXIT_USAGE
+
+    # the first lattice points past the sampled nodes (|k| = M + 1), where
+    # a tail term's distance |x - k*h| is 0 but its sine factor is too
+    @pytest.mark.parametrize("fn, x", [("cardinal", 200.5), ("cardinal", -200.5), ("vaaler", 401.0)])
+    def test_unsampled_lattice_point_has_finite_err_est(self, capsys, fn, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "eval", "--fn", fn, f"--x={x!r}")
+        assert code == EXIT_OK and err == ""
+        _, value, err_est = (float(c) for c in out.strip().splitlines()[1].split(","))
+        assert math.isfinite(err_est)
+        assert err_est >= abs(value - kr.fejer_K(x))
 
 
 class TestTable:
@@ -331,6 +344,50 @@ class TestConstantOverrides:
     def test_unknown_constant_rejected(self, capsys):
         code, _, _ = run(capsys, "demo", "--scenario", "esseen1d-binomial", "--const", "zz=1")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv, reads",
+        [
+            (("demo", "--scenario", "esseen1d-binomial", "--const", "c8=100"), "c1, c2"),
+            (("demo", "--scenario", "esseen-k", "--k", "1", "--const", "c5=100"), "c1, c2"),
+            (("demo", "--scenario", "esseen-k", "--const", "c9=100", "--const", "c_hat1=50"),
+             "c1, c2, c5, c6"),
+            (("demo", "--scenario", "clt-haar", "--const", "c1=1"), "none"),
+            (("eval", "--fn", "W", "--const", "c1=0.3"), "none"),
+            (("table", "--fn", "K", "--from", "0", "--to", "1", "--step", "0.5", "--const", "c2=4"),
+             "none"),
+        ],
+    )
+    def test_constant_not_read_rejected(self, capsys, argv, reads):
+        # an override that no computation reads would only sit in the manifest
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: --const ")
+        assert err.rstrip().endswith(f"(it reads {reads})")
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_floors_are_the_bound_module_defaults(self, k):
+        from bslib import esseen1d as e1
+        from bslib import esseen_multi as em
+
+        def floors(scenario, k=None):
+            return cli._constant_floors(types.SimpleNamespace(command="demo", scenario=scenario, k=k))
+
+        default = em.BoundConstants.for_k(k)
+        assert floors("esseen-k", k) == {"c1": default.c1, "c2": default.c2, "c5": default.c5,
+                                         "c6": default.c6}
+        assert floors("esseen-k", 1) == floors("esseen1d-binomial") == {
+            "c1": e1.C1_DEFAULT, "c2": e1.C2_DEFAULT}
+
+    def test_k2_override_read_by_the_bound(self, capsys):
+        def truncated(*const):
+            code, payload, _ = run_json(capsys, "demo", "--scenario", "esseen-k", *const)
+            assert code == EXIT_OK
+            return payload
+
+        fat = truncated("--const", "c6=4")
+        assert fat["manifest"]["constant_overrides"] == {"c6": 4.0}
+        assert float(fat["bounds"][1]["value"]) > float(truncated()["bounds"][1]["value"])
 
 
 class TestConfigAndDeterminism:

@@ -135,8 +135,8 @@ class TestOperatorAlgebra:
 
     def test_hermitian_preservation(self):
         # Hermitian input (f(-v) = conj f(v)) stays Hermitian under any word
-        def f(v):
-            return np.exp(1j * (0.7 * v[0] - 1.3 * v[1])) * math.exp(-0.1 * float(np.sum(v**2)))
+        def f(p):
+            return np.exp(1j * (0.7 * p[..., 0] - 1.3 * p[..., 1])) * np.exp(-0.1 * np.sum(p**2, axis=-1))
 
         words = [
             [("D", 0)],
@@ -190,9 +190,8 @@ class TestFactorizations:
         a = np.array([0.7, -1.3, 0.4])[:2]
 
         def f(p):
-            return np.exp(1j * np.dot(a, p))
+            return np.exp(1j * (p @ a))
 
-        order = 2 * m if which == "e_delta" else m
         coef = np.prod((1j * a[:m]) ** (2 if which == "e_delta" else 1))
 
         def deriv(p):
@@ -206,10 +205,10 @@ class TestFactorizations:
         a = np.array([1.2, 0.6])
 
         def f(p):
-            return math.cos(a[0] * p[0]) * math.sin(a[1] * p[1])
+            return np.cos(a[0] * p[..., 0]) * np.sin(a[1] * p[..., 1])
 
         def deriv(p):
-            return a[0] * a[1] * (-math.sin(a[0] * p[0])) * math.cos(a[1] * p[1])
+            return a[0] * a[1] * (-np.sin(a[0] * p[..., 0])) * np.cos(a[1] * p[..., 1])
 
         res = em.factorization_residual(f, deriv, 2, "mixed", (0.9, 1.4))
         assert res <= 1e-8
@@ -218,7 +217,7 @@ class TestFactorizations:
         a = np.array([0.5, -0.8, 1.1])
 
         def f(p):
-            return np.exp(1j * np.dot(a, p))
+            return np.exp(1j * (p @ a))
 
         def deriv(p):
             return np.prod(1j * a) * f(p)
@@ -226,10 +225,71 @@ class TestFactorizations:
         res = em.factorization_residual(f, deriv, 3, "mixed", (0.7, 0.9, 0.5), nodes=12)
         assert res <= 1e-9
 
+    @pytest.mark.parametrize("which, per_axis", [("mixed", 48), ("delta", 24), ("e_delta", 48)])
+    def test_one_deriv_call_on_all_nodes(self, which, per_axis):
+        a = np.array([0.7, -1.3, 0.4])
+        coef = np.prod((1j * a[:2]) ** (2 if which == "e_delta" else 1))
+        shapes = []
+
+        def deriv(p):
+            shapes.append(p.shape)
+            return coef * np.exp(1j * (p @ a))
+
+        res = em.factorization_residual(lambda p: np.exp(1j * (p @ a)), deriv, 2, which, (0.8, 1.1, -0.6))
+        assert shapes == [(per_axis**2, 3)]
+        assert res <= 1e-10
+
+
+def _bound_spec(which, h):
+    if which == "4.24":
+        return {"which": which, "h": h, "ell": 2, "m": 2}
+    return {"which": which, "h": h, "ell": 2, "m": 3, "n": 2, "delta": 1}
+
 
 class TestDerivativeBounds:
-    def _f(self, v):
-        return math.sin(1.1 * v[0] + 0.2) * math.sin(0.9 * v[1] - 0.4) * math.cos(0.5 * v[2])
+    def _f(self, p):
+        return np.sin(1.1 * p[..., 0] + 0.2) * np.sin(0.9 * p[..., 1] - 0.4) * np.cos(0.5 * p[..., 2])
+
+    # the values of the one-point implementation that this one replaced
+    @pytest.mark.parametrize(
+        "which, h, lhs, rhs",
+        [
+            ("4.24", 1, "0x1.3067fe6912027p-1", 1.3221264666960761),
+            ("4.24", 2, "0x1.3067fe6912027p-1", 1.3693517707614145),
+            ("4.26", 1, "0x0.0p+0", 2.089005988903354),
+            ("4.26", 2, "0x0.0p+0", 0.42732510946552704),
+            ("4.27", 1, "0x0.0p+0", 2.089005988903354),
+            ("4.27", 2, "0x0.0p+0", 0.42732510946552704),
+            ("4.28", 1, "0x0.0p+0", 1.9726464718088723),
+            ("4.28", 2, "0x0.0p+0", 0.3811178533229238),
+        ],
+    )
+    def test_pinned_values(self, which, h, lhs, rhs):
+        chk = em.derivative_bound_check(self._f, _bound_spec(which, h), (0.8, 1.2, 0.5))
+        assert chk.lhs.hex() == lhs
+        assert chk.rhs == pytest.approx(rhs, rel=1e-15, abs=0.0)
+        assert chk.holds and not chk.inconclusive
+
+    @pytest.mark.parametrize("which", ["4.24", "4.26", "4.27", "4.28"])
+    @pytest.mark.parametrize("h", [1, 2])
+    def test_one_call_per_term_and_level(self, which, h):
+        # one call per operator term for the lhs, and at most three
+        # refinement levels per sigma-subset, each one call on an (N, k) array
+        spec = _bound_spec(which, h)
+        m, n = spec["m"], spec.get("n", 0)
+        word = [("Delta", j) for j in range(n)] + [("D", j) for j in range(n, m)]
+        if which in ("4.27", "4.28"):
+            word = [("E", j) for j in range(n)] + word
+        L = spec["ell"] + spec.get("delta", 0)
+        shapes = []
+
+        def f(p):
+            shapes.append(p.shape)
+            return self._f(p)
+
+        em.derivative_bound_check(f, spec, (0.8, 1.2, 0.5))
+        assert len(shapes) <= len(em.operator_terms(word, 3)) + 3 * math.comb(L, h)
+        assert all(len(s) == 2 and s[1] == 3 for s in shapes)
 
     def test_mixed_difference_bound(self):
         for h in (1, 2):
@@ -261,6 +321,8 @@ class TestDerivativeBounds:
                 {"which": "4.26", "h": 1, "ell": 2, "m": 3, "n": 2, "delta": 2},
                 (0.8, 1.2, 0.5),
             )
+        with pytest.raises(ValueError, match="^spec"):
+            em.derivative_bound_check(self._f, _bound_spec("4.25", 1), (0.8, 1.2, 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +432,7 @@ class TestBounds:
     def test_box_measure_bound_dominates_boxes(self):
         F, G = _k2_pair()
         rep = em.esseen_bound_truncated(
-            F, G, (8.0, 8.0), delta=2.0, mode="B", box_extent=4.0
+            F, G, (8.0, 8.0), delta=5.0, mode="B", box_extent=4.0
         )
         rng = np.random.default_rng(9)
         for _ in range(10):
@@ -499,6 +561,8 @@ class TestValidation:
             (lambda: em.esseen_bound_truncated(*_k2_pair(), (8.0, 8.0), delta=1.0), "^delta"),
             (lambda: em.esseen_bound_truncated(*_k2_pair(), (8.0, 8.0), delta=2.0, mode="B",
                                                box_extent=-1.0), "^box_extent"),
+            (lambda: em.esseen_bound_truncated(*_k2_pair(), (8.0, 8.0), delta=2.0, mode="B",
+                                               box_extent=4.0), r"^delta must be 1 \+ box_extent"),
             (lambda: em.esseen_bound_slab(_binomial_law(3), em.product_normal_target(3),
                                           (8.0,) * 3), "^k must"),
             (lambda: em.esseen_bound_slab(*_k2_pair(), (0.5, 8.0)), "^omegas"),
@@ -524,6 +588,7 @@ class TestValidation:
             (lambda: em.selberg_ring_expansion(7), "^k must"),
             (lambda: em.factorization_residual(abs, abs, 0, "mixed", (0.5, 0.5)), "^m must"),
             (lambda: em.factorization_residual(abs, abs, 3, "mixed", (0.5, 0.5)), "^m must"),
+            (lambda: em.factorization_residual(abs, abs, 1, "mixed ", (0.5, 0.5)), "^which"),
         ],
     )
     def test_bad_parameter_named(self, call, match):
@@ -622,7 +687,8 @@ class TestSeparableGrid:
         om = (11.0, 9.0, 10.0)[:k]
         grid = dict(panels=4, order=5) if k == 2 else dict(panels=3, order=4)
         for mode in ("A", "B"):
-            kw = dict(delta=6.0, mode=mode, box_extent=3.0, use_triangle_replacement=triangle, **grid)
+            kw = dict(delta=6.0 if mode == "A" else 4.0, mode=mode, box_extent=3.0,
+                      use_triangle_replacement=triangle, **grid)
             sep = em.esseen_bound_truncated(F, G, om, **kw)
             gen = em.esseen_bound_truncated(_generic(F), _generic(G), om, **kw)
             assert sep.integral_terms["truncated_integral"].hex() == \
@@ -783,7 +849,7 @@ class TestPinnedTotals:
             "k2_truncated_A": lambda: em.esseen_bound_truncated(
                 F2, G2, om2, delta=8.0, mode="A", panels=8, order=6),
             "k2_truncated_B": lambda: em.esseen_bound_truncated(
-                F2, G2, om2, delta=2.0, mode="B", box_extent=4.0, panels=8, order=6),
+                F2, G2, om2, delta=5.0, mode="B", box_extent=4.0, panels=8, order=6),
             "k2_slab": lambda: em.esseen_bound_slab(F2, G2, om2),
             "k3_partition": lambda: em.esseen_bound_k(
                 F3, G3, om3, (0.3, -0.2, 0.5), panels=3, order=4),
