@@ -82,7 +82,7 @@ def _constant_floors(args) -> dict:
         return {}
     from . import esseen1d as e1
 
-    k = 1 if args.scenario == "esseen1d-binomial" else _demo_param(args, "k", 2)
+    k = 1 if args.scenario == "esseen1d-binomial" else _demo_param(args, "k")
     if k == 1:
         return {"c1": e1.C1_DEFAULT, "c2": e1.C2_DEFAULT}
     from . import esseen_multi as em
@@ -472,8 +472,18 @@ def cmd_verify(args, manifest: RunManifest) -> int:
 # demo scenarios
 
 
-# what an explicit value of each demo flag must satisfy; --samples is
-# checked by clt.MonteCarloConfig
+# the flags each demo scenario reads, with their defaults; any other
+# scenario flag is a usage error.  --seed, which every command takes, is
+# recorded only where it is read.
+_DEMO_FLAGS = {
+    "esseen1d-binomial": {"n": 100, "omega": 20.0},
+    "esseen-k": {"k": 2, "n": 64, "omega": 12.0, "delta": 8.0},
+    "clt-haar": {"N": 400, "samples": 10**5, "seed": 7},
+    "clt-vector": {"N": 400, "samples": 2 * 10**4, "seed": 11},
+}
+
+# what an explicit value of each demo flag must satisfy; --samples and
+# --seed are checked by clt.MonteCarloConfig
 _DEMO_LIMITS = {
     "k": (lambda v: 1 <= v <= 3, "1, 2 or 3"),
     "n": (lambda v: v >= 1, ">= 1"),
@@ -483,20 +493,33 @@ _DEMO_LIMITS = {
 }
 
 
-def _demo_param(args, flag: str, default):
+def _demo_param(args, flag: str):
     """The value of --flag, or the scenario's default when the flag is absent."""
     value = getattr(args, flag)
-    valid, need = _DEMO_LIMITS[flag]
-    if value is not None and not valid(value):
-        raise ValueError(f"--{flag} must be {need} (got {value!r})")
-    return default if value is None else value
+    if value is not None and flag in _DEMO_LIMITS:
+        valid, need = _DEMO_LIMITS[flag]
+        if not valid(value):
+            raise ValueError(f"--{flag} must be {need} (got {value!r})")
+    return _DEMO_FLAGS[args.scenario][flag] if value is None else value
 
 
-def _binomial_bound_1d(args, n: int, omega: float) -> tuple[list, list, list]:
+def _demo_params(args) -> dict:
+    """Every flag the scenario reads, resolved; a scenario flag it does not read raises."""
+    reads = list(_DEMO_FLAGS[args.scenario])
+    if args.scenario == "esseen-k" and args.k == 1:
+        reads.remove("delta")  # k = 1 runs the one-variable bound
+    for flag in ("k", "n", "N", "omega", "delta", "samples"):
+        if getattr(args, flag) is not None and flag not in reads:
+            raise ValueError(f"--{flag} is not read by scenario {args.scenario} "
+                             f"(it reads {', '.join('--' + f for f in reads)})")
+    return {flag: _demo_param(args, flag) for flag in reads}
+
+
+def _binomial_bound_1d(p: dict, ov: dict) -> tuple[list, list, list]:
     """The one-variable bound for Binomial(n) against N(0, 1) and its measured sup."""
     from . import esseen1d as e1
 
-    ov = args._overrides
+    n, omega = p["n"], p["omega"]
     constants = (ov.get("c1", e1.C1_DEFAULT), ov.get("c2", e1.C2_DEFAULT))
     F = e1.standardized_binomial(n)
     G = e1.normal_law()
@@ -508,23 +531,17 @@ def _binomial_bound_1d(args, n: int, omega: float) -> tuple[list, list, list]:
     return bounds, meas, verdicts
 
 
-def _demo_esseen1d_binomial(args) -> tuple[list, list, list]:
-    return _binomial_bound_1d(args, _demo_param(args, "n", 100), _demo_param(args, "omega", 20.0))
-
-
-def _demo_esseen_k(args) -> tuple[list, list, list]:
+def _demo_esseen_k(p: dict, ov: dict) -> tuple[list, list, list]:
     from . import esseen1d as e1
     from . import esseen_multi as em
 
-    k = _demo_param(args, "k", 2)
-    n = _demo_param(args, "n", 64)
-    omega = _demo_param(args, "omega", 12.0)
-    delta = _demo_param(args, "delta", 8.0)
+    k, n, omega = p["k"], p["n"], p["omega"]
     if k == 1:
-        return _binomial_bound_1d(args, n, omega)
+        return _binomial_bound_1d(p, ov)
+    delta = p["delta"]
     F = em.product_law([e1.standardized_binomial(n)] * k)
     G = em.product_normal_target(k)
-    constants = replace(em.BoundConstants.for_k(k), **args._overrides)
+    constants = replace(em.BoundConstants.for_k(k), **ov)
     t = np.array([0.3, -0.4, 0.2][:k])
     grid = dict(constants=constants, panels=8 if k == 2 else 6, order=6 if k == 2 else 4)
     rep = em.esseen_bound_k(F, G, (omega,) * k, t, **grid)
@@ -547,13 +564,11 @@ def _ks_limit(floor: float, samples: int) -> float:
     return max(floor, math.sqrt(math.log(2.0 / 1e-6) / (2.0 * samples)))
 
 
-def _demo_clt_haar(args) -> tuple[list, list, list]:
+def _demo_clt_haar(p: dict, ov: dict) -> tuple[list, list, list]:
     from . import clt
 
-    N = _demo_param(args, "N", 400)
-    seed = args.seed if args.seed is not None else 7
-    samples = args.samples if args.samples is not None else 10**5
-    mc = clt.MonteCarloConfig(seed=seed, samples=samples, N=N)
+    N = p["N"]
+    mc = clt.MonteCarloConfig(seed=p["seed"], samples=p["samples"], N=N)
     law = clt.haar_circle_law()
     g = clt.gaussian_limit_gap(law, clt.constant_scheme(), N, 1.0)
     rep = clt.vector_statistic(law, clt.constant_scheme(), N, mc)
@@ -571,13 +586,11 @@ def _demo_clt_haar(args) -> tuple[list, list, list]:
     return bounds, meas, verdicts
 
 
-def _demo_clt_vector(args) -> tuple[list, list, list]:
+def _demo_clt_vector(p: dict, ov: dict) -> tuple[list, list, list]:
     from . import clt
 
-    N = _demo_param(args, "N", 400)
-    seed = args.seed if args.seed is not None else 11
-    samples = args.samples if args.samples is not None else 2 * 10**4
-    mc = clt.MonteCarloConfig(seed=seed, samples=samples, N=N)
+    N = p["N"]
+    mc = clt.MonteCarloConfig(seed=p["seed"], samples=p["samples"], N=N)
     law = clt.haar_circle_law()
     scheme = clt.alternating_vector_scheme(2)
     stats = clt.lyapunov_normalizer(scheme, N)
@@ -598,7 +611,7 @@ def _demo_clt_vector(args) -> tuple[list, list, list]:
 
 
 _SCENARIOS = {
-    "esseen1d-binomial": _demo_esseen1d_binomial,
+    "esseen1d-binomial": _binomial_bound_1d,
     "esseen-k": _demo_esseen_k,
     "clt-haar": _demo_clt_haar,
     "clt-vector": _demo_clt_vector,
@@ -607,8 +620,11 @@ _SCENARIOS = {
 
 def cmd_demo(args, manifest: RunManifest) -> int:
     t0 = time.monotonic()
-    args._overrides = manifest.constant_overrides
-    bounds, meas, verdicts = _SCENARIOS[args.scenario](args)
+    params = _demo_params(args)
+    shown = {flag: v for flag, v in params.items() if flag != "seed"}
+    manifest = replace(manifest, parameters={"scenario": args.scenario, **shown},
+                       seed=params.get("seed", manifest.seed))
+    bounds, meas, verdicts = _SCENARIOS[args.scenario](params, manifest.constant_overrides)
     payload = {
         "manifest": asdict(manifest),
         "checks": [],

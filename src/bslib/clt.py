@@ -12,6 +12,9 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -180,7 +183,7 @@ class ComplexLawSpec:
 
     name: str
     sampler: Callable  # (rng, size) -> complex ndarray
-    cf: Callable[[complex], complex]
+    cf: Callable[[np.ndarray], np.ndarray]  # complex array -> complex array, same shape
     beta2: float  # beta^2, half the absolute second moment
     rho3: float
 
@@ -193,31 +196,64 @@ class ComplexLawSpec:
         return self.rho3 ** (1.0 / 3.0)
 
 
-@functools.lru_cache(maxsize=1 << 16)
-def bessel_j0(r: float) -> float:
-    """J0(r) = (1/pi) int_0^pi cos(r cos theta) dtheta, 64 Gauss nodes
-    doubled until two successive levels agree to 1e-12."""
-    r = abs(float(r))
-    prev = None
-    n = 64
+# elements of one (rows, nodes) block in the J0 quadrature
+_J0_BLOCK = 1 << 16
+
+
+def _j0(r: np.ndarray) -> np.ndarray:
+    """J0(|r|) = (1/pi) int_0^pi cos(r cos theta) dtheta for every element
+    of r.  Each element starts at 64 Gauss nodes, doubled until two
+    successive levels agree to 1e-12; a row of nodes is summed as one 1-D
+    array, so every value is the one a single-point quadrature gives."""
+    r = np.abs(np.asarray(r, dtype=float))
+    out = np.empty(r.shape)
+    rs, flat = r.reshape(-1), out.reshape(-1)  # flat is a view of out
+    todo, prev, n = np.arange(r.size), None, 64
     for _ in range(6):
         x, w = leggauss(n)
-        theta = 0.5 * math.pi * (x + 1.0)
-        val = float(np.sum(w * np.cos(r * np.cos(theta)))) * 0.5
-        if prev is not None and abs(val - prev) < 1e-12:
-            return val
+        c = np.cos(0.5 * math.pi * (x + 1.0))
+        val = np.empty(todo.size)
+        step = max(1, _J0_BLOCK // n)
+        for i in range(0, todo.size, step):
+            val[i:i + step] = np.sum(w * np.cos(rs[todo[i:i + step], None] * c), axis=1) * 0.5
+        if prev is not None:
+            done = np.abs(val - prev) < 1e-12
+            flat[todo[done]] = val[done]
+            todo, val = todo[~done], val[~done]
+            if todo.size == 0:
+                return out
         prev = val
         n *= 2
     raise ArithmeticError("angular quadrature for J0 did not settle")
+
+
+# The cache saves nothing on bslib's own paths, which call _j0 on whole
+# arrays; it stays because perfbench reads bessel_j0.cache_info() for its
+# clt.j0_cache_hit_ratio metric.
+@functools.lru_cache(maxsize=1 << 16)
+def bessel_j0(r: float) -> float:
+    """J0(r) at one point: the array quadrature _j0 on a single element."""
+    return float(_j0(float(r)))
 
 
 def haar_circle_law() -> ComplexLawSpec:
     """Uniform law on the unit circle: cf = J0(|xi|), beta^2 = 1/2, rho3 = 1."""
 
     def sampler(rng, size):
-        return np.exp(2j * math.pi * rng.random(size))
+        # cos and sin written into one array: the same bits as exp(2j*pi*u)
+        phase = 2.0 * math.pi * rng.random(size)
+        z = np.empty(phase.shape, dtype=complex)
+        np.cos(phase, out=z.real)
+        np.sin(phase, out=z.imag)
+        return z
 
-    return ComplexLawSpec("haar_circle", sampler, lambda xi: complex(bessel_j0(abs(xi))), 0.5, 1.0)
+    def cf(xi):
+        # hypot, not np.abs: numpy's vector loop for complex abs can round
+        # |xi| differently from abs() of a single complex value
+        xi = np.asarray(xi, dtype=complex)
+        return _j0(np.hypot(xi.real, xi.imag)).astype(complex)
+
+    return ComplexLawSpec("haar_circle", sampler, cf, 0.5, 1.0)
 
 
 def rademacher_product_law(scale: float = 1.0) -> ComplexLawSpec:
@@ -232,8 +268,9 @@ def rademacher_product_law(scale: float = 1.0) -> ComplexLawSpec:
             rng.choice([-1.0, 1.0], size=size) + 1j * rng.choice([-1.0, 1.0], size=size)
         )
 
-    def cf(xi: complex) -> complex:
-        return complex(math.cos(scale * xi.real) * math.cos(scale * xi.imag))
+    def cf(xi):
+        xi = np.asarray(xi, dtype=complex)
+        return (np.cos(scale * xi.real) * np.cos(scale * xi.imag)).astype(complex)
 
     return ComplexLawSpec("rademacher_product", sampler, cf, scale**2, (math.sqrt(2.0) * scale) ** 3)
 
@@ -350,14 +387,17 @@ def gaussian_limit_gap(
     individual factors, each of which stays inside the unit disk about 1
     under the admissibility condition.
     """
+    xi = np.atleast_1d(np.asarray(xi, dtype=complex))
+    if not np.all(np.isfinite(xi)):
+        raise ValueError(f"xi must be finite (got {xi!r})")
     b, mags, sigma, _, _ = _weights(scheme, N)
-    U = (np.conj(b) @ np.atleast_1d(np.asarray(xi, dtype=complex))) / sigma
+    U = (np.conj(b) @ xi) / sigma
     stats = lyapunov_normalizer(scheme, N)
     L = float(np.sum(np.sum(mags, axis=1) ** 3)) / sigma**3
     adm_value = 4.0 * law.beta2 * (A * stats.max_ratio) ** 2 + 2.0 * (law.rho * A) ** 3 * L
     admissible = adm_value < 1.0
 
-    factors = np.array([law.cf(u) for u in U])
+    factors = law.cf(U)
     branch_ok = bool(np.all(np.abs(1.0 - factors) < 1.0))
     if not branch_ok and admissible:
         raise ArithmeticError("principal-log branch failed inside the admissible range")
@@ -380,6 +420,12 @@ class MonteCarloConfig:
     N: int
 
     def __post_init__(self):
+        for name in ("seed", "samples", "N"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer (got {value!r})")
+        if not 0 <= self.seed < 2**128:
+            raise ValueError(f"seed must be in [0, 2**128) (got {self.seed!r})")
         if not self.samples >= 10**3:
             raise ValueError(f"samples must be >= 1000 (got {self.samples!r})")
         if not self.N >= 1:
@@ -389,6 +435,16 @@ class MonteCarloConfig:
 def _stream(seed: int, index: int) -> np.random.Generator:
     # counter-based streams: one Philox stream per coefficient index
     return np.random.Generator(np.random.Philox(key=seed).jumped(index))
+
+
+# the most threads that draw streams at once
+_MAX_DRAW_WORKERS = 4
+
+
+def _draw_workers(N: int) -> int:
+    """Threads for drawing N streams: the usable CPUs, at most _MAX_DRAW_WORKERS and N."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, _MAX_DRAW_WORKERS, N))
 
 
 def ks_distance(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -428,13 +484,33 @@ def vector_statistic(
     the grid {-1.5, -0.5, 0, 0.5, 1.5}^2 are compared against products of
     1-D normal CDFs with variances beta_j beta^2 per real coordinate.
     """
+    if N != mc.N:
+        raise ValueError(f"N = {N!r} differs from the Monte Carlo config's N = {mc.N!r}")
     b, _, sigma, _, betas = _weights(scheme, N)
     J = b.shape[1]
-    T = np.zeros((mc.samples, J), dtype=complex)
-    for n in range(N):
-        X = law.sampler(_stream(mc.seed, n), mc.samples)
-        T += np.outer(X, b[n])
-    T /= sigma
+
+    # Streams n + 1, ... are drawn on worker threads while stream n is
+    # added here, in index order, so T does not depend on the thread count.
+    # One queued draw per worker keeps each busy while this thread adds.
+    def draw(n):
+        return law.sampler(_stream(mc.seed, n), mc.samples)
+
+    workers = _draw_workers(N)
+    depth = 2 * workers
+    Tt = np.zeros((J, mc.samples), dtype=complex)
+    pool = ThreadPoolExecutor(workers)
+    try:
+        ahead = deque(pool.submit(draw, n) for n in range(min(depth, N)))
+        for n in range(N):
+            X = ahead.popleft().result()
+            if n + depth < N:
+                ahead.append(pool.submit(draw, n + depth))
+            for j in range(J):
+                Tt[j] += X * b[n, j]
+    finally:
+        pool.shutdown(cancel_futures=True)
+    Tt /= sigma
+    T = np.ascontiguousarray(Tt.T)  # BLAS may round the covariance product by layout
 
     # component variances of the limit: each real coordinate ~ N(0, beta_j beta^2)
     var = [bj * law.beta2 for bj in betas]

@@ -537,6 +537,8 @@ def esseen_bound_truncated(
         if delta != 1.0 + box_extent:
             raise ValueError(f"delta must be 1 + box_extent = {1.0 + box_extent!r} in mode 'B' "
                              f"(got {delta!r})")
+    elif box_extent is not None:
+        raise ValueError(f"box_extent is read only in mode 'B' (got {box_extent!r} in mode {mode!r})")
     if not delta > 1.0:
         raise ValueError(f"delta must be > 1 (got {delta})")
     a_max = min(F.moment[0], G.moment[0])

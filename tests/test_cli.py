@@ -226,6 +226,13 @@ class TestUsageErrors:
             # the Monte Carlo sample count is checked by clt.MonteCarloConfig
             (("demo", "--scenario", "clt-haar", "--samples", "10"), "samples"),
             (("demo", "--scenario", "clt-vector", "--samples", "500"), "samples"),
+            (("demo", "--scenario", "clt-haar", "--seed", "-1"), "seed"),
+            # a flag the scenario does not read is rejected, not recorded
+            (("demo", "--scenario", "clt-haar", "--delta", "3"), "--delta"),
+            (("demo", "--scenario", "clt-haar", "--k", "5", "--n", "7"), "--k"),
+            (("demo", "--scenario", "esseen-k", "--k", "1", "--delta", "5"), "--delta"),
+            (("demo", "--scenario", "esseen1d-binomial", "--samples", "5000"), "--samples"),
+            (("demo", "--scenario", "clt-vector", "--omega", "3"), "--omega"),
         ],
     )
     def test_message_names_the_flag(self, capsys, argv, flag):
@@ -276,6 +283,18 @@ class TestDemo:
         assert payload["bounds"]
         assert payload["measurements"]
         assert all(v["pass"] is True for v in payload["verdicts"])
+
+    def test_manifest_records_resolved_flags(self, capsys):
+        code, payload, _ = run_json(capsys, "demo", "--scenario", "clt-vector", "--samples", "1000")
+        assert code == EXIT_OK
+        assert payload["manifest"]["parameters"] == {"scenario": "clt-vector", "N": 400,
+                                                     "samples": 1000}
+        assert payload["manifest"]["seed"] == 11
+        code, payload, _ = run_json(capsys, "demo", "--scenario", "esseen1d-binomial", "--n", "50")
+        assert code == EXIT_OK
+        assert payload["manifest"]["parameters"] == {"scenario": "esseen1d-binomial", "n": 50,
+                                                     "omega": 20.0}
+        assert payload["manifest"]["seed"] is None
 
     def test_k1_routes_to_scalar_pipeline(self, capsys):
         code, payload, _ = run_json(capsys, "demo", "--scenario", "esseen-k", "--k", "1")

@@ -1,7 +1,10 @@
 """Quantitative CLT machinery: toolbox, gap bounds, Monte Carlo engine."""
 
 import cmath
+import hashlib
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -11,6 +14,7 @@ from scipy import special
 
 from bslib import clt
 from bslib.esseen1d import normal_law
+from bslib.quadrature import leggauss
 
 
 class TestBesselJ0:
@@ -269,6 +273,11 @@ class TestGapBound:
                 rep = clt.gaussian_limit_gap(law, scheme, N, np.asarray(xi, dtype=complex))
                 assert rep.admissible and rep.holds
 
+    @pytest.mark.parametrize("xi", [math.nan, complex(1.0, math.inf), [0.5, math.nan]])
+    def test_non_finite_xi_rejected(self, xi):
+        with pytest.raises(ValueError, match="^xi "):
+            clt.gaussian_limit_gap(clt.haar_circle_law(), clt.constant_scheme(), 50, xi)
+
     def test_product_law_gap_holds(self):
         law = clt.rademacher_product_law(1.0)
         scheme = clt.constant_scheme()
@@ -280,6 +289,24 @@ class TestMonteCarlo:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="^samples"):
             clt.MonteCarloConfig(seed=1, samples=10, N=5)
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1), ("seed", 2**128), ("seed", 1.5), ("seed", None), ("seed", True),
+        ("samples", 1000.0), ("samples", "2000"), ("N", 5.0), ("N", False),
+    ])
+    def test_config_names_the_field(self, field, value):
+        kw = {"seed": 1, "samples": 1000, "N": 5, field: value}
+        with pytest.raises(ValueError, match=f"^{field} "):
+            clt.MonteCarloConfig(**kw)
+
+    def test_config_seed_range_ends(self):
+        clt.MonteCarloConfig(seed=0, samples=1000, N=1)
+        clt.MonteCarloConfig(seed=2**128 - 1, samples=1000, N=1)
+
+    def test_N_must_match_config(self):
+        mc = clt.MonteCarloConfig(seed=1, samples=1000, N=400)
+        with pytest.raises(ValueError, match="^N "):
+            clt.vector_statistic(clt.haar_circle_law(), clt.constant_scheme(), 50, mc)
 
     def test_ks_distance_spot_checks(self):
         # a single sample at the median of the limit law scores exactly 1/2
@@ -328,3 +355,162 @@ class TestMonteCarlo:
         assert max(rep.ks_real + rep.ks_imag) <= 0.03
         # off-diagonal covariance stays at noise level
         assert abs(rep.covariance[0, 1]) <= 4.0 * rep.covariance_stderr
+
+
+def _j0_one_point(r):
+    """The single-point J0 quadrature as first written: 64 Gauss nodes,
+    doubled until two levels agree to 1e-12."""
+    prev, n = None, 64
+    while True:
+        x, w = leggauss(n)
+        val = float(np.sum(w * np.cos(abs(r) * np.cos(0.5 * math.pi * (x + 1.0))))) * 0.5
+        if prev is not None and abs(val - prev) < 1e-12:
+            return val
+        prev, n = val, 2 * n
+
+
+def _stat_key(r):
+    return [r.covariance.tobytes().hex(), r.covariance_target.tobytes().hex(),
+            *map(float.hex, r.ks_real), *map(float.hex, r.ks_imag), float.hex(r.covariance_stderr),
+            float.hex(r.rectangle_max_gap), float.hex(r.analytic_second_moment.real),
+            float.hex(r.analytic_second_moment.imag), str(r.samples)]
+
+
+def _gap_key(g):
+    return [float.hex(g.gap), float.hex(g.proof_bound), float.hex(g.admissibility_value),
+            str(g.admissible), str(g.holds), str(g.branch_ok)]
+
+
+def _digest(key):
+    return hashlib.sha256("|".join(key).encode()).hexdigest()[:16]
+
+
+_LAWS = {"haar_circle": clt.haar_circle_law(), "rademacher_product": clt.rademacher_product_law(0.7)}
+_SCHEMES = {"constant": clt.constant_scheme(), "index": clt.index_scheme(),
+            "geometric": clt.geometric_scheme(1.5), "alternating": clt.alternating_vector_scheme(2)}
+
+# sha256 prefixes of every report field (covariance bytes, float.hex of
+# the rest) as the serial implementation with np.exp draws, np.outer
+# sums and one scalar cf call per factor computed them: seed 5, 2000
+# samples; gaps at N = 50
+_PINNED = {
+    "stat haar_circle constant 1": "c34fc3413898ffb6",
+    "stat haar_circle constant 7": "c027e72a7c5e44cf",
+    "stat haar_circle constant 50": "be1e99e4a9fa9d77",
+    "gap haar_circle constant 50": "e9a0124f89c5bd23",
+    "stat haar_circle index 1": "c34fc3413898ffb6",
+    "stat haar_circle index 7": "8d510eb4b035ad7e",
+    "stat haar_circle index 50": "4bec42a5c8f95265",
+    "gap haar_circle index 50": "52e7a328fd2bf747",
+    "stat haar_circle geometric 1": "ec111f5ff1e72625",
+    "stat haar_circle geometric 7": "50639c7558fd870d",
+    "stat haar_circle geometric 50": "f97b6da4a2a83406",
+    "gap haar_circle geometric 50": "85c6626f5ad30df9",
+    "stat haar_circle alternating 1": "8b0ac3d8e81ce21f",
+    "stat haar_circle alternating 7": "1bcff52fd1c2c36c",
+    "stat haar_circle alternating 50": "31d9559a13d26688",
+    "gap haar_circle alternating 50": "a2b8a31b813c179b",
+    "stat rademacher_product constant 1": "bbe9442c09878102",
+    "stat rademacher_product constant 7": "96f9d7c15fa346a3",
+    "stat rademacher_product constant 50": "4a1d0aac2f62dbde",
+    "gap rademacher_product constant 50": "c08bb8f7987c1d15",
+    "stat rademacher_product index 1": "bbe9442c09878102",
+    "stat rademacher_product index 7": "4eb3bfc7f6296708",
+    "stat rademacher_product index 50": "06ae10bf72821704",
+    "gap rademacher_product index 50": "c124c4f2996d089a",
+    "stat rademacher_product geometric 1": "3abc5ea844c27565",
+    "stat rademacher_product geometric 7": "bd4587043eab60b4",
+    "stat rademacher_product geometric 50": "4cbc3b2fd5ec7552",
+    "gap rademacher_product geometric 50": "a6ca380e1bb563bf",
+    "stat rademacher_product alternating 1": "4536b425f49cd48a",
+    "stat rademacher_product alternating 7": "0dc9a43d364ef754",
+    "stat rademacher_product alternating 50": "369e3b4792154735",
+    "gap rademacher_product alternating 50": "387bb0edba629eea",
+}
+
+
+class TestArrayPath:
+    @pytest.mark.parametrize("hi", [0.1, 3.0, 30.0])
+    def test_array_j0_matches_one_point_route(self, hi):
+        r = np.random.default_rng(17).uniform(0.0, hi, 1500)
+        r[0] = 0.0
+        got = clt._j0(r)
+        want = np.array([_j0_one_point(x) for x in r])
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        assert clt.bessel_j0(0.0) == _j0_one_point(0.0) == got[0]
+
+    def test_array_j0_keeps_shape_and_rejects_non_finite(self):
+        r = np.linspace(-2.0, 2.0, 12).reshape(3, 4)
+        assert np.array_equal(clt._j0(r), np.vectorize(_j0_one_point)(r))
+        with pytest.raises(ArithmeticError), np.errstate(invalid="ignore"):
+            clt._j0(np.array([1.0, math.inf]))
+
+    def test_haar_sampler_bits_match_exp(self):
+        u = np.random.default_rng(9).random(10**6)
+        z = clt.haar_circle_law().sampler(np.random.default_rng(9), 10**6)
+        assert np.array_equal(z.view(np.uint64), np.exp(2j * math.pi * u).view(np.uint64))
+
+    def test_cf_array_contract(self):
+        xi = (np.random.default_rng(4).normal(size=(3, 5)) * 2.0).astype(complex)
+        xi.imag = np.random.default_rng(5).normal(size=(3, 5))
+        haar, rad = clt.haar_circle_law(), clt.rademacher_product_law(0.7)
+        for law, one in ((haar, lambda z: complex(_j0_one_point(abs(z)))),
+                         (rad, lambda z: complex(math.cos(0.7 * z.real) * math.cos(0.7 * z.imag)))):
+            got = law.cf(xi)
+            assert got.shape == xi.shape and got.dtype == complex
+            want = np.array([[one(complex(z)) for z in row] for row in xi])
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_reports_pinned(self):
+        got = {}
+        for lname, law in _LAWS.items():
+            for sname, scheme in _SCHEMES.items():
+                for N in (1, 7, 50):
+                    mc = clt.MonteCarloConfig(seed=5, samples=2000, N=N)
+                    got[f"stat {lname} {sname} {N}"] = _digest(
+                        _stat_key(clt.vector_statistic(law, scheme, N, mc)))
+                xi = np.array([0.6 - 0.3j, 0.2 + 0.1j]) if sname == "alternating" else 0.6 - 0.3j
+                got[f"gap {lname} {sname} 50"] = _digest(
+                    _gap_key(clt.gaussian_limit_gap(law, scheme, 50, xi)))
+        assert got == _PINNED
+
+    def test_reports_independent_of_cpu_count(self, monkeypatch):
+        def reports():
+            out = []
+            for law in _LAWS.values():
+                for scheme in (_SCHEMES["constant"], _SCHEMES["alternating"]):
+                    mc = clt.MonteCarloConfig(seed=3, samples=2000, N=30)
+                    out.append(_stat_key(clt.vector_statistic(law, scheme, 30, mc)))
+            return out
+
+        runs = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can
+        try:
+            for cpus in (1, 4):
+                monkeypatch.setattr(clt.os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
+                                    raising=False)
+                assert clt._draw_workers(30) == cpus
+                runs[cpus] = reports()
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[1] == runs[4]
+
+    def test_sampler_error_propagates_and_threads_end(self, monkeypatch):
+        monkeypatch.setattr(clt.os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        law = clt.haar_circle_law()
+        bad = str(clt._stream(8, 13).bit_generator.state)
+
+        def sampler(rng, size):
+            if str(rng.bit_generator.state) == bad:
+                raise RuntimeError("stream 13")
+            return law.sampler(rng, size)
+
+        broken = clt.ComplexLawSpec("broken", sampler, law.cf, law.beta2, law.rho3)
+        before = threading.active_count()
+        mc = clt.MonteCarloConfig(seed=8, samples=1000, N=40)
+        with pytest.raises(RuntimeError, match="stream 13"):
+            clt.vector_statistic(broken, clt.constant_scheme(), 40, mc)
+        assert threading.active_count() == before
+        clt.vector_statistic(law, clt.constant_scheme(), 40, mc)
+        assert threading.active_count() == before

@@ -563,6 +563,8 @@ class TestValidation:
                                                box_extent=-1.0), "^box_extent"),
             (lambda: em.esseen_bound_truncated(*_k2_pair(), (8.0, 8.0), delta=2.0, mode="B",
                                                box_extent=4.0), r"^delta must be 1 \+ box_extent"),
+            (lambda: em.esseen_bound_truncated(*_k2_pair(), (8.0, 8.0), delta=4.0,
+                                               box_extent=3.0), "^box_extent is read only in mode 'B'"),
             (lambda: em.esseen_bound_slab(_binomial_law(3), em.product_normal_target(3),
                                           (8.0,) * 3), "^k must"),
             (lambda: em.esseen_bound_slab(*_k2_pair(), (0.5, 8.0)), "^omegas"),
@@ -686,9 +688,8 @@ class TestSeparableGrid:
         F, G = _separable_pair(k)
         om = (11.0, 9.0, 10.0)[:k]
         grid = dict(panels=4, order=5) if k == 2 else dict(panels=3, order=4)
-        for mode in ("A", "B"):
-            kw = dict(delta=6.0 if mode == "A" else 4.0, mode=mode, box_extent=3.0,
-                      use_triangle_replacement=triangle, **grid)
+        for mode_kw in (dict(mode="A", delta=6.0), dict(mode="B", delta=4.0, box_extent=3.0)):
+            kw = dict(use_triangle_replacement=triangle, **mode_kw, **grid)
             sep = em.esseen_bound_truncated(F, G, om, **kw)
             gen = em.esseen_bound_truncated(_generic(F), _generic(G), om, **kw)
             assert sep.integral_terms["truncated_integral"].hex() == \
