@@ -510,27 +510,32 @@ def vector_statistic(
     finally:
         pool.shutdown(cancel_futures=True)
     Tt /= sigma
-    T = np.ascontiguousarray(Tt.T)  # BLAS may round the covariance product by layout
 
     # component variances of the limit: each real coordinate ~ N(0, beta_j beta^2)
     var = [bj * law.beta2 for bj in betas]
     limits = [normal_law(0.0, math.sqrt(v)).cdf for v in var]
-    ks_re = tuple(ks_distance(np.sort(T[:, j].real), limits[j]) for j in range(J))
-    ks_im = tuple(ks_distance(np.sort(T[:, j].imag), limits[j]) for j in range(J))
+    ks_re = tuple(ks_distance(np.sort(Tt[j].real), limits[j]) for j in range(J))
+    ks_im = tuple(ks_distance(np.sort(Tt[j].imag), limits[j]) for j in range(J))
 
-    cov = (T.T @ T.conj()) / mc.samples
+    # E(w_j conj(w_l)) from real products, summed along the rows by numpy:
+    # a BLAS product rounds by its thread count, and a complex multiply may
+    # fuse a multiply-add on one CPU and not on another
+    re, im = Tt.real, Tt.imag
+    cov = np.empty((J, J), dtype=complex)
+    cov.real = (re[:, None] * re + im[:, None] * im).sum(axis=-1) / mc.samples
+    cov.imag = (im[:, None] * re - re[:, None] * im).sum(axis=-1) / mc.samples
     cov_target = np.diag([2.0 * v for v in var]).astype(complex)
-    cov_stderr = float(np.max(np.abs(T) ** 2)) / math.sqrt(mc.samples)
+    cov_stderr = float(np.max(np.abs(Tt) ** 2)) / math.sqrt(mc.samples)
     cov_stderr = max(cov_stderr, 4.0 * max(var) / math.sqrt(mc.samples))
 
     grid = np.array([-1.5, -0.5, 0.0, 0.5, 1.5])
     worst = 0.0
     for j in range(J):
         # the share of samples with Re <= grid[a] and Im <= grid[b], at [a, b]
-        re, im = T[:, j, None, None].real, T[:, j, None, None].imag
+        re, im = Tt[j, :, None, None].real, Tt[j, :, None, None].imag
         emp = np.mean((re <= grid[:, None]) & (im <= grid), axis=0)
         p = limits[j](grid)
         worst = max(worst, float(np.max(np.abs(emp - np.outer(p, p)))))
 
-    second = complex(np.mean(T[:, 0] ** 2))
+    second = complex(np.mean(Tt[0] ** 2))
     return StatReport(ks_re, ks_im, cov, cov_target, cov_stderr, worst, second, mc.samples)

@@ -9,12 +9,12 @@ mollification, CDF distance measurement, and a convergence harness.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
-from scipy.special import gammaln, ndtr
 
 from .kernels import Q_eval
 from .quadrature import integrate_panels
@@ -91,12 +91,101 @@ def _check_laws(F: Law, G: Law | None = None, k_max: int = 1, omegas=None, omega
     return k
 
 
+# Chebyshev coefficients of g(t) = Phi(-z) exp(z^2/2) (z + 4)/8 in
+# t = (z - 4)/(z + 4), z >= 0: mpmath at 40 digits on 64 Chebyshev nodes,
+# first 24 terms (tests/ndtr_coefficients.py derives them)
+_NDTR_CHEB = (
+    0.12130640057075957,
+    -0.09396360210494632,
+    0.02777419445940638,
+    -0.006064719157555761,
+    0.0008657400620303101,
+    -4.0074809299768744e-05,
+    -1.2568423954013348e-05,
+    2.3629211274633706e-06,
+    1.2629461068432887e-07,
+    -7.68166843674728e-08,
+    -4.2262751500864694e-10,
+    2.585813507717854e-09,
+    -1.4103254540586883e-11,
+    -9.717519035485868e-11,
+    -1.2426780239255885e-12,
+    3.968103687322879e-12,
+    2.3031008555881173e-13,
+    -1.6410770583388706e-13,
+    -2.1769203315818516e-14,
+    6.1340925396305305e-15,
+    1.616423040770697e-15,
+    -1.5225829402157926e-16,
+    -1.0065184215776166e-16,
+    -3.575617680327027e-18,
+)
+
+
+# below z = _NDTR_SMALL, Phi(-z) = 1/2 - z s(z^2)/sqrt(2 pi) with the
+# Taylor coefficients of s(y) = sum_k (-1)^k y^k / (2^k k! (2k + 1)), each
+# int / int division correctly rounded; the first term left out is below
+# 1e-20 there
+_NDTR_SMALL = 0.75
+_NDTR_TAYLOR = tuple((-1) ** k / (2**k * math.factorial(k) * (2 * k + 1)) for k in range(14))
+
+
+def _ndtr(x: ArrayLike) -> np.ndarray:
+    """The standard normal CDF, elementwise.
+
+    For z = |x| and t = (z - 4)/(z + 4), Phi(-z) = exp(-z^2/2) (8/(z + 4))
+    g(t), with g summed by Reinsch's form of the Clenshaw recurrence in
+    u = 2(1 + t) = 4z/(z + 4), which keeps its precision as t nears -1.
+    exp(-z^2/2) is exp(-zh^2/2) exp(-(z - zh)(z + zh)/2), with zh = z to
+    12 fraction bits, so that zh^2 is exact and the far tail keeps its
+    relative precision.  Below z = _NDTR_SMALL the Taylor series of
+    Phi(-z) - 1/2 takes over, as Cody's erf does near 0, since it rounds
+    less there than the product of factors does.  Phi(x) = 1 - Phi(-z)
+    for x > 0.
+    """
+    x = np.asarray(x, dtype=float)
+    z = np.minimum(np.abs(x), 40.0).reshape(-1)  # Phi(-40) underflows to 0
+    w = 1.0 / (z + 4.0)
+    u = 4.0 * z * w
+    b, d, ub = np.zeros_like(u), np.zeros_like(u), np.empty_like(u)
+    for c in _NDTR_CHEB[:0:-1]:
+        # d <- c + u b - d, then b <- d - b, in place
+        np.multiply(u, b, out=ub)
+        ub += c
+        np.subtract(ub, d, out=d)
+        np.subtract(d, b, out=b)
+    g = _NDTR_CHEB[0] + 0.5 * u * b - d
+    zh = np.round(z * 4096.0) / 4096.0
+    # exp(-zh^2/2) as a square, so that no factor is subnormal and only the
+    # last product rounds to the subnormal grid
+    e = np.exp(-0.25 * zh * zh)
+    p = e * (e * (np.exp(-0.5 * (z - zh) * (z + zh)) * (8.0 * w * g)))
+    small = z < _NDTR_SMALL
+    zs = z[small]
+    y, s = zs * zs, _NDTR_TAYLOR[-1]
+    for a in _NDTR_TAYLOR[-2::-1]:
+        s = s * y + a
+    p[small] = 0.5 - zs * s / math.sqrt(2.0 * math.pi)
+    p = p.reshape(x.shape)
+    return np.where(x > 0, 1.0 - p, p)[()]
+
+
+def _check_count(n) -> int:
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"n must be an integer >= 1 (got {n!r})")
+    return int(n)
+
+
 def normal_law(mu: float = 0.0, sigma: float = 1.0) -> Law:
+    if not math.isfinite(mu):
+        raise ValueError(f"mu must be finite (got {mu!r})")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be positive and finite (got {sigma!r})")
     m = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
     second = mu * mu + sigma * sigma
 
     def cdf(x):
-        return ndtr((np.asarray(x, dtype=float) - mu) / sigma)
+        return _ndtr((np.asarray(x, dtype=float) - mu) / sigma)
 
     def cf(t):
         t = np.asarray(t, dtype=float)
@@ -107,10 +196,15 @@ def normal_law(mu: float = 0.0, sigma: float = 1.0) -> Law:
 
 def standardized_binomial(n: int) -> Law:
     """(S - n/2)/(sqrt(n)/2) for S ~ Binomial(n, 1/2)."""
-    logp = n * math.log(0.5)
-    j = np.arange(n + 1)
-    log_pmf = gammaln(n + 1) - gammaln(j + 1) - gammaln(n - j + 1) + logp
-    cum = np.concatenate([[0.0], np.cumsum(np.exp(log_pmf))])
+    n = _check_count(n)
+    # the exact Pascal row over 2^n, each atom correctly rounded by int / int;
+    # the row is symmetric, so half of it is computed
+    c, scale, half = 1, 1 << n, []
+    for j in range(n // 2 + 1):
+        half.append(c / scale)
+        c = c * (n - j) // (j + 1)
+    pmf = half + half[n - n // 2 - 1 :: -1]
+    cum = np.concatenate([[0.0], np.cumsum(pmf)])
     xs = (2.0 * np.arange(n + 1) - n) / math.sqrt(n)
 
     def cdf(t):
@@ -127,6 +221,7 @@ def standardized_binomial(n: int) -> Law:
 
 def irwin_hall_standardized(n: int) -> Law:
     """Standardized sum of n independent uniforms on [-1/2, 1/2]."""
+    n = _check_count(n)
     s = math.sqrt(n / 12.0)
     block = max(1, _IH_BLOCK // n)  # points per block
 

@@ -4,11 +4,13 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
+import ndtr_coefficients
 from bslib import esseen1d as e1
 from bslib import esseen_multi as em
 from bslib import quadrature
@@ -43,6 +45,65 @@ class TestLawConstructors:
         assert F.cdf(1.5) == 1.0
         assert F.cdf(1.49) == 0.0
         assert F.cf(2.0) == pytest.approx(cmath.exp(3.0j), abs=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 64, 255, 1024, 2000])
+    def test_binomial_pmf_exact(self, n):
+        # the cdf at the atoms is the running sum of C(n, j)/2^n, each correctly rounded
+        F = e1.standardized_binomial(n)
+        pmf = [float(Fraction(math.comb(n, j), 2**n)) for j in range(n + 1)]
+        assert F.cdf(np.array(F.atoms)).tolist() == np.cumsum(pmf).tolist()
+
+
+def _ncdf_mp(x):
+    with mpmath.workdps(50):
+        return float(mpmath.ncdf(mpmath.mpf(float(x))))
+
+
+class TestNdtr:
+    """`_ndtr` against mpmath at 50 digits, and scipy's ndtr as a second opinion."""
+
+    # [-37.5, 8.3], the far tail beyond it, and the body near 0 densely
+    XS = np.concatenate([np.linspace(-37.5, 8.3, 6001),
+                         np.random.default_rng(2).uniform(-38.5, 9.0, 3000),
+                         np.random.default_rng(3).uniform(-1.5, 1.5, 3000)])
+
+    def test_coefficients_derive_from_mpmath(self):
+        got = tuple(map(float.hex, ndtr_coefficients.coefficients()))
+        assert got == tuple(map(float.hex, e1._NDTR_CHEB))
+
+    def test_against_mpmath(self):
+        ref = np.array([_ncdf_mp(x) for x in self.XS])
+        got = e1._ndtr(self.XS)
+        err = np.abs(got - ref)
+        normal = ref >= 2.3e-308
+        assert np.max(err[normal] / ref[normal]) <= 1e-14
+        assert np.max(err) <= 2.3e-16
+
+    def test_close_to_scipy(self):
+        want = special.ndtr(self.XS)
+        normal = want >= 2.3e-308
+        assert np.max(np.abs(e1._ndtr(self.XS) - want)[normal] / want[normal]) <= 3e-13
+
+    def test_special_values(self):
+        x = np.array([-math.inf, -0.0, 0.0, math.inf, math.nan, -1e300, 1e300, -5e-324])
+        got = e1._ndtr(x)
+        assert got[:4].tolist() == [0.0, 0.5, 0.5, 1.0]
+        assert math.isnan(got[4])
+        assert got[5:].tolist() == [0.0, 1.0, 0.5]
+        assert isinstance(e1._ndtr(0.3), np.float64)
+        assert e1._ndtr(np.zeros((2, 3))).shape == (2, 3)
+
+    def test_monotone(self):
+        # the whole range, then the subnormal tail and the switch to the
+        # Taylor series at z = 3/4 more densely
+        for x in (np.linspace(-39.0, 9.0, 204001), np.linspace(-38.6, -37.4, 200001),
+                  np.linspace(-0.76, -0.74, 200001), np.linspace(0.74, 0.76, 200001)):
+            assert np.all(np.diff(e1._ndtr(x)) >= 0.0)
+
+    def test_normal_law_cdf(self):
+        law = e1.normal_law(1.5, 2.0)
+        x = np.linspace(-6.0, 9.0, 31)
+        assert np.array_equal(law.cdf(x), e1._ndtr((x - 1.5) / 2.0))
 
 
 def _irwin_hall_cdf_exact(n, t):

@@ -97,6 +97,21 @@ _G2 = em.product_normal_target(2)
         (lambda: e1.Law(_G2.cdf, _G2.cf, (2.0, 2.0), k=2, factors=(e1.normal_law(), "N")), "factors"),
         (lambda: e1.Law(_G2.cdf, _G2.cf, (2.0, 2.0), k=2, factors=[e1.normal_law()] * 2), "factors"),
         (lambda: dataclasses.replace(_F2, k=3), "factors"),
+        # law constructors, with their own ids so that the ones above keep theirs
+        pytest.param(lambda: e1.normal_law(0.0, -1.0), "sigma", id="normal-sigma-negative"),
+        pytest.param(lambda: e1.normal_law(0.0, 0.0), "sigma", id="normal-sigma-zero"),
+        pytest.param(lambda: e1.normal_law(0.0, math.nan), "sigma", id="normal-sigma-nan"),
+        pytest.param(lambda: e1.normal_law(0.0, math.inf), "sigma", id="normal-sigma-inf"),
+        pytest.param(lambda: e1.normal_law(math.nan), "mu", id="normal-mu-nan"),
+        pytest.param(lambda: e1.normal_law(-math.inf, 1.0), "mu", id="normal-mu-inf"),
+        pytest.param(lambda: e1.standardized_binomial(0), "n", id="binomial-n-zero"),
+        pytest.param(lambda: e1.standardized_binomial(-4), "n", id="binomial-n-negative"),
+        pytest.param(lambda: e1.standardized_binomial(2.5), "n", id="binomial-n-fraction"),
+        pytest.param(lambda: e1.standardized_binomial(16.0), "n", id="binomial-n-float"),
+        pytest.param(lambda: e1.standardized_binomial(True), "n", id="binomial-n-bool"),
+        pytest.param(lambda: e1.irwin_hall_standardized(0), "n", id="irwin-hall-n-zero"),
+        pytest.param(lambda: e1.irwin_hall_standardized(1.5), "n", id="irwin-hall-n-fraction"),
+        pytest.param(lambda: e1.irwin_hall_standardized(True), "n", id="irwin-hall-n-bool"),
     ],
 )
 def test_bad_parameter_named(call, name):
