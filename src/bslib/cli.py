@@ -10,6 +10,7 @@ runtime_ms} and CSV rows carry 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib
 import json
 import math
@@ -123,20 +124,23 @@ def _json_value(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _emit(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2, default=_json_value)
+def _write(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
+
+
+def _emit(payload: dict, out_path: str | None) -> None:
+    _write(json.dumps(payload, sort_keys=True, indent=2, default=_json_value) + "\n", out_path)
 
 
 # ---------------------------------------------------------------------------
 # eval / table
 
 
-# KERNELS maps each --fn name to a table function (xs, ell, tol) ->
+# KERNELS maps each --fn name to a table function (xs, ell, tol) -> arrays
 # (values, err_ests); `eval` is the one-row table.  Array kernels are looked
 # up on their module at call time and called once per table, as is the
 # set-up all rows share (a sample set, the lambda optimisation).
@@ -194,35 +198,33 @@ def _require_finite(flag: str, value: float) -> None:
         raise ValueError(f"--{flag} must be finite (got {value!r})")
 
 
-def _write_lines(lines: list[str], out_path: str | None) -> None:
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _rows(xs: list[float], values: np.ndarray, errs: np.ndarray) -> list[str]:
+    """Each row 'x,value,err_est' at 17 significant digits, one % on a row
+    template; an err_est column of one value (bit for bit) is formatted once,
+    into the template (a %.17g string holds no '%')."""
+    if errs.size and errs[1:].tobytes() == errs[:-1].tobytes():
+        return list(map(f"%.17g,%.17g,{_fmt(errs[0])}".__mod__, zip(xs, values.tolist())))
+    return list(map("%.17g,%.17g,%.17g".__mod__, zip(xs, values.tolist(), errs.tolist())))
 
 
 def _tabulate(args, manifest: RunManifest, xs: list[float]) -> int:
     t0 = time.monotonic()
-    values, errs = KERNELS[args.fn](xs, args.ell, args.tol)
-    rows = list(zip(xs, values, errs))
+    rows = _rows(xs, *KERNELS[args.fn](xs, args.ell, args.tol))
     if args.format == "json":
         payload = {
             "manifest": asdict(manifest),
             "checks": [],
             "bounds": [],
             "measurements": [
-                {"name": args.fn, "x": x, "value": _fmt(v), "err_est": _fmt(e)}
-                for x, v, e in rows
+                {"name": args.fn, "x": x, "value": v, "err_est": e}
+                for x, (_, v, e) in zip(xs, (row.split(",") for row in rows))
             ],
             "verdicts": [],
             "runtime_ms": int((time.monotonic() - t0) * 1000),
         }
         _emit(payload, args.out)
     else:
-        lines = ["x,value,err_est"] + [f"{_fmt(x)},{_fmt(v)},{_fmt(e)}" for x, v, e in rows]
-        _write_lines(lines, args.out)
+        _write("\n".join(["x,value,err_est", *rows]) + "\n", args.out)
     return EXIT_OK
 
 
@@ -239,7 +241,7 @@ def cmd_table(args, manifest: RunManifest) -> int:
         raise ValueError(f"--step must be > 0 (got {step!r})")
     if hi < lo:
         raise ValueError(f"--to must be >= --from (got --from {lo!r} --to {hi!r})")
-    xs = [float(x) for x in np.arange(lo, hi + step * 0.5, step)]
+    xs = np.arange(lo, hi + step * 0.5, step).tolist()
     return _tabulate(args, manifest, xs)
 
 
@@ -657,7 +659,10 @@ def cmd_demo(args, manifest: RunManifest) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; argparse keeps no state between
+    parse_args calls, and callers must not add to it."""
     p = argparse.ArgumentParser(prog="bslib", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -700,9 +705,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
 

@@ -349,7 +349,9 @@ def _sweep(
     msum = F.moment[1] + G.moment[1]
     eps = (_EXCLUSION_TOL / (40.0 * max(msum, 1e-300))) ** (1.0 / a_t)
     epss = np.minimum(eps, omegas / 4.0)
-    edges = np.unique(np.concatenate([epss, np.arange(1.0, omegas.max(), 4.0), omegas]))
+    # sorted, repeats dropped: np.unique would import numpy.ma on its first call
+    edges = np.sort(np.concatenate([epss, np.arange(1.0, omegas.max(), 4.0), omegas]))
+    edges = edges[np.concatenate([[True], edges[1:] != edges[:-1]])]
 
     def integrand(z: np.ndarray) -> np.ndarray:
         return np.abs(F.cf(z) - G.cf(z)) / z

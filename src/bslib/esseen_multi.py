@@ -81,7 +81,9 @@ def selberg_ring_expansion(k: int) -> tuple[Counter, Counter]:
         S.subtract(_expand([f if i == j else g for i in range(k)]))
     S_tilde = prod_g - Counter({chi_prod: 1})
     S = Counter({mono: c for mono, c in S.items() if c != 0})
-    assert all(c > 0 for c in S.values())
+    for mono, c in S.items():
+        if c <= 0:
+            raise ArithmeticError(f"ring expansion monomial {mono} has coefficient {c} <= 0")
     return S, S_tilde
 
 

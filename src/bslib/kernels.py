@@ -58,10 +58,8 @@ class BernoulliTable:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        v = self.values
-        assert v[0] == 1
-        if len(v) > 1:
-            assert v[1] == Fraction(-1, 2)
+        if tuple(self.values[:2]) not in ((1,), (1, Fraction(-1, 2))):
+            raise ValueError(f"values must start 1, -1/2 (got {self.values[:2]})")
 
     def __getitem__(self, i: int) -> Fraction:
         return self.values[i]
@@ -74,8 +72,8 @@ class OddZetaTable:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        for z in self.values:
-            assert 1.0 < z < 1.21
+        if not all(1.0 < z < 1.21 for z in self.values):
+            raise ValueError(f"values must lie in (1, 1.21) (got {self.values})")
 
     def __getitem__(self, m: int) -> float:
         """zeta(2m+1) for m >= 1."""

@@ -2,8 +2,12 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,6 +193,109 @@ class TestRegistry:
     def test_interval_kernel_rejects_bad_ell(self, name, ell):
         with pytest.raises(ValueError, match="^--ell"):
             cli.KERNELS[name]([0.3], ell, 1e-10)
+
+
+# (from, to, step, tol, ell, rows): err_est columns that echo --tol 0.5 or
+# 1e-300 on every row, ranges through x = 0.0, a step of one ULP at 1.0,
+# and a step whose x cells need all 17 digits
+_PINNED_TABLES = {
+    "tol-0.5": ("-3", "3", "0.25", "0.5", "1.0", 25),
+    "tol-1e-300": ("-1", "1", "0.125", "1e-300", "2.5", 17),
+    "one-ulp-step": ("1.0", repr(1.0 + 2.0**-52), repr(2.0**-52), "1e-10", "7.5", 2),
+    "step-0.07": ("-0.5", "0.5", "0.07", "1e-10", "1.0", 15),
+}
+
+
+def _per_cell_bytes(name, xs, ell, tol, fmt, out):
+    """The output as per-cell f"{v:.17g}" formatting prints it; a JSON
+    reference takes the manifest and runtime_ms from the output."""
+    values, errs = cli.KERNELS[name](xs, ell, tol)
+    cells = [(x, f"{v:.17g}", f"{e:.17g}") for x, v, e in zip(xs, values, errs)]
+    if fmt == "csv":
+        return "".join(["x,value,err_est\n", *(f"{x:.17g},{v},{e}\n" for x, v, e in cells)])
+    payload = json.loads(out)
+    ref = {
+        "manifest": payload["manifest"], "checks": [], "bounds": [], "verdicts": [],
+        "measurements": [{"name": name, "x": x, "value": v, "err_est": e} for x, v, e in cells],
+        "runtime_ms": payload["runtime_ms"],
+    }
+    return json.dumps(ref, sort_keys=True, indent=2) + "\n"
+
+
+class TestOutputBytes:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("case", list(_PINNED_TABLES))
+    @pytest.mark.parametrize("name", list(cli.KERNELS))
+    def test_table_bytes(self, capsys, tmp_path, name, case, fmt):
+        lo, hi, step, tol, ell, rows = _PINNED_TABLES[case]
+        argv = ["table", "--fn", name, "--from", lo, "--to", hi, "--step", step, "--tol", tol,
+                "--ell", ell, "--format", fmt]
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        xs = [float(x) for x in np.arange(float(lo), float(hi) + float(step) * 0.5, float(step))]
+        assert len(xs) == rows
+        assert out == _per_cell_bytes(name, xs, float(ell), float(tol), fmt, out)
+        dest = tmp_path / f"table.{fmt}"
+        code, file_out, _ = run(capsys, *argv, "--out", str(dest))
+        assert code == EXIT_OK and file_out == ""
+        # the CSV is stdout's; the JSON manifest records the output path
+        text = dest.read_text()
+        assert text == _per_cell_bytes(name, xs, float(ell), float(tol), fmt, text)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name", list(cli.KERNELS))
+    def test_eval_bytes(self, capsys, name, fmt):
+        for x in ("0.0", "-0.0", "0.5", "-7.3", "1e-300"):
+            for tol in ("0.5", "1e-300"):
+                code, out, _ = run(capsys, "eval", "--fn", name, "--x", x, "--tol", tol,
+                                   "--format", fmt)
+                assert code == EXIT_OK
+                assert out == _per_cell_bytes(name, [float(x)], 1.0, float(tol), fmt, out)
+
+
+class TestParserReuse:
+    TABLE = ("table", "--fn", "W", "--from", "-2", "--to", "2", "--step", "0.125")
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_const_does_not_leak_into_later_calls(self, capsys):
+        _, payload, _ = run_json(capsys, "demo", "--scenario", "esseen1d-binomial",
+                                 "--const", "c1=0.5")
+        assert payload["manifest"]["constant_overrides"] == {"c1": 0.5}
+        _, payload, _ = run_json(capsys, "demo", "--scenario", "esseen1d-binomial")
+        assert payload["manifest"]["constant_overrides"] == {}
+
+    def test_usage_error_leaves_no_state(self, capsys):
+        _, alone, _ = run(capsys, *self.TABLE)
+        code, out, err = run(capsys, "table", "--fn", "W", "--from", "0", "--step", "x")
+        assert code == EXIT_USAGE and out == "" and err
+        code, after, _ = run(capsys, *self.TABLE)
+        assert code == EXIT_OK and after == alone
+
+    def test_many_calls_print_what_a_fresh_process_prints(self, capsys):
+        mixed = [
+            ("eval", "--fn", "K", "--x", "0.3"),
+            ("eval", "--fn", "S", "--x", "0.5", "--ell", "2", "--format", "json"),
+            ("table", "--fn", "B", "--from", "-1", "--to", "1", "--step", "0.5", "--tol", "0.5"),
+            ("eval", "--fn", "nope"),
+            ("table", "--fn", "Q", "--from", "0", "--to", "1", "--step", "-1"),
+            ("verify", "--suite", "kernels", "--seed", "4"),
+            ("demo", "--scenario", "esseen1d-binomial", "--const", "c1=0.5", "--n", "30"),
+            ("eval", "--kernel", "lambda", "--format", "json", "--out", "/dev/null"),
+            ("table", "--fn", "cardinal", "--from", "0", "--to", "0.5", "--step", "0.25"),
+            ("demo", "--scenario", "clt-haar", "--delta", "3"),
+        ]
+        for argv in mixed * 2:
+            run(capsys, *argv)
+        _, out, _ = run(capsys, *self.TABLE)
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        env.pop("BSLIB_CONFIG", None)
+        fresh = subprocess.run([sys.executable, "-m", "bslib.cli", *self.TABLE],
+                               capture_output=True, text=True, env=env, timeout=120)
+        assert fresh.returncode == 0, fresh.stderr
+        assert fresh.stdout == out
 
 
 class TestUsageErrors:

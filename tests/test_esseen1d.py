@@ -2,7 +2,11 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -276,6 +280,23 @@ class TestSweep:
             assert abs(quadrature._GK_KRONROD_WEIGHTS @ x**k - exact) <= 1e-15
             if k < 20:
                 assert abs(quadrature._GK_GAUSS_WEIGHTS @ x**k - exact) <= 1e-15
+
+
+def test_bound_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma on its first call, 10-20 ms in a fresh
+    # interpreter; the sweep's panel edges need only a sort
+    code = (
+        "import sys\n"
+        "from bslib import esseen1d as e1\n"
+        "e1.esseen_bound_1d(e1.standardized_binomial(100), e1.normal_law(), 20.0)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(e1.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
 
 
 class TestValidation:

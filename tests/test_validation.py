@@ -1,12 +1,15 @@
 """Validation raises ValueError naming the parameter, also under python -O.
 
-`python -O` strips `assert` statements, so input checks must raise
-explicitly.  The lint below keeps asserts to the internal invariants.
+`python -O` strips `assert` statements, so every check must raise
+explicitly.  The lint below keeps asserts out of the modules altogether,
+the checks of the tables they compute themselves included.
 """
 
 import ast
 import dataclasses
 import math
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -19,15 +22,6 @@ from bslib import interpolation as ip
 from bslib import kernels as kr
 
 SRC = Path(kr.__file__).parent
-
-# (module file, enclosing function) of the asserts allowed to stay: they
-# check tables the modules compute themselves, not input
-ALLOWED_ASSERTS = {
-    ("kernels.py", "BernoulliTable.__post_init__"),
-    ("kernels.py", "OddZetaTable.__post_init__"),
-    ("esseen_multi.py", "selberg_ring_expansion"),
-}
-
 
 def _asserts(path: Path) -> list[tuple[str, str, int]]:
     """(file, enclosing qualified name, line) of every assert in the file."""
@@ -44,11 +38,12 @@ def _asserts(path: Path) -> list[tuple[str, str, int]]:
     return found
 
 
-def test_asserts_only_guard_internal_invariants():
+def test_asserts_only_guard_internal_invariants(tmp_path):
     found = [a for p in sorted(SRC.glob("*.py")) for a in _asserts(p)]
-    stray = [a for a in found if a[:2] not in ALLOWED_ASSERTS]
-    assert not stray, f"validation by assert (stripped by python -O): {stray}"
-    assert {a[:2] for a in found} == ALLOWED_ASSERTS  # the lint sees them
+    assert not found, f"check by assert (stripped by python -O): {found}"
+    probe = tmp_path / "probe.py"
+    probe.write_text("class T:\n    def f(self):\n        assert self\n")
+    assert _asserts(probe) == [("probe.py", "T.f", 3)]  # the lint sees them
 
 
 _SAMPLES = ip.sample_function(np.cos, 1.0, 3, 0.5)
@@ -112,11 +107,25 @@ _G2 = em.product_normal_target(2)
         pytest.param(lambda: e1.irwin_hall_standardized(0), "n", id="irwin-hall-n-zero"),
         pytest.param(lambda: e1.irwin_hall_standardized(1.5), "n", id="irwin-hall-n-fraction"),
         pytest.param(lambda: e1.irwin_hall_standardized(True), "n", id="irwin-hall-n-bool"),
+        # the tables kernels computes for itself
+        pytest.param(lambda: kr.BernoulliTable(()), "values", id="bernoulli-empty"),
+        pytest.param(lambda: kr.BernoulliTable((Fraction(2),)), "values", id="bernoulli-b0"),
+        pytest.param(lambda: kr.BernoulliTable((1, Fraction(1, 2))), "values", id="bernoulli-b1"),
+        pytest.param(lambda: kr.OddZetaTable((1.2, 1.0)), "values", id="odd-zeta-one"),
+        pytest.param(lambda: kr.OddZetaTable((1.3,)), "values", id="odd-zeta-large"),
+        pytest.param(lambda: kr.OddZetaTable((math.nan,)), "values", id="odd-zeta-nan"),
     ],
 )
 def test_bad_parameter_named(call, name):
     with pytest.raises(ValueError, match=f"^{name} "):
         call()
+
+
+def test_ring_expansion_rejects_non_positive_monomial(monkeypatch):
+    # every product expands to one monomial, so S = 1 + (k - 1)*5 - k*5 < 0 on it
+    monkeypatch.setattr(em, "_expand", lambda factors: Counter({("chi", "chi"): 5}))
+    with pytest.raises(ArithmeticError, match=r"monomial \('chi', 'chi'\) has coefficient -4 "):
+        em.selberg_ring_expansion(2)
 
 
 @pytest.mark.parametrize(
