@@ -209,7 +209,13 @@ def _rows(xs: list[float], values: np.ndarray, errs: np.ndarray) -> list[str]:
 
 def _tabulate(args, manifest: RunManifest, xs: list[float]) -> int:
     t0 = time.monotonic()
-    rows = _rows(xs, *KERNELS[args.fn](xs, args.ell, args.tol))
+    values, errs = KERNELS[args.fn](xs, args.ell, args.tol)
+    bad = ~(np.isfinite(values) & np.isfinite(errs))
+    if bad.any():
+        flag = "--x" if args.command == "eval" else "--from/--to"
+        raise ValueError(f"{flag} reaches x = {xs[np.argmax(bad)]!r}, where {args.fn} has no finite "
+                         "value or err_est")
+    rows = _rows(xs, values, errs)
     if args.format == "json":
         payload = {
             "manifest": asdict(manifest),
@@ -233,6 +239,9 @@ def cmd_eval(args, manifest: RunManifest) -> int:
     return _tabulate(args, manifest, [args.x])
 
 
+_MAX_ROWS = 10**7  # the most rows of one table, about 0.6 GB of CSV
+
+
 def cmd_table(args, manifest: RunManifest) -> int:
     lo, hi, step = args.frm, args.to, args.step
     for flag, value in (("from", lo), ("to", hi), ("step", step)):
@@ -241,8 +250,16 @@ def cmd_table(args, manifest: RunManifest) -> int:
         raise ValueError(f"--step must be > 0 (got {step!r})")
     if hi < lo:
         raise ValueError(f"--to must be >= --from (got --from {lo!r} --to {hi!r})")
-    xs = np.arange(lo, hi + step * 0.5, step).tolist()
-    return _tabulate(args, manifest, xs)
+    span = (hi + step * 0.5 - lo) / step  # np.arange makes ceil(span) rows
+    if span > _MAX_ROWS:
+        raise ValueError(f"--step {step!r} makes about {span:.3g} rows from --from {lo!r} to --to {hi!r}, "
+                         f"more than the {_MAX_ROWS} a table holds")
+    xs = np.arange(lo, hi + step * 0.5, step)
+    stuck = np.flatnonzero(xs[1:] <= xs[:-1])
+    if not xs.size or stuck.size:
+        x = float(xs[stuck[0]]) if stuck.size else lo
+        raise ValueError(f"--step {step!r} cannot advance x past {x!r}")
+    return _tabulate(args, manifest, xs.tolist())
 
 
 # ---------------------------------------------------------------------------

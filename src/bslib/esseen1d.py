@@ -27,7 +27,7 @@ __all__ = [
     "point_mass",
     "pv_integral",
     "esseen_bound_1d",
-    "EsseenReport",
+    "BoundReport",
     "gaussian_mollify",
     "sup_cdf_distance",
     "convergence_harness_1d",
@@ -73,6 +73,29 @@ class Law:
         if fs and (len(fs) != self.k or not all(isinstance(f, Law) and f.k == 1 for f in fs)):
             got = [f.k if isinstance(f, Law) else type(f).__name__ for f in fs]
             raise ValueError(f"factors must be () or k = {self.k} laws on R (got k = {got})")
+
+
+@dataclass(frozen=True)
+class BoundReport:
+    """A smoothing bound and the parts it adds up.
+
+    `terms` maps each integral term's name to its value, already multiplied
+    by its constant; `tail` is the c * sum_j m_j / Omega_j term; `slack`
+    maps the name of every other part of the total (the excluded small
+    frequencies, the quadrature error, the truncated moment) to its value.
+    `total` is summed as the bound has always summed it and the parts are
+    scaled copies, so math.fsum of terms, tail and slack is `total` only to
+    a few ulps.  `omegas` has one cutoff per coordinate, `constants` the
+    constants by name, and `detail` the route's remaining inputs.
+    """
+
+    total: float
+    terms: dict
+    tail: float
+    slack: dict
+    omegas: tuple
+    constants: dict
+    detail: dict
 
 
 def _check_laws(F: Law, G: Law | None = None, k_max: int = 1, omegas=None, omega_floor=0.0) -> int:
@@ -307,16 +330,6 @@ def pv_integral(h: Callable[[np.ndarray], np.ndarray], A: float, tol: float = 1e
     return complex(partial[j]), float(steps[j - 1] + abs(partial[-1] - partial[j]) + partial_err[-1])
 
 
-@dataclass(frozen=True)
-class EsseenReport:
-    total: float
-    integral_term: float
-    tail_term: float
-    exclusion_bound: float
-    omega: float
-    constants: tuple[float, float]
-
-
 def _omega_array(omegas, name: str) -> np.ndarray:
     om = np.atleast_1d(np.asarray(omegas, dtype=float))
     if om.size == 0 or not np.all(np.isfinite(om) & (om > 0)):
@@ -332,7 +345,7 @@ def _sweep(
     G: Law,
     omegas: np.ndarray,
     constants: tuple[float, float] = (C1_DEFAULT, C2_DEFAULT),
-) -> list[EsseenReport]:
+) -> list[BoundReport]:
     """The smoothing bound at every Omega from one pass of quadrature.
 
     The integrand |phi - psi|/zeta does not depend on Omega.  Panel edges
@@ -372,7 +385,9 @@ def _sweep(
             raise ArithmeticError(f"quadrature error {quad_err:g} exceeds budget")
         tail = c2 * G.density_bounds[0] / omega
         total = c1 * (integral + exclusion + 2.0 * quad_err) + tail
-        reports.append(EsseenReport(total, c1 * integral, tail, c1 * exclusion, omega, (c1, c2)))
+        slack = {"exclusion": c1 * exclusion, "quadrature": c1 * (2.0 * quad_err)}
+        reports.append(BoundReport(total, {"integral": c1 * integral}, tail, slack, (omega,),
+                                   {"c1": c1, "c2": c2}, {}))
     return reports
 
 
@@ -381,7 +396,7 @@ def esseen_bound_1d(
     G: Law,
     omega: float,
     constants: tuple[float, float] = (C1_DEFAULT, C2_DEFAULT),
-) -> EsseenReport:
+) -> BoundReport:
     """c1 * int_{|zeta|<=Omega} |phi - psi|/|zeta| + c2 * m / Omega.
 
     The small-|zeta| exclusion is certified by the Holder bound
@@ -436,7 +451,7 @@ OMEGA_GRID = tuple(2.0**j for j in range(0, 15))
 
 def best_esseen_bound(
     F: Law, G: Law, omegas: Sequence[float] = OMEGA_GRID
-) -> EsseenReport:
+) -> BoundReport:
     """The smallest `esseen_bound_1d` report over omegas, from one sweep."""
     return min(_sweep(F, G, _omega_array(omegas, "omegas")), key=lambda r: r.total)
 
@@ -465,7 +480,7 @@ def convergence_harness_1d(
         d = sup_cdf_distance(F.cdf, G.cdf, grid, F.atoms)
         rep = best_esseen_bound(F, G)
         inc = float(np.max(np.abs(F.cf(zs) - G.cf(zs))))
-        rows.append(HarnessRow(n, d, rep.total, rep.omega, inc))
+        rows.append(HarnessRow(n, d, rep.total, rep.omegas[0], inc))
     return rows
 
 

@@ -20,7 +20,7 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-from .esseen1d import Law, _check_laws, normal_law
+from .esseen1d import BoundReport, Law, _check_laws, normal_law
 from .quadrature import gauss_legendre
 
 __all__ = [
@@ -33,15 +33,11 @@ __all__ = [
     "derivative_bound_check",
     "esseen_bound_k",
     "esseen_bound_truncated",
-    "slab_norm",
-    "slab_norms",
     "esseen_bound_slab",
-    "convergence_harness_k",
     "partitions",
     "product_law",
     "product_normal_target",
     "box_probability",
-    "KBoundReport",
 ]
 
 
@@ -382,16 +378,6 @@ class BoundConstants:
         return dataclasses.asdict(self)
 
 
-@dataclass(frozen=True)
-class KBoundReport:
-    total: float
-    integral_terms: dict
-    tail_term: float
-    extra_term: float
-    constants: dict
-    detail: dict
-
-
 def partitions(k: int):
     """All 3^k partitions of {0..k-1} into (B, C, D) index tuples."""
     for tags in itertools.product("BCD", repeat=k):
@@ -487,7 +473,7 @@ def esseen_bound_k(
     constants: BoundConstants | None = None,
     panels: int | None = None,
     order: int | None = None,
-) -> KBoundReport:
+) -> BoundReport:
     """Partition-sum smoothing bound for |F(t) - G(t)|."""
     k = _check_laws(F, G, 3, omegas)
     consts = constants or BoundConstants.for_k(k)
@@ -507,7 +493,8 @@ def esseen_bound_k(
     terms = _partition_terms(omegas, panels, order, integrand)
     tail = consts.c2 * sum(m / om for m, om in zip(G.density_bounds, omegas))
     total = consts.c1 * sum(terms.values()) + tail
-    return KBoundReport(total, terms, tail, 0.0, consts.as_dict(), {"t": tuple(t), "omegas": tuple(omegas)})
+    terms = {name: consts.c1 * v for name, v in terms.items()}
+    return BoundReport(total, terms, tail, {}, tuple(omegas), consts.as_dict(), {"t": tuple(t)})
 
 
 def esseen_bound_truncated(
@@ -523,7 +510,7 @@ def esseen_bound_truncated(
     panels: int | None = None,
     order: int | None = None,
     use_triangle_replacement: bool = False,
-) -> KBoundReport:
+) -> BoundReport:
     """t-free truncated bound (pointwise mode A; box-measure mode B).
 
     Mode A requires delta > 1; mode B requires delta = 1 + D, where D > 0
@@ -560,18 +547,12 @@ def esseen_bound_truncated(
         m / om for m, om in zip(G.density_bounds, omegas)
     )
     cint = consts.c5 if mode == "A" else consts.c8
-    extra = 0.0
+    total, slack = cint * I + tail, {}
     if mode == "A":
-        extra = (k + 1.0) * delta ** (-a) * (F.moment[1] + G.moment[1])
-    total = cint * I + tail + extra
-    return KBoundReport(
-        total,
-        {"truncated_integral": I},
-        tail,
-        extra,
-        consts.as_dict(),
-        {"mode": mode, "delta": delta, "alpha": a, "omegas": tuple(omegas)},
-    )
+        slack["moment"] = (k + 1.0) * delta ** (-a) * (F.moment[1] + G.moment[1])
+        total += slack["moment"]
+    return BoundReport(total, {"truncated_integral": cint * I}, tail, slack, tuple(omegas),
+                       consts.as_dict(), {"mode": mode, "delta": delta, "alpha": a})
 
 
 def box_probability(cdf: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray) -> float:
@@ -592,120 +573,25 @@ def box_probability(cdf: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: n
 # slab norms and the slab-variant bound
 
 
-_SLAB_CHUNK = 256  # rows per batched slab-norm evaluation; bounds the candidate arrays
-
-
 def _check_tau(tau) -> None:
     if not 0.0 < tau < math.inf:
         raise ValueError(f"tau must be finite and > 0 (got {tau!r})")
 
 
-def slab_norm(
-    f: Callable[[np.ndarray], np.ndarray],
-    C: Sequence[int],
-    v: Sequence[float],
-    tau: float = 1.0,
-    flavor: Literal["bar", "double_bar"] = "double_bar",
-    grid: int = 7,
-) -> float:
-    """Slab-wise sup quantity |f|_C (bar) or ||f||_C (double_bar) at v.
-
-    The one-point form of `slab_norms`, which documents the computation
-    and the checks on the parameters.
-    """
-    return float(slab_norms(f, C, [v], tau, flavor, grid)[0])
-
-
-def slab_norms(
-    f: Callable[[np.ndarray], np.ndarray],
-    C: Sequence[int],
-    V: np.ndarray,
-    tau: float = 1.0,
-    flavor: Literal["bar", "double_bar"] = "double_bar",
-    grid: int = 7,
-) -> np.ndarray:
-    """|f|_C (bar) or ||f||_C (double_bar) at every row v of the (N, k) array V.
-
-    Coordinates of C with |v_j| >= tau contribute sign flips; if none is
-    small the value is the exact max of |f| over the flips.  Coordinates
-    with |v_j| < tau are 'small': the value becomes _SUP_SAFETY = 1.5
-    times the max of central-difference first partials |S_j f| (j small)
-    over the flips crossed with a (2 grid + 1)-point grid per small
-    coordinate on the short-circuit set (|xi_j| <= |v_j| for bar,
-    |xi_j| <= tau for double_bar).  Empty C returns |f(v)|.  Rows are grouped by which
-    coordinates of C are small and evaluated in chunks of _SLAB_CHUNK rows.
-
-    This is the per-row route: `esseen_bound_slab` takes the double-bar
-    norms on its tensor grids by `_slab_grid` instead, which is tested
-    against this function row by row.  C must hold distinct coordinates
-    0..k-1 of the k columns of V, tau must be finite and > 0, flavor one of
-    "bar" and "double_bar", and grid an integer >= 1; otherwise a
-    ValueError names the parameter.
-    """
-    V = np.asarray(V, dtype=float)
-    C = list(C)
-    k = V.shape[-1]
-    if not all(isinstance(j, numbers.Integral) and not isinstance(j, bool) and 0 <= j < k for j in C) \
-            or len(set(C)) != len(C):
-        raise ValueError(f"C must hold distinct coordinates in 0..{k - 1} (got {C!r})")
-    _check_tau(tau)
-    if flavor not in ("bar", "double_bar"):
-        raise ValueError(f"flavor must be 'bar' or 'double_bar' (got {flavor!r})")
-    if isinstance(grid, bool) or not isinstance(grid, numbers.Integral) or grid < 1:
-        raise ValueError(f"grid must be an integer >= 1 (got {grid!r})")
-    if not C:
-        # hypot rounds as abs() of one complex value does; np.abs on a
-        # complex array can differ from it in the last bit
-        z = np.asarray(f(V))
-        return np.hypot(z.real, z.imag)
-    out = np.empty(V.shape[0])
-    small = np.abs(V[:, C]) < tau
-    for pattern in itertools.product((False, True), repeat=len(C)):
-        rows = np.flatnonzero(np.all(small == pattern, axis=1))
-        Cb = [j for j, s in zip(C, pattern) if not s]
-        Cs = [j for j, s in zip(C, pattern) if s]
-        for lo in range(0, rows.size, _SLAB_CHUNK):
-            r = rows[lo : lo + _SLAB_CHUNK]
-            out[r] = _slab_group(f, V[r], Cb, Cs, tau, flavor, 2 * grid + 1)
-    return out
-
-
-def _slab_group(f, V, Cb, Cs, tau, flavor, npts) -> np.ndarray:
-    """slab_norms for rows of V whose big/small split of C is (Cb, Cs)."""
-    n, k = V.shape
-    signs = np.array(list(itertools.product((1.0, -1.0), repeat=len(Cb))))
-    signs = signs.reshape(2 ** len(Cb), len(Cb))
-    cand = np.repeat(V[:, None, :], len(signs), axis=1)  # (n, flips, k)
-    cand[:, :, Cb] = signs * V[:, None, Cb]
-    if not Cs:
-        # exact finite max, no safety needed
-        return np.max(np.abs(np.asarray(f(cand.reshape(-1, k)))).reshape(n, -1), axis=1)
-    half = (np.abs(V[:, Cs]) if flavor == "bar" else np.full((n, len(Cs)), tau)) * (1 - 1e-9)
-    # np.linspace(-half, half, npts) per row and coordinate, in the same arithmetic
-    axis = np.arange(npts) * (2 * half / (npts - 1))[..., None] - half[..., None]
-    axis[..., -1] = half
-    idx = np.indices((npts,) * len(Cs)).reshape(len(Cs), -1)  # grid multi-indices
-    pts = np.repeat(cand[:, :, None, :], idx.shape[1], axis=2)  # (n, flips, grid, k)
-    for i, j in enumerate(Cs):
-        pts[..., j] = axis[:, i, idx[i]][:, None, :]
-    pts = pts.reshape(-1, k)
-    # sup of first partials over the candidate set
-    h = 1e-4
-    best = np.zeros(n)
-    for j in Cs:
-        up, dn = pts.copy(), pts.copy()
-        up[:, j] += h
-        dn[:, j] -= h
-        d = np.abs(np.asarray(f(up)) - np.asarray(f(dn))) / (2 * h)
-        best = np.maximum(best, d.reshape(n, -1).max(axis=1))
-    return _SUP_SAFETY * best
-
-
 def _slab_grid(F: Law, G: Law, xs: Sequence[np.ndarray], C: Sequence[int], tau: float) -> np.ndarray:
-    """slab_norms(phi - psi, C, _grid_points(xs), tau, "double_bar", grid=5)
-    in the grid's shape, phi - psi taken once per candidate grid, not per row.
+    """The double-bar slab norm ||phi - psi||_C at every point of the tensor
+    grid of xs, in the grid's shape.
 
-    A double-bar candidate set depends on a point only through its non-C
+    At a point v, a C-coordinate is big if |v_j| >= tau and small otherwise.
+    The candidates are v with each big coordinate taken with both signs and
+    each small one run over the 11-point grid on [-tau, tau] shrunk by
+    1 - 1e-9.  With no small coordinate the norm is the max of |phi - psi|
+    over the candidates; otherwise it is _SUP_SAFETY times the max over the
+    candidates and the small j of the central difference
+    |f(. + h e_j) - f(. - h e_j)| / (2 h), h = 1e-4.  Empty C gives
+    |phi - psi| at v.
+
+    A candidate set depends on a point only through its non-C
     coordinates and its big C-coordinates (|v_j| >= tau), each taken with
     both signs; each small one runs over the same grid on [-tau, tau].  So
     the points with one big/small pattern of C form a tensor sub-grid, and
@@ -725,8 +611,7 @@ def _slab_grid(F: Law, G: Law, xs: Sequence[np.ndarray], C: Sequence[int], tau: 
         return np.hypot(z.real, z.imag)
     npts, h = 11, 1e-4
     half = tau * (1 - 1e-9)
-    slab = np.arange(npts) * (2 * half / (npts - 1)) - half  # slab_norms' arithmetic
-    slab[-1] = half
+    slab = np.linspace(-half, half, npts)
     small = {j: np.abs(xs[j]) < tau for j in C}
     out = np.empty(shape)
     for pattern in itertools.product((False, True), repeat=len(C)):
@@ -765,7 +650,7 @@ def esseen_bound_slab(
     tau: float = 1.0,
     panels: int | None = None,
     order: int | None = None,
-) -> KBoundReport:
+) -> BoundReport:
     """Slab-norm smoothing bound (t-free), k <= 2."""
     k = _check_laws(F, G, 2, omegas, 1.0)
     _check_tau(tau)
@@ -783,60 +668,5 @@ def esseen_bound_slab(
     terms = _partition_terms(omegas, panels, order, integrand)
     tail = consts.c2 * sum(m / om for m, om in zip(G.density_bounds, omegas))
     total = consts.c_hat1 * sum(terms.values()) + tail
-    return KBoundReport(total, terms, tail, 0.0, consts.as_dict(), {"tau": tau, "omegas": tuple(omegas)})
-
-
-# ---------------------------------------------------------------------------
-# convergence harness
-
-
-@dataclass(frozen=True)
-class KHarnessRow:
-    index: int
-    sup_distance: float
-    bound: float
-    omegas: tuple[float, ...]
-    moment_diag: float
-
-
-def convergence_harness_k(
-    family: Callable[[int], Law],
-    G: Law,
-    indices: Sequence[int],
-    variant: Literal["plain", "A", "B", "C"] = "A",
-    t_grid: np.ndarray | None = None,
-) -> list[KHarnessRow]:
-    k = G.k
-    if t_grid is None:
-        side = np.linspace(-3, 3, 9)
-        t_grid = np.array(list(itertools.product(*[side] * k)))
-    omega_candidates = [tuple([2.0**j] * k) for j in range(1, 6)]
-    rows = []
-    h = 1e-3
-    for n in indices:
-        F = family(n)
-        d = float(np.max(np.abs(F.cdf(t_grid) - G.cdf(t_grid))))
-        best = math.inf
-        best_om = omega_candidates[0]
-        for oms in omega_candidates:
-            if variant == "plain":
-                rep = esseen_bound_k(F, G, oms, [0.0] * k, panels=8, order=6)
-            elif variant == "A":
-                rep = esseen_bound_truncated(F, G, oms, delta=8.0, mode="A", panels=8, order=6)
-            elif variant == "B":
-                rep = esseen_bound_truncated(F, G, oms, delta=5.0, mode="B", box_extent=4.0,
-                                             panels=8, order=6)
-            else:
-                rep = esseen_bound_slab(F, G, oms)
-            if rep.total < best:
-                best, best_om = rep.total, oms
-
-        # post-corollary diagnostic: mixed first partials of the cf at 0
-        def mixed(cf):
-            pts = np.array(list(itertools.product(*[(-h, h)] * k)))
-            signs = np.prod(np.sign(pts), axis=1)
-            return complex(np.sum(signs * np.ravel(cf(pts))) / (2 * h) ** k)
-
-        diag = abs(mixed(F.cf) - mixed(G.cf))
-        rows.append(KHarnessRow(n, d, best, best_om, diag))
-    return rows
+    terms = {name: consts.c_hat1 * v for name, v in terms.items()}
+    return BoundReport(total, terms, tail, {}, tuple(omegas), consts.as_dict(), {"tau": tau})

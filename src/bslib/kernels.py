@@ -133,8 +133,17 @@ def _piecewise(x: np.ndarray, conds: list, funcs: list):
     return f(x) if callable(f) else np.float64(f)
 
 
+# |x| from which K is 0: x is an integer (from 2^52 on), and the computed
+# square underflows to 0 anyway; further out, pi x overflows in np.sinc
+_K_ZERO = 2.0**1000
+
+
 def fejer_K(x):
     """(sin(pi x)/(pi x))^2; removable singularity at 0 handled by sinc."""
+    x = np.asarray(x, dtype=float)
+    far = np.abs(x) >= _K_ZERO
+    if far.any():
+        return np.where(far, 0.0, np.float_power(np.sinc(np.where(far, 0.0, x)), 2))[()]
     return np.float_power(np.sinc(x), 2)
 
 
@@ -222,6 +231,8 @@ def W_eval(x, mode: Literal["fast", "oracle"] = "fast"):
                              f"(got max |x| = {float(np.max(a))!r})")
         w = np.array([_w_oracle_pos(float(v)) for v in a.flat]).reshape(a.shape)
     else:
+        # from 2^52 on, a is an integer, where W = 1; clamped there, a = inf gets it too
+        a = np.minimum(a, 2.0**53)
         w = _piecewise(a, [a <= TAYLOR_RADIUS], [_w_taylor, _w_trigamma])
     return np.where(x < 0, -w, w)[()]
 
@@ -238,10 +249,12 @@ def b_eval(x):
     return W_eval(x) - fejer_K(x)
 
 
+@np.errstate(over="ignore")  # ell - x may overflow to +-inf, where B is +-1
 def S_eval(ell: float, x):
     return 0.5 * (B_eval(x) + B_eval(ell - np.asarray(x, dtype=float)))
 
 
+@np.errstate(over="ignore")  # and b is +-1
 def sigma_eval(ell: float, x):
     return 0.5 * (b_eval(x) + b_eval(ell - np.asarray(x, dtype=float)))
 

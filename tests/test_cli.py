@@ -1,5 +1,7 @@
 """Command-line interface: outputs, exit codes, config, and determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bslib import cli
 from bslib import interpolation as ip
@@ -74,6 +77,40 @@ class TestEval:
         _, value, err_est = (float(c) for c in out.strip().splitlines()[1].split(","))
         assert math.isfinite(err_est)
         assert err_est >= abs(value - kr.fejer_K(x))
+
+
+class TestHugeArguments:
+    # |x| >= 2^52 is an integer, where K = 0 and W = B = b = sign x; past
+    # |x| ~ 5.7e307 pi x overflows, and sigma's ell - x overflows below
+    @pytest.mark.parametrize(
+        "argv, value",
+        [
+            (("--fn", "K", "--x=1e308"), 0.0),
+            (("--fn", "K", "--x=-1.7976931348623157e308"), 0.0),
+            (("--fn", "W", "--x=-1e308"), -1.0),
+            (("--fn", "B", "--x=1e308"), 1.0),
+            (("--fn", "B", "--x=-1e308"), -1.0),
+            (("--fn", "b", "--x=1e308"), 1.0),
+            (("--fn", "S", "--x=1e308"), 0.0),
+            (("--fn", "S", "--x=-1e308", "--ell=1e308"), 0.0),
+            (("--fn", "sigma", "--x=-1e308"), 0.0),
+            (("--fn", "sigma", "--x=-1e308", "--ell=1e308"), 0.0),
+            (("--fn", "sigma", "--x=1e308", "--ell=1.7e308"), 1.0),
+        ],
+    )
+    def test_exact_limits(self, capsys, argv, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "eval", *argv)
+        assert code == EXIT_OK and err == ""
+        assert float(out.strip().splitlines()[1].split(",")[1]) == value
+
+    def test_library_limits_at_infinity(self):
+        x = np.array([-math.inf, math.inf, math.nan])
+        assert np.array_equal(kr.fejer_K(x), [0.0, 0.0, math.nan], equal_nan=True)
+        assert np.array_equal(kr.W_eval(x), [-1.0, 1.0, math.nan], equal_nan=True)
+        assert np.array_equal(kr.B_eval(x[:2]), [-1.0, 1.0])
+        assert np.array_equal(kr.b_eval(x[:2]), [-1.0, 1.0])
 
 
 class TestTable:
@@ -340,6 +377,18 @@ class TestUsageErrors:
             (("demo", "--scenario", "esseen-k", "--k", "1", "--delta", "5"), "--delta"),
             (("demo", "--scenario", "esseen1d-binomial", "--samples", "5000"), "--samples"),
             (("demo", "--scenario", "clt-vector", "--omega", "3"), "--omega"),
+            # steps that cannot advance x, or that make more rows than a table holds
+            (("table", "--fn", "K", "--from", "1e20", "--to", "1e20", "--step", "1"), "--step"),
+            (("table", "--fn", "K", "--from", "1e16", "--to", "1.00000000000001e16", "--step", "1"),
+             "--step"),
+            (("table", "--fn", "K", "--from", "0", "--to", "1", "--step", "1e-300"), "--step"),
+            (("table", "--fn", "W", "--from", "9007199254740980", "--to", "9007199254741000",
+              "--step", "1"), "--step"),
+            # sampling formulas whose sine phase overflows
+            (("eval", "--fn", "cardinal", "--x=1e308"), "--x"),
+            (("eval", "--fn", "vaaler", "--x=-1e308"), "--x"),
+            (("table", "--fn", "cardinal", "--from=2.9e307", "--to=2.9e307", "--step=1e300"),
+             "--from/--to"),
         ],
     )
     def test_message_names_the_flag(self, capsys, argv, flag):
@@ -599,3 +648,91 @@ class TestConfigAndDeterminism:
             capsys, "demo", "--scenario", "clt-haar", "--samples", "5000", "--N", "50", "--seed", "2"
         )
         assert a["measurements"] != b["measurements"]
+
+
+# ---------------------------------------------------------------------------
+# argv fuzzing of eval and table
+
+
+_EDGE = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 0.5, -7.3, 2.0**52,
+         -(2.0**53) - 2.0, 1e16, 2.9e307, -5.7e307, 1e308, -1e308, 1.7976931348623157e308,
+         -1.7976931348623157e308)
+_REALS = st.one_of(st.sampled_from(_EDGE), st.floats(-60.0, 60.0),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _common_flags(draw):
+    argv = []
+    if draw(st.booleans()):
+        argv.append(f"--ell={draw(_REALS)!r}")
+    tol = draw(st.one_of(st.none(), st.sampled_from(["5e-324", "1e-10", "0.5", "1e308", "0", "-1",
+                                                     "nan"])))
+    if tol is not None:
+        argv.append(f"--tol={tol}")
+    fmt = draw(st.sampled_from([None, "csv", "json"]))
+    if fmt is not None:
+        argv += ["--format", fmt]
+    if draw(st.integers(0, 4)) == 0:  # eval and table read no constant
+        argv += ["--const", draw(st.sampled_from(["c1=abc", "c1", "zz=1", "c1=nan", "c1=1"]))]
+    return argv
+
+
+@st.composite
+def _eval_argv(draw):
+    fn = draw(st.sampled_from(list(cli.KERNELS)))
+    return ["eval", "--fn", fn, f"--x={draw(_REALS)!r}", *draw(_common_flags())]
+
+
+@st.composite
+def _table_argv(draw):
+    fn = draw(st.sampled_from(list(cli.KERNELS)))
+    lo = draw(_REALS)
+    if draw(st.booleans()):
+        # at most about 3 n rows, n <= 40, however the range rounds
+        step = draw(st.one_of(st.sampled_from([5e-324, 1e-300, 0.04, 1.0, 1e300, 1e308]),
+                              st.floats(1e-3, 10.0), st.floats(5e-324, 1.7e308)))
+        hi = lo + draw(st.integers(0, 40)) * step
+    else:
+        # 10^20 to 10^300 rows, rejected before any row is made
+        span = draw(st.floats(1e-3, 1e3))
+        hi, step = lo + span, span / 10.0 ** draw(st.integers(20, 300))
+    return ["table", "--fn", fn, f"--from={lo!r}", f"--to={hi!r}", f"--step={step!r}",
+            *draw(_common_flags())]
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _check_fuzzed(argv):
+    code, out, err = _run_quietly(argv)
+    assert code in (EXIT_OK, EXIT_USAGE), (argv, code, err)
+    assert "Traceback" not in err
+    if code != EXIT_OK:
+        assert out == "" and err.startswith("error: ")
+        return
+    if "json" in argv:
+        cells = [(m["value"], m["err_est"]) for m in json.loads(out)["measurements"]]
+    else:
+        cells = [line.split(",")[1:] for line in out.splitlines()[1:]]
+    assert cells, argv
+    for value, err_est in cells:
+        assert math.isfinite(float(value)) and math.isfinite(float(err_est)), (argv, value, err_est)
+
+
+class TestArgvFuzz:
+    @given(_eval_argv())
+    @settings(max_examples=150, deadline=None)
+    def test_eval(self, argv):
+        _check_fuzzed(argv)
+
+    @given(_table_argv())
+    @settings(max_examples=100, deadline=None)
+    def test_table(self, argv):
+        _check_fuzzed(argv)

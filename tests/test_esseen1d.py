@@ -216,16 +216,16 @@ class TestBound:
         G = e1.normal_law()
         r1 = e1.esseen_bound_1d(F, G, 8.0)
         r2 = e1.esseen_bound_1d(F, G, 16.0)
-        assert r2.tail_term <= r1.tail_term
-        assert r1.tail_term == pytest.approx(2.0 * r2.tail_term, rel=1e-12)
+        assert r2.tail <= r1.tail
+        assert r1.tail == pytest.approx(2.0 * r2.tail, rel=1e-12)
 
     def test_constants_echoed(self):
         rep = e1.esseen_bound_1d(e1.standardized_binomial(25), e1.normal_law(), 8.0)
-        assert rep.constants == (0.25, math.pi)
+        assert rep.constants == {"c1": 0.25, "c2": math.pi}
         custom = e1.esseen_bound_1d(
             e1.standardized_binomial(25), e1.normal_law(), 8.0, constants=(0.5, 4.0)
         )
-        assert custom.constants == (0.5, 4.0)
+        assert custom.constants == {"c1": 0.5, "c2": 4.0}
         assert custom.total > rep.total
 
 
@@ -249,7 +249,7 @@ class TestSweep:
         best = e1.best_esseen_bound(F, G)
         singles = [e1.esseen_bound_1d(F, G, om) for om in e1.OMEGA_GRID]
         low = min(singles, key=lambda r: r.total)
-        assert best.omega == low.omega
+        assert best.omegas == low.omegas
         assert best.total == pytest.approx(low.total, rel=1e-12)
 
     @pytest.mark.parametrize("F", [e1.standardized_binomial(25), e1.irwin_hall_standardized(3)],
@@ -259,8 +259,8 @@ class TestSweep:
         G = e1.normal_law()
         c1 = e1.C1_DEFAULT
         rep = e1.esseen_bound_1d(F, G, omega)
-        half_integral = rep.integral_term / (2.0 * c1)
-        quad_err = (rep.total - rep.integral_term - rep.tail_term - rep.exclusion_bound) / (2.0 * c1)
+        half_integral = rep.terms["integral"] / (2.0 * c1)
+        quad_err = rep.slack["quadrature"] / (2.0 * c1)
         eps = 1e-8 / (40.0 * (F.moment[1] + G.moment[1]))  # the bound's exclusion cut
         ref, ref_err = _quad_reference(F, G, omega, eps)
         assert abs(half_integral - ref) <= quad_err + ref_err + 1e-12

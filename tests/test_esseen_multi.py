@@ -427,7 +427,7 @@ class TestBounds:
             for t in itertools.product(side, side)
         )
         assert rep.total >= sup
-        assert rep.extra_term > 0.0
+        assert rep.slack["moment"] > 0.0
 
     def test_box_measure_bound_dominates_boxes(self):
         F, G = _k2_pair()
@@ -458,9 +458,7 @@ class TestBounds:
         relaxed = em.esseen_bound_truncated(
             F, G, (8.0, 8.0), delta=8.0, mode="A", use_triangle_replacement=True
         )
-        assert relaxed.integral_terms["truncated_integral"] >= base.integral_terms[
-            "truncated_integral"
-        ]
+        assert relaxed.terms["truncated_integral"] >= base.terms["truncated_integral"]
 
     def test_truncation_moves_little_mass(self):
         # clamping the evaluation point to [-delta, delta]^k changes the cdf
@@ -481,33 +479,19 @@ class TestBounds:
 
 
 class TestSlabNorm:
-    def _diff(self):
-        F, G = _k2_pair()
-        return lambda pts: F.cf(pts) - G.cf(pts)
-
     def test_empty_set_is_plain_value(self):
-        f = self._diff()
+        F, G = _k2_pair()
         v = np.array([0.7, -1.3])
-        assert em.slab_norm(f, [], v) == pytest.approx(abs(f(v[None, :])[0]), abs=1e-15)
+        norm = em._slab_grid(F, G, [v[:1], v[1:]], (), 1.0)
+        assert norm.shape == (1, 1)
+        assert norm[0, 0] == pytest.approx(abs(complex(F.cf(v) - G.cf(v))), abs=1e-15)
 
     def test_large_coordinate_sign_flips(self):
         # even profile: flipping a |v_j| >= tau coordinate changes nothing
-        def g(pts):
-            return np.cos(pts[:, 0]) * np.cos(pts[:, 1])
-
-        v = np.array([2.0, 3.0])
-        assert em.slab_norm(g, [0, 1], v) == pytest.approx(abs(g(v[None, :])[0]), abs=1e-14)
-
-    def test_bar_at_most_double_bar(self):
-        # the bar flavor sups first partials over a subinterval of the
-        # double-bar slab, so it can only be smaller
-        def g(pts):
-            return np.sin(1.3 * pts[:, 0]) * np.exp(-0.1 * pts[:, 1] ** 2)
-
-        v = np.array([0.4, 2.0])
-        bar = em.slab_norm(g, [0, 1], v, flavor="bar")
-        dbar = em.slab_norm(g, [0, 1], v, flavor="double_bar")
-        assert bar <= dbar + 1e-12
+        even = e1.Law(None, lambda pts: np.cos(pts[..., 0]) * np.cos(pts[..., 1]) + 0j, (2.0, 1.0), k=2)
+        zero = e1.Law(None, lambda pts: np.zeros(np.shape(pts)[:-1], dtype=complex), (2.0, 1.0), k=2)
+        norm = em._slab_grid(even, zero, [np.array([2.0]), np.array([3.0])], (0, 1), 1.0)
+        assert norm[0, 0] == pytest.approx(abs(math.cos(2.0) * math.cos(3.0)), abs=1e-14)
 
     def test_slab_bound_dominates_sup(self):
         F, G = _k2_pair()
@@ -522,18 +506,20 @@ class TestSlabNorm:
 
 class TestHarness:
     def test_rows_shrink_with_n(self):
+        # the best partition bound at t = 0 over Omega = 2, 4, ..., 32 against
+        # the sup of |F - G| on a 9 x 9 grid of [-3, 3]^2
         G = em.product_normal_target(2)
-
-        def family(n):
-            return em.product_law(
-                [e1.standardized_binomial(n), e1.standardized_binomial(n)]
-            )
-
-        rows = em.convergence_harness_k(family, G, (16, 64), variant="plain")
-        assert rows[1].sup_distance < rows[0].sup_distance
-        for r in rows:
-            assert r.bound >= r.sup_distance
-            assert math.isfinite(r.moment_diag)
+        side = np.linspace(-3, 3, 9)
+        grid = np.array(list(itertools.product(side, side)))
+        sups, bounds = [], []
+        for n in (16, 64):
+            F = em.product_law([e1.standardized_binomial(n)] * 2)
+            sups.append(float(np.max(np.abs(F.cdf(grid) - G.cdf(grid)))))
+            bounds.append(min(em.esseen_bound_k(F, G, (2.0**j,) * 2, (0.0, 0.0), panels=8, order=6).total
+                              for j in range(1, 6)))
+        assert sups[1] < sups[0]
+        for sup, bound in zip(sups, bounds):
+            assert bound >= sup
 
 
 # ---------------------------------------------------------------------------
@@ -678,8 +664,8 @@ class TestSeparableGrid:
         grid = dict(panels=4, order=5) if k == 2 else dict(panels=3, order=4)
         sep = em.esseen_bound_k(F, G, om, t, **grid)
         gen = em.esseen_bound_k(_generic(F), _generic(G), om, t, **grid)
-        assert {key: v.hex() for key, v in sep.integral_terms.items()} == {
-            key: v.hex() for key, v in gen.integral_terms.items()}
+        assert {key: v.hex() for key, v in sep.terms.items()} == {
+            key: v.hex() for key, v in gen.terms.items()}
         assert sep.total.hex() == gen.total.hex()
 
     @pytest.mark.parametrize("k", [2, 3])
@@ -692,14 +678,13 @@ class TestSeparableGrid:
             kw = dict(use_triangle_replacement=triangle, **mode_kw, **grid)
             sep = em.esseen_bound_truncated(F, G, om, **kw)
             gen = em.esseen_bound_truncated(_generic(F), _generic(G), om, **kw)
-            assert sep.integral_terms["truncated_integral"].hex() == \
-                gen.integral_terms["truncated_integral"].hex()
+            assert sep.terms["truncated_integral"].hex() == gen.terms["truncated_integral"].hex()
             assert sep.total.hex() == gen.total.hex()
 
 
-def _pointwise_slab_norm(f, C, v, tau, flavor, grid, safety=1.5):
-    """Per-point slab norm as first written: a loop over candidate points on
-    the (2 grid + 1)-point grid."""
+def _pointwise_slab_norm(f, C, v, tau, grid, safety=1.5):
+    """Per-point double-bar slab norm as first written: a loop over candidate
+    points on the (2 grid + 1)-point grid."""
     v = np.asarray(v, dtype=float)
     if not C:
         return float(abs(np.asarray(f(v[None, :]))[0]))
@@ -714,11 +699,7 @@ def _pointwise_slab_norm(f, C, v, tau, flavor, grid, safety=1.5):
         if not Cs:
             cand.append(base)
             continue
-        ranges = [
-            np.linspace(-(abs(v[j]) if flavor == "bar" else tau) * (1 - 1e-9),
-                        (abs(v[j]) if flavor == "bar" else tau) * (1 - 1e-9), npts)
-            for j in Cs
-        ]
+        ranges = [np.linspace(-tau * (1 - 1e-9), tau * (1 - 1e-9), npts) for j in Cs]
         for combo in itertools.product(*ranges):
             p = base.copy()
             for x, j in zip(combo, Cs):
@@ -737,10 +718,48 @@ def _pointwise_slab_norm(f, C, v, tau, flavor, grid, safety=1.5):
     return safety * best
 
 
+def _batched_slab_norm(f, C, V, tau, grid, safety=1.5):
+    """The double-bar slab norm at every row of the (N, k) array V: the rows
+    grouped by which coordinates of C are small (|v_j| < tau), and each
+    group's candidates, as `_pointwise_slab_norm` builds them, taken in one
+    f call per central difference."""
+    C = list(C)
+    if not C:
+        z = np.asarray(f(V))
+        return np.hypot(z.real, z.imag)  # rounds as abs() of one complex value does
+    k = V.shape[1]
+    slab = np.linspace(-tau * (1 - 1e-9), tau * (1 - 1e-9), 2 * grid + 1)
+    out = np.empty(V.shape[0])
+    for pattern in itertools.product((False, True), repeat=len(C)):
+        rows = np.flatnonzero(np.all((np.abs(V[:, C]) < tau) == pattern, axis=1))
+        if not rows.size:
+            continue
+        Cb = [j for j, s in zip(C, pattern) if not s]
+        Cs = [j for j, s in zip(C, pattern) if s]
+        signs = np.array(list(itertools.product((1.0, -1.0), repeat=len(Cb)))).reshape(2 ** len(Cb), len(Cb))
+        cand = np.repeat(V[rows, None, :], len(signs), axis=1)  # (rows, flips, k)
+        cand[:, :, Cb] = signs * V[rows, None][:, :, Cb]
+        if not Cs:
+            out[rows] = np.max(np.abs(np.asarray(f(cand.reshape(-1, k)))).reshape(rows.size, -1), axis=1)
+            continue
+        small = np.array(list(itertools.product(slab, repeat=len(Cs))))  # (grid points, |Cs|)
+        pts = np.repeat(cand[:, :, None, :], len(small), axis=2)  # (rows, flips, grid points, k)
+        pts[..., Cs] = small
+        pts = pts.reshape(-1, k)
+        h, best = 1e-4, np.zeros(rows.size)
+        for j in Cs:
+            up, dn = pts.copy(), pts.copy()
+            up[:, j] += h
+            dn[:, j] -= h
+            d = np.abs(np.asarray(f(up)) - np.asarray(f(dn))) / (2 * h)
+            best = np.maximum(best, d.reshape(rows.size, -1).max(axis=1))
+        out[rows] = safety * best
+    return out
+
+
 class TestBatchedSlabNorm:
-    @pytest.mark.parametrize("tau", [1.0, 0.7])
-    @pytest.mark.parametrize("flavor", ["bar", "double_bar"])
-    def test_batched_equals_pointwise(self, monkeypatch, tau, flavor):
+    @pytest.mark.parametrize("tau", [pytest.param(tau, id=f"double_bar-{tau}") for tau in (0.7, 1.0)])
+    def test_batched_equals_pointwise(self, tau):
         F = em.product_law([_shifted_gaussian(0.4), e1.standardized_binomial(25)])
         G = em.product_normal_target(2)
 
@@ -752,13 +771,9 @@ class TestBatchedSlabNorm:
         edge = edge + [-e for e in edge]  # either side of |v_j| = tau
         V = np.concatenate([rng.uniform(-3.0, 3.0, (24, 2)),
                             np.array(list(itertools.product(edge, edge)))])
-        # small chunks, so that groups span several of them
-        monkeypatch.setattr(em, "_SLAB_CHUNK", 7)
         for C in ((), (0,), (1,), (0, 1)):
-            batched = em.slab_norms(f, C, V, tau, flavor, grid=3)
-            looped = [em.slab_norm(f, C, v, tau, flavor, grid=3) for v in V]
-            pointwise = [_pointwise_slab_norm(f, C, v, tau, flavor, grid=3) for v in V]
-            assert np.array_equal(batched, looped)
+            batched = _batched_slab_norm(f, C, V, tau, grid=3)
+            pointwise = [_pointwise_slab_norm(f, C, v, tau, grid=3) for v in V]
             assert np.array_equal(batched, pointwise)
 
 
@@ -772,14 +787,14 @@ def _slab_pairs():
 
 
 class TestSlabGrid:
-    """The bound's tensor-grid slab norms against the per-row `slab_norms`."""
+    """The bound's tensor-grid slab norms against the per-row `_batched_slab_norm`."""
 
     @staticmethod
     def _per_row(F, G, xs, C, tau):
         def f(pts):
             return np.ravel(F.cf(pts) - G.cf(pts))
 
-        return em.slab_norms(f, C, em._grid_points(xs), tau, "double_bar", grid=5)
+        return _batched_slab_norm(f, C, em._grid_points(xs), tau, grid=5)
 
     @pytest.mark.parametrize("pair", ["product", "generic"])
     @pytest.mark.parametrize("tau", [1.0, 0.7])
@@ -858,3 +873,69 @@ class TestPinnedTotals:
                 F3, G3, om3, delta=8.0, mode="A", panels=3, order=4),
         }
         assert bounds[name]().total == pytest.approx(expect, rel=1e-12)
+
+
+def _report_routes(seed):
+    """(name, report, the omegas passed in) for every bound route, on laws
+    drawn from the seed."""
+    rng = np.random.default_rng(seed)
+    n1, n2, n3 = (int(n) for n in rng.integers(16, 200, 3))
+    mu = float(rng.uniform(-1.0, 1.0))
+    om1 = float(rng.uniform(6.0, 40.0))
+    om2 = tuple(float(om) for om in rng.uniform(6.0, 15.0, 2))
+    om3 = tuple(float(om) for om in rng.uniform(6.0, 15.0, 3))
+    delta = float(rng.uniform(2.0, 9.0))
+    F1 = e1.standardized_binomial(n1) if seed % 2 else e1.irwin_hall_standardized(n1 % 7 + 2)
+    G1 = e1.normal_law()
+    F2 = em.product_law([e1.standardized_binomial(n2), _shifted_gaussian(mu)])
+    G2 = em.product_law([e1.normal_law(), e1.normal_law(0.1, 1.1)])
+    F3 = em.product_law([e1.standardized_binomial(n) for n in (n1, n2, n3)])
+    G3 = em.product_normal_target(3)
+    t2, t3 = tuple(rng.uniform(-2.0, 2.0, 2)), tuple(rng.uniform(-2.0, 2.0, 3))
+    best = e1.best_esseen_bound(F1, G1)
+    small = dict(panels=3, order=4)
+    routes = [
+        ("1d_single", e1.esseen_bound_1d(F1, G1, om1), (om1,)),
+        ("1d_best", best, (min(e1.OMEGA_GRID, key=lambda om: e1.esseen_bound_1d(F1, G1, om).total),)),
+        ("partition_k2", em.esseen_bound_k(F2, G2, om2, t2, **small), om2),
+        ("partition_k3", em.esseen_bound_k(F3, G3, om3, t3, **small), om3),
+        ("slab_k2", em.esseen_bound_slab(F2, G2, om2, **small), om2),
+    ]
+    for tri in (False, True):
+        kw = dict(use_triangle_replacement=tri, **small)
+        routes.append((f"truncated_A_{tri}", em.esseen_bound_truncated(F2, G2, om2, delta=delta, **kw), om2))
+        routes.append((f"truncated_B_{tri}", em.esseen_bound_truncated(
+            F2, G2, om2, delta=delta, mode="B", box_extent=delta - 1.0, **kw), om2))
+    return routes
+
+
+class TestBoundReport:
+    @pytest.mark.parametrize("seed", [3, 22])
+    def test_parts_add_up_to_total(self, seed):
+        for name, rep, omegas in _report_routes(seed):
+            parts = math.fsum([*rep.terms.values(), rep.tail, *rep.slack.values()])
+            assert abs(parts - rep.total) <= 4 * math.ulp(rep.total), name
+            assert rep.omegas == omegas, name
+            assert isinstance(rep.omegas, tuple) and isinstance(rep.constants, dict), name
+            assert all(v >= 0.0 for v in (*rep.terms.values(), rep.tail, *rep.slack.values())), name
+
+    def test_route_parts(self):
+        routes = {name: rep for name, rep, _ in _report_routes(22)}
+        assert set(routes["1d_single"].terms) == {"integral"}
+        assert set(routes["1d_single"].slack) == {"exclusion", "quadrature"}
+        assert set(routes["1d_best"].constants) == {"c1", "c2"}
+        assert len(routes["partition_k2"].terms) == 9 and len(routes["partition_k3"].terms) == 27
+        assert len(routes["slab_k2"].terms) == 9
+        for tri in (False, True):
+            assert set(routes[f"truncated_A_{tri}"].slack) == {"moment"}
+            assert routes[f"truncated_B_{tri}"].slack == {}
+        assert routes["partition_k2"].slack == routes["slab_k2"].slack == {}
+        assert set(routes["truncated_A_False"].detail) == {"mode", "delta", "alpha"}
+        assert set(routes["partition_k3"].detail) == {"t"}
+        assert set(routes["slab_k2"].detail) == {"tau"}
+        assert routes["1d_single"].detail == {}
+
+    def test_frozen(self):
+        rep = e1.esseen_bound_1d(e1.standardized_binomial(25), e1.normal_law(), 8.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.total = 0.0

@@ -7,6 +7,7 @@ the checks of the tables they compute themselves included.
 
 import ast
 import dataclasses
+import importlib
 import math
 from collections import Counter
 from fractions import Fraction
@@ -44,6 +45,15 @@ def test_asserts_only_guard_internal_invariants(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("class T:\n    def f(self):\n        assert self\n")
     assert _asserts(probe) == [("probe.py", "T.f", 3)]  # the lint sees them
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__"))
+def test_public_names_resolve(module):
+    mod = importlib.import_module(f"bslib.{module}")
+    names = getattr(mod, "__all__", [])
+    assert len(set(names)) == len(names)
+    missing = [name for name in names if not hasattr(mod, name)]
+    assert not missing, f"bslib.{module}.__all__ names what it does not define: {missing}"
 
 
 _SAMPLES = ip.sample_function(np.cos, 1.0, 3, 0.5)
@@ -142,41 +152,12 @@ def test_ring_expansion_rejects_non_positive_monomial(monkeypatch):
         (lambda: em.esseen_bound_truncated(_F2, _G2, (12, 12), delta=2.0, alpha=math.nan), "alpha"),
         # the moments are second moments: a larger alpha would shrink the exclusion term
         (lambda: em.esseen_bound_truncated(_F2, _G2, (12, 12), delta=2.0, alpha=3.0), "alpha"),
+        (lambda: em.esseen_bound_slab(_F2, _G2, (12, 12), tau=math.inf), "tau"),
     ],
 )
 def test_bad_k_bound_argument_named(call, name):
     with pytest.raises(ValueError, match=f"^{name} "):
         call()
-
-
-def _cos(pts):
-    return np.cos(pts[:, 0]) + 0j
-
-
-@pytest.mark.parametrize(
-    "kwargs, name",
-    [
-        (dict(grid=0), "grid"),
-        (dict(grid=-1), "grid"),
-        (dict(grid=2.0), "grid"),
-        (dict(grid=True), "grid"),
-        (dict(flavor="Bar"), "flavor"),
-        (dict(tau=-1.0), "tau"),
-        (dict(tau=0.0), "tau"),
-        (dict(tau=math.nan), "tau"),
-        (dict(tau=math.inf), "tau"),
-        (dict(C=[5]), "C"),
-        (dict(C=[-1]), "C"),
-        (dict(C=[0, 0]), "C"),
-        (dict(C=[0.5]), "C"),
-    ],
-)
-def test_bad_slab_norm_argument_named(kwargs, name):
-    args = {"C": [0, 1], "tau": 1.0, "flavor": "double_bar", "grid": 3, **kwargs}
-    with pytest.raises(ValueError, match=f"^{name} "):
-        em.slab_norm(_cos, v=[0.3, 2.0], **args)
-    with pytest.raises(ValueError, match=f"^{name} "):
-        em.slab_norms(_cos, V=np.array([[0.3, 2.0], [1.5, -0.2]]), **args)
 
 
 @pytest.mark.parametrize(
