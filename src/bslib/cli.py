@@ -250,6 +250,9 @@ def cmd_table(args, manifest: RunManifest) -> int:
         raise ValueError(f"--step must be > 0 (got {step!r})")
     if hi < lo:
         raise ValueError(f"--to must be >= --from (got --from {lo!r} --to {hi!r})")
+    if not math.isfinite(hi + step * 0.5 - lo):
+        raise ValueError(f"--from/--to range from {lo!r} to {hi!r} with --step {step!r} "
+                         "is too wide for float arithmetic")
     span = (hi + step * 0.5 - lo) / step  # np.arange makes ceil(span) rows
     if span > _MAX_ROWS:
         raise ValueError(f"--step {step!r} makes about {span:.3g} rows from --from {lo!r} to --to {hi!r}, "

@@ -133,18 +133,15 @@ def _piecewise(x: np.ndarray, conds: list, funcs: list):
     return f(x) if callable(f) else np.float64(f)
 
 
-# |x| from which K is 0: x is an integer (from 2^52 on), and the computed
-# square underflows to 0 anyway; further out, pi x overflows in np.sinc
+# |x| at which fejer_K clamps x: the computed square underflows to 0 there
+# already, and further out pi x would overflow in np.sinc
 _K_ZERO = 2.0**1000
 
 
 def fejer_K(x):
     """(sin(pi x)/(pi x))^2; removable singularity at 0 handled by sinc."""
     x = np.asarray(x, dtype=float)
-    far = np.abs(x) >= _K_ZERO
-    if far.any():
-        return np.where(far, 0.0, np.float_power(np.sinc(np.where(far, 0.0, x)), 2))[()]
-    return np.float_power(np.sinc(x), 2)
+    return np.float_power(np.sinc(np.clip(x, -_K_ZERO, _K_ZERO)), 2)
 
 
 def _sinpi_over_pi_sq(x):

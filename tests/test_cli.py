@@ -384,6 +384,9 @@ class TestUsageErrors:
             (("table", "--fn", "K", "--from", "0", "--to", "1", "--step", "1e-300"), "--step"),
             (("table", "--fn", "W", "--from", "9007199254740980", "--to", "9007199254741000",
               "--step", "1"), "--step"),
+            # a range whose width overflows a double
+            (("table", "--fn", "K", "--from=-1e308", "--to=1e308", "--step=1e308"), "--from/--to"),
+            (("table", "--fn", "K", "--from=1e308", "--to=1.7e308", "--step=1e308"), "--from/--to"),
             # sampling formulas whose sine phase overflows
             (("eval", "--fn", "cardinal", "--x=1e308"), "--x"),
             (("eval", "--fn", "vaaler", "--x=-1e308"), "--x"),
