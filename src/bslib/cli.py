@@ -2,9 +2,10 @@
 
 Subcommands: `eval` (single kernel/function values), `table` (CSV sweeps),
 `verify` (module invariant suites), and `demo` (smoothing-bound and CLT
-scenarios).  Every run emits its manifest beside the results; JSON output
-uses the fixed key set {manifest, checks, bounds, measurements, verdicts,
-runtime_ms} and CSV rows carry 17 significant digits.
+scenarios).  Each takes only the flags it reads, and its manifest records
+only the values it read.  Every run emits its manifest beside the results;
+JSON output uses the fixed key set {manifest, checks, bounds, measurements,
+verdicts, runtime_ms} and CSV rows carry 17 significant digits.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -39,7 +40,8 @@ def _is_tol(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and 0.0 < v < math.inf
 
 
-# what each BSLIB_CONFIG value must satisfy; other keys are ignored
+# what each BSLIB_CONFIG value must satisfy, whatever the command; other keys
+# are ignored.  A key is the default of its flag where that is read.
 _CONFIG_KEYS = {
     "tol": (_is_tol, "a finite number > 0"),
     "seed": (lambda v: v is None or (isinstance(v, int) and not isinstance(v, bool)), "an integer"),
@@ -69,23 +71,23 @@ def _load_config() -> dict:
 class RunManifest:
     command: str
     parameters: dict
-    seed: int | None
-    tolerances: dict
-    constant_overrides: dict
     output: str | None
-    format: str
+    format: str = "json"
+    seed: int | None = None
+    tolerances: dict = field(default_factory=dict)
+    constant_overrides: dict = field(default_factory=dict)
 
 
 def _constant_floors(args) -> dict:
-    """The bound constants the command reads, each with its validity floor:
-    the bound module's default.  Overrides below a floor need --unsafe,
-    since they can make the reported bound unsound."""
-    if args.command != "demo" or args.scenario not in ("esseen1d-binomial", "esseen-k"):
+    """The bound constants the demo scenario reads, each with its validity
+    floor: the bound module's default.  Overrides below a floor need
+    --unsafe, since they can make the reported bound unsound."""
+    if args.scenario not in ("esseen1d-binomial", "esseen-k"):
         return {}
     from . import esseen1d as e1
 
-    k = 1 if args.scenario == "esseen1d-binomial" else _demo_param(args, "k")
-    if k == 1:
+    k = _READS["esseen-k"]["k"] if args.k is None else args.k
+    if args.scenario == "esseen1d-binomial" or k == 1:
         return {"c1": e1.C1_DEFAULT, "c2": e1.C2_DEFAULT}
     from . import esseen_multi as em
 
@@ -136,22 +138,38 @@ def _emit(payload: dict, out_path: str | None) -> None:
     _write(json.dumps(payload, sort_keys=True, indent=2, default=_json_value) + "\n", out_path)
 
 
+def _emit_run(manifest: RunManifest, t0: float, checks=(), bounds=(), measurements=(), verdicts=()):
+    """The six-key JSON of a run whose computation started at t0."""
+    _emit({"manifest": asdict(manifest), "checks": list(checks), "bounds": list(bounds),
+           "measurements": list(measurements), "verdicts": list(verdicts),
+           "runtime_ms": int((time.monotonic() - t0) * 1000)}, manifest.output)
+
+
 # ---------------------------------------------------------------------------
 # eval / table
 
 
-# KERNELS maps each --fn name to a table function (xs, ell, tol) -> arrays
+# KERNELS maps each --fn name to a table function (xs, ell) -> arrays
 # (values, err_ests); `eval` is the one-row table.  Array kernels are looked
 # up on their module at call time and called once per table, as is the
 # set-up all rows share (a sample set, the lambda optimisation).
+# The err_est of W, B and S (b and sigma alike) bounds |value - exact| at
+# every finite x.  W: the larger truncation term of its routes, 84 zeta(43)
+# 0.4^43 ~ 7e-16 (Taylor, times K <= 1) or B_22/x^23 <= 1e-17 (trigamma),
+# plus a rounding floor of 4 ulps of 1 (8.9e-16), 2e-15 rounded up.  B = W
+# + K: the two bounds (K's 1e-15) and half an ulp of 2 for the sum, 4e-15.
+# S, the mean of B(x) and B(ell - x): B's bound, half of |B'| <= 3.2 times
+# the rounding of ell - x (<= 1.5e-16) and the mean's rounding, 5e-15.
+# mpmath measures at most 9e-16 for each, near integers and 0.4 included.
+_W_ERR, _B_ERR, _S_ERR = 2e-15, 4e-15, 5e-15
 
 
-def _array_table(kernel, err=None):
-    """Table of kernel(xs, ell) over the array xs; err_est is err, or echoes --tol if None."""
+def _array_table(kernel, err: float):
+    """Table of kernel(xs, ell) over the array xs, with err_est err on every row."""
 
-    def table(xs, ell, tol):
+    def table(xs, ell):
         xs = np.asarray(xs, dtype=float)
-        return kernel(xs, ell), np.full(xs.shape, tol if err is None else err)
+        return kernel(xs, ell), np.full(xs.shape, err)
 
     return table
 
@@ -168,12 +186,12 @@ def _fejer_prime(t: np.ndarray) -> np.ndarray:
     return (kr.fejer_K(t + 1e-6) - kr.fejer_K(t - 1e-6)) / 2e-6
 
 
-def _cardinal_table(xs, ell, tol):
+def _cardinal_table(xs, ell):
     samples = ip.sample_function(kr.fejer_K, 1.0, 400, 0.5, decay_const=1.0, decay_exponent=2.0)
     return ip.cardinal_series(samples, xs)
 
 
-def _vaaler_table(xs, ell, tol):
+def _vaaler_table(xs, ell):
     samples = ip.sample_function(kr.fejer_K, 1.0, 400, 1.0, _fejer_prime, decay_const=1.0,
                                  decay_exponent=2.0)
     return ip.vaaler_interpolation(samples, xs)
@@ -181,11 +199,11 @@ def _vaaler_table(xs, ell, tol):
 
 KERNELS = {
     "K": _array_table(lambda xs, ell: kr.fejer_K(xs), 1e-15),
-    "W": _array_table(lambda xs, ell: kr.W_eval(xs)),
-    "B": _array_table(lambda xs, ell: kr.B_eval(xs)),
-    "b": _array_table(lambda xs, ell: kr.b_eval(xs)),
-    "S": _array_table(lambda xs, ell: kr.S_eval(_box_length(ell), xs)),
-    "sigma": _array_table(lambda xs, ell: kr.sigma_eval(_box_length(ell), xs)),
+    "W": _array_table(lambda xs, ell: kr.W_eval(xs), _W_ERR),
+    "B": _array_table(lambda xs, ell: kr.B_eval(xs), _B_ERR),
+    "b": _array_table(lambda xs, ell: kr.b_eval(xs), _B_ERR),
+    "S": _array_table(lambda xs, ell: kr.S_eval(_box_length(ell), xs), _S_ERR),
+    "sigma": _array_table(lambda xs, ell: kr.sigma_eval(_box_length(ell), xs), _S_ERR),
     "Q": _array_table(lambda xs, ell: kr.Q_eval(xs), 1e-14),
     "lambda": _array_table(lambda xs, ell: np.full(xs.shape, kr.lambda_constant()), 5e-8),
     "cardinal": _cardinal_table,
@@ -207,42 +225,42 @@ def _rows(xs: list[float], values: np.ndarray, errs: np.ndarray) -> list[str]:
     return list(map("%.17g,%.17g,%.17g".__mod__, zip(xs, values.tolist(), errs.tolist())))
 
 
-def _tabulate(args, manifest: RunManifest, xs: list[float]) -> int:
+def _tabulate(args, config: dict, xs: list[float]) -> int:
+    fmt = args.format or config.get("format", "csv")
+    # --ell is taken for every --fn, and read by S and sigma alone
+    params = {k: v for k, v in vars(args).items()
+              if k not in ("command", "out", "format") and (k != "ell" or args.fn in ("S", "sigma"))}
+    manifest = RunManifest(args.command, params, args.out, fmt)
+    flag = "--x" if args.command == "eval" else "--from/--to"
     t0 = time.monotonic()
-    values, errs = KERNELS[args.fn](xs, args.ell, args.tol)
+    try:
+        values, errs = KERNELS[args.fn](xs, args.ell)
+    except ValueError as exc:
+        if args.fn not in ("cardinal", "vaaler"):  # S and sigma name --ell themselves
+            raise
+        raise ValueError(f"{flag} is out of reach of {args.fn}: {exc}") from None
     bad = ~(np.isfinite(values) & np.isfinite(errs))
     if bad.any():
-        flag = "--x" if args.command == "eval" else "--from/--to"
         raise ValueError(f"{flag} reaches x = {xs[np.argmax(bad)]!r}, where {args.fn} has no finite "
                          "value or err_est")
     rows = _rows(xs, values, errs)
-    if args.format == "json":
-        payload = {
-            "manifest": asdict(manifest),
-            "checks": [],
-            "bounds": [],
-            "measurements": [
-                {"name": args.fn, "x": x, "value": v, "err_est": e}
-                for x, (_, v, e) in zip(xs, (row.split(",") for row in rows))
-            ],
-            "verdicts": [],
-            "runtime_ms": int((time.monotonic() - t0) * 1000),
-        }
-        _emit(payload, args.out)
+    if fmt == "json":
+        _emit_run(manifest, t0, measurements=({"name": args.fn, "x": x, "value": v, "err_est": e}
+                                              for x, (_, v, e) in zip(xs, (r.split(",") for r in rows))))
     else:
         _write("\n".join(["x,value,err_est", *rows]) + "\n", args.out)
     return EXIT_OK
 
 
-def cmd_eval(args, manifest: RunManifest) -> int:
+def cmd_eval(args, config: dict) -> int:
     _require_finite("x", args.x)
-    return _tabulate(args, manifest, [args.x])
+    return _tabulate(args, config, [args.x])
 
 
 _MAX_ROWS = 10**7  # the most rows of one table, about 0.6 GB of CSV
 
 
-def cmd_table(args, manifest: RunManifest) -> int:
+def cmd_table(args, config: dict) -> int:
     lo, hi, step = args.frm, args.to, args.step
     for flag, value in (("from", lo), ("to", hi), ("step", step)):
         _require_finite(flag, value)
@@ -262,7 +280,7 @@ def cmd_table(args, manifest: RunManifest) -> int:
     if not xs.size or stuck.size:
         x = float(xs[stuck[0]]) if stuck.size else lo
         raise ValueError(f"--step {step!r} cannot advance x past {x!r}")
-    return _tabulate(args, manifest, xs.tolist())
+    return _tabulate(args, config, xs.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +346,7 @@ def _suite_interpolation(tol: float) -> list[dict]:
     return checks
 
 
-def _suite_esseen1d(tol: float) -> list[dict]:
+def _suite_esseen1d() -> list[dict]:
     from . import esseen1d as e1
 
     checks = []
@@ -351,7 +369,7 @@ def _suite_esseen1d(tol: float) -> list[dict]:
     return checks
 
 
-def _suite_esseen_k(tol: float) -> list[dict]:
+def _suite_esseen_k() -> list[dict]:
     import itertools as it
 
     from . import esseen_multi as em
@@ -417,7 +435,7 @@ def _suite_esseen_k(tol: float) -> list[dict]:
     return checks
 
 
-def _suite_clt(tol: float) -> list[dict]:
+def _suite_clt() -> list[dict]:
     from . import clt
 
     checks = []
@@ -483,46 +501,25 @@ def _import_for(names: list[str]) -> None:
             importlib.import_module(f".{_LAZY_IMPORTS[name]}", __package__)
 
 
-def cmd_verify(args, manifest: RunManifest) -> int:
-    names = list(_SUITES) if args.suite == "all" else [args.suite]
-    _import_for(names)
-    t0 = time.monotonic()
-    checks = []
-    for name in names:
-        for entry in _SUITES[name](args.tol):
-            entry["suite"] = name
-            checks.append(entry)
-    payload = {
-        "manifest": asdict(manifest),
-        "checks": checks,
-        "bounds": [],
-        "measurements": [],
-        "verdicts": [
-            {"name": "all_checks_pass", "pass": all(c["pass"] for c in checks)},
-        ],
-        "runtime_ms": int((time.monotonic() - t0) * 1000),
-    }
-    _emit(payload, args.out)
-    return EXIT_OK if all(c["pass"] for c in checks) else EXIT_CHECK_FAILED
-
-
-# ---------------------------------------------------------------------------
-# demo scenarios
-
-
-# the flags each demo scenario reads, with their defaults; any other
-# scenario flag is a usage error.  --seed, which every command takes, is
-# recorded only where it is read.
-_DEMO_FLAGS = {
+# the flags each verify suite and demo scenario reads, with their defaults;
+# another flag of verify or demo is a usage error.  --const and --unsafe
+# are read where _constant_floors names constants.
+_READS = {
+    "kernels": {"tol": 1e-10},
+    "interpolation": {"tol": 1e-10},
+    "esseen1d": {},
+    "esseen_k": {},
+    "clt": {},
     "esseen1d-binomial": {"n": 100, "omega": 20.0},
     "esseen-k": {"k": 2, "n": 64, "omega": 12.0, "delta": 8.0},
     "clt-haar": {"N": 400, "samples": 10**5, "seed": 7},
     "clt-vector": {"N": 400, "samples": 2 * 10**4, "seed": 11},
 }
 
-# what an explicit value of each demo flag must satisfy; --samples and
-# --seed are checked by clt.MonteCarloConfig
-_DEMO_LIMITS = {
+# what an explicit value of each flag must satisfy; --samples and --seed are
+# checked by clt.MonteCarloConfig
+_LIMITS = {
+    "tol": (_is_tol, "a finite number > 0"),
     "k": (lambda v: 1 <= v <= 3, "1, 2 or 3"),
     "n": (lambda v: v >= 1, ">= 1"),
     "N": (lambda v: v >= 1, ">= 1"),
@@ -531,26 +528,51 @@ _DEMO_LIMITS = {
 }
 
 
-def _demo_param(args, flag: str):
-    """The value of --flag, or the scenario's default when the flag is absent."""
-    value = getattr(args, flag)
-    if value is not None and flag in _DEMO_LIMITS:
-        valid, need = _DEMO_LIMITS[flag]
-        if not valid(value):
-            raise ValueError(f"--{flag} must be {need} (got {value!r})")
-    return _DEMO_FLAGS[args.scenario][flag] if value is None else value
+def _resolve(args, names: list[str], config: dict) -> dict:
+    """Every flag that the suites or scenario `names` read: its value, else
+    BSLIB_CONFIG's (tol and seed), else the default.  A flag given that none
+    of them reads raises, and so does an explicit value out of range."""
+    reads = {}
+    for name in names:
+        reads.update(_READS[name])
+    if names == ["esseen-k"] and args.k == 1:
+        del reads["delta"]  # k = 1 runs the one-variable bound
+    for flag in ("tol", "k", "n", "N", "omega", "delta", "samples", "seed"):  # verify's or demo's
+        if getattr(args, flag, None) is not None and flag not in reads:
+            what = f"suite {args.suite}" if args.command == "verify" else f"scenario {args.scenario}"
+            raise ValueError(f"--{flag} is not read by {what} "
+                             f"(it reads {', '.join('--' + f for f in reads) or 'none'})")
+    params = {}
+    for flag, default in reads.items():
+        value = getattr(args, flag)
+        if value is not None and flag in _LIMITS:
+            valid, need = _LIMITS[flag]
+            if not valid(value):
+                raise ValueError(f"--{flag} must be {need} (got {value!r})")
+        elif value is None and flag in _CONFIG_KEYS and config.get(flag) is not None:
+            value = type(default)(config[flag])  # a JSON tol of 1 is the float 1.0
+        params[flag] = default if value is None else value
+    return params
 
 
-def _demo_params(args) -> dict:
-    """Every flag the scenario reads, resolved; a scenario flag it does not read raises."""
-    reads = list(_DEMO_FLAGS[args.scenario])
-    if args.scenario == "esseen-k" and args.k == 1:
-        reads.remove("delta")  # k = 1 runs the one-variable bound
-    for flag in ("k", "n", "N", "omega", "delta", "samples"):
-        if getattr(args, flag) is not None and flag not in reads:
-            raise ValueError(f"--{flag} is not read by scenario {args.scenario} "
-                             f"(it reads {', '.join('--' + f for f in reads)})")
-    return {flag: _demo_param(args, flag) for flag in reads}
+def cmd_verify(args, config: dict) -> int:
+    names = list(_SUITES) if args.suite == "all" else [args.suite]
+    params = _resolve(args, names, config)  # tol alone, where a suite reads it
+    manifest = RunManifest("verify", {"suite": args.suite}, args.out, tolerances=params)
+    _import_for(names)
+    t0 = time.monotonic()
+    checks = []
+    for name in names:
+        for entry in _SUITES[name](**{flag: params[flag] for flag in _READS[name]}):
+            entry["suite"] = name
+            checks.append(entry)
+    ok = all(c["pass"] for c in checks)
+    _emit_run(manifest, t0, checks, verdicts=[{"name": "all_checks_pass", "pass": ok}])
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
+
+
+# ---------------------------------------------------------------------------
+# demo scenarios
 
 
 def _binomial_bound_1d(p: dict, ov: dict) -> tuple[list, list, list]:
@@ -576,6 +598,8 @@ def _demo_esseen_k(p: dict, ov: dict) -> tuple[list, list, list]:
     k, n, omega = p["k"], p["n"], p["omega"]
     if k == 1:
         return _binomial_bound_1d(p, ov)
+    if not omega > 1.0:  # the k-variable bounds need Omega > 1
+        raise ValueError(f"--omega must be > 1 with --k {k} (got {omega!r})")
     delta = p["delta"]
     F = em.product_law([e1.standardized_binomial(n)] * k)
     G = em.product_normal_target(k)
@@ -656,23 +680,19 @@ _SCENARIOS = {
 }
 
 
-def cmd_demo(args, manifest: RunManifest) -> int:
+def cmd_demo(args, config: dict) -> int:
+    params = _resolve(args, [args.scenario], config)
+    floors = _constant_floors(args)
+    if args.unsafe and not floors:
+        raise ValueError(f"--unsafe is not read by scenario {args.scenario} (it reads no constant)")
+    overrides = _parse_overrides(args.const or [], bool(args.unsafe), floors)
+    shown = {flag: v for flag, v in params.items() if flag != "seed"}
+    manifest = RunManifest("demo", {"scenario": args.scenario, **shown}, args.out,
+                           seed=params.get("seed"), constant_overrides=overrides)
     _import_for([args.scenario])
     t0 = time.monotonic()
-    params = _demo_params(args)
-    shown = {flag: v for flag, v in params.items() if flag != "seed"}
-    manifest = replace(manifest, parameters={"scenario": args.scenario, **shown},
-                       seed=params.get("seed", manifest.seed))
-    bounds, meas, verdicts = _SCENARIOS[args.scenario](params, manifest.constant_overrides)
-    payload = {
-        "manifest": asdict(manifest),
-        "checks": [],
-        "bounds": bounds,
-        "measurements": meas,
-        "verdicts": verdicts,
-        "runtime_ms": int((time.monotonic() - t0) * 1000),
-    }
-    _emit(payload, args.out)
+    bounds, meas, verdicts = _SCENARIOS[args.scenario](params, overrides)
+    _emit_run(manifest, t0, bounds=bounds, measurements=meas, verdicts=verdicts)
     return EXIT_OK if all(v["pass"] for v in verdicts) else EXIT_CHECK_FAILED
 
 
@@ -682,37 +702,30 @@ def cmd_demo(args, manifest: RunManifest) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process; argparse keeps no state between
-    parse_args calls, and callers must not add to it."""
-    p = argparse.ArgumentParser(prog="bslib", description=__doc__)
+    parse_args calls, and callers must not add to it.  Each command takes only
+    the flags it reads, by full name alone (--k would be --kernel in eval)."""
+    p = argparse.ArgumentParser(prog="bslib", description=__doc__, allow_abbrev=False)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--format", choices=("csv", "json"), default=None)
-        sp.add_argument("--const", action="append", default=[], metavar="NAME=VALUE")
-        sp.add_argument("--unsafe", action="store_true")
-
-    pe = sub.add_parser("eval", help="evaluate one kernel/function at a point")
+    pe = sub.add_parser("eval", help="evaluate one kernel/function at a point", allow_abbrev=False)
     pe.add_argument("--fn", "--kernel", dest="fn", choices=tuple(KERNELS), required=True)
     pe.add_argument("--x", type=float, default=0.0)
-    pe.add_argument("--ell", type=float, default=1.0)
-    common(pe)
 
-    pt = sub.add_parser("table", help="tabulate a kernel/function over a range")
+    pt = sub.add_parser("table", help="tabulate a kernel/function over a range", allow_abbrev=False)
     pt.add_argument("--fn", "--kernel", dest="fn", choices=tuple(KERNELS), required=True)
     pt.add_argument("--from", dest="frm", type=float, required=True)
     pt.add_argument("--to", dest="to", type=float, required=True)
     pt.add_argument("--step", type=float, required=True)
-    pt.add_argument("--ell", type=float, default=1.0)
-    common(pt)
+    for sp in (pe, pt):
+        sp.add_argument("--ell", type=float, default=1.0)
+        sp.add_argument("--format", choices=("csv", "json"), default=None)
 
-    pv = sub.add_parser("verify", help="run a module invariant suite")
+    pv = sub.add_parser("verify", help="run a module invariant suite (JSON)", allow_abbrev=False)
     pv.add_argument("--suite", choices=tuple(_SUITES) + ("all",), required=True)
-    common(pv)
+    pv.add_argument("--tol", type=float, default=None)
 
-    pd = sub.add_parser("demo", help="run a bound-vs-measurement scenario")
+    pd = sub.add_parser("demo", help="run a bound-vs-measurement scenario (JSON)",
+                        allow_abbrev=False)
     pd.add_argument("--scenario", choices=tuple(_SCENARIOS), required=True)
     pd.add_argument("--n", type=int, default=None)
     pd.add_argument("--N", type=int, default=None)
@@ -720,7 +733,12 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--omega", type=float, default=None)
     pd.add_argument("--delta", type=float, default=None)
     pd.add_argument("--samples", type=int, default=None)
-    common(pd)
+    pd.add_argument("--seed", type=int, default=None)
+    pd.add_argument("--const", action="append", default=None, metavar="NAME=VALUE")
+    pd.add_argument("--unsafe", action="store_true", default=None)
+
+    for sp in (pe, pt, pv, pd):
+        sp.add_argument("--out", default=None)
     return p
 
 
@@ -732,31 +750,7 @@ def main(argv: list[str] | None = None) -> int:
 
     handler = {"eval": cmd_eval, "table": cmd_table, "verify": cmd_verify, "demo": cmd_demo}
     try:
-        config = _load_config()
-        if args.tol is None:
-            args.tol = float(config.get("tol", 1e-10))
-        if not _is_tol(args.tol):
-            raise ValueError(f"--tol must be a finite number > 0 (got {args.tol!r})")
-        if args.seed is None:
-            args.seed = config.get("seed")
-        if args.format is None:
-            args.format = config.get("format", "json" if args.command in ("verify", "demo") else "csv")
-        params = {
-            k: v
-            for k, v in vars(args).items()
-            if k not in ("command", "seed", "tol", "out", "format", "const", "unsafe")
-            and v is not None
-        }
-        manifest = RunManifest(
-            command=args.command,
-            parameters=params,
-            seed=args.seed,
-            tolerances={"tol": args.tol},
-            constant_overrides=_parse_overrides(args.const, args.unsafe, _constant_floors(args)),
-            output=args.out,
-            format=args.format,
-        )
-        return handler[args.command](args, manifest)
+        return handler[args.command](args, _load_config())
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

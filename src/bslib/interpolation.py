@@ -103,15 +103,17 @@ def _tail_estimate(samples: SampleSet, z: np.ndarray, spacing: float, sine: np.n
     return s + 2.0 * C / ((p - 1.0) * (1.0 + X) ** (p - 1.0) * np.maximum(X - np.abs(z), spacing)) / spacing
 
 
-def _reconstruct(samples: SampleSet, z, h: float, slope, series):
+def _reconstruct(samples: SampleSet, z, h: float, phase: float, slope, series):
     """(values, err_est) at the float or array z, in z's shape (floats for
     a float z).  A point within _NODE_WINDOW of a sampled node k*h takes
     that sample, plus slope times the offset when slope is not None, and
     err_est 0; the other points take series(z), _BLOCK points at a time."""
     zs = np.asarray(z, dtype=float)
-    if not np.isfinite(zs).all():
-        raise ValueError(f"z must be finite (got {zs[~np.isfinite(zs)].flat[0]!r})")
     z1 = zs.ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = z1[~np.isfinite(phase * z1)]  # series takes sin(phase * z)
+    if bad.size:
+        raise ValueError(f"z must be finite, and so must the sine phase {phase!r} z (got {float(bad[0])!r})")
     k = np.round(z1 / h)
     node = (np.abs(z1 - k * h) < _NODE_WINDOW) & (np.abs(k) <= samples.M)
     val, err = np.zeros(z1.size), np.zeros(z1.size)
@@ -131,7 +133,7 @@ def cardinal_series(samples: SampleSet, z, mode: Literal["basic", "extended"] = 
     returns (values, err_est) in z's shape.  The extended mode needs the
     derivatives, for f'(0)."""
     a, M = samples.alpha, samples.M
-    h = 1.0 / (2.0 * a)
+    h, phase = 1.0 / (2.0 * a), 2.0 * math.pi * a
     ks = np.arange(-M, M + 1)
     signed = np.where(ks % 2 == 0, 1.0, -1.0) * samples.values
     if mode != "basic":
@@ -141,7 +143,7 @@ def cardinal_series(samples: SampleSet, z, mode: Literal["basic", "extended"] = 
         ks, signed = ks[ks != 0], signed[ks != 0]
 
     def series(zb):
-        front = np.sin(2.0 * math.pi * a * zb) / (2.0 * math.pi * a)
+        front = np.sin(phase * zb) / phase
         tail = _tail_estimate(samples, zb, h, np.abs(front))
         d = zb[:, None] - ks * h
         if mode == "basic":
@@ -150,7 +152,7 @@ def cardinal_series(samples: SampleSet, z, mode: Literal["basic", "extended"] = 
         s = fp0 + f0 / zb + np.sum(signed * (1.0 / d + 1.0 / (ks * h)), axis=-1)
         return front * s, np.abs(front) * 2.0 * tail
 
-    return _reconstruct(samples, z, h, None, series)
+    return _reconstruct(samples, z, h, phase, None, series)
 
 
 def vaaler_interpolation(samples: SampleSet, z):
@@ -159,18 +161,19 @@ def vaaler_interpolation(samples: SampleSet, z):
     if samples.derivatives is None:
         raise ValueError("derivatives are needed for value+derivative interpolation (got None)")
     a, M = samples.alpha, samples.M
-    h = 1.0 / a
+    h, phase = 1.0 / a, math.pi * a
     nodes = np.arange(-M, M + 1) * h
 
+    @np.errstate(over="ignore")  # d**2 is inf past |z| ~ 1.3e154, where values / d**2 -> 0
     def series(zb):
         d = zb[:, None] - nodes
         s = np.sum(samples.values / d**2 + samples.derivatives / d, axis=-1)
-        sine = np.sin(math.pi * a * zb) / (math.pi * a)
+        sine = np.sin(phase * zb) / phase
         front = np.float_power(sine, 2)
         tail = _tail_estimate(samples, zb, h, np.abs(sine))
         return front * s, front * 2.0 * tail / np.maximum(M * h - np.abs(zb), h)
 
-    return _reconstruct(samples, z, h, samples.derivatives, series)
+    return _reconstruct(samples, z, h, phase, samples.derivatives, series)
 
 
 # ---------------------------------------------------------------------------

@@ -109,10 +109,10 @@ def odd_zeta_table(m_max: int = 20) -> OddZetaTable:
 TAYLOR_RADIUS = 0.4  # below it the trigamma form is 1 minus nearly 1 and loses digits
 TAYLOR_TERMS = 20  # the first omitted term, 84 zeta(43) 0.4^43, is 7e-16
 CROSSOVER_X0 = 8.0  # trigamma shifts x up to here; then B_22/x^23 <= 1e-17
-ASYMPTOTIC_PAIRS = 10  # Bernoulli terms of trigamma's series, at most the 31 of _B2K
+ASYMPTOTIC_PAIRS = 10  # Bernoulli terms of trigamma's series: B_2 .. B_20, all of _B2K
 SERIES_TERMS = 10**4  # W oracle terms; its tail needs T -+ x large, so |x| <= T/2
 
-_B2K = [float(b) for b in bernoulli_numbers(62).values[2::2]]  # B_2, B_4, ..., B_62
+_B2K = [float(b) for b in bernoulli_numbers(2 * ASYMPTOTIC_PAIRS).values[2::2]]  # B_2, B_4, ..., B_20
 # W/K = 2x + sum_{m>=1} _TAYLOR[m-1] x^(2m+1), _TAYLOR[m-1] = 4 m zeta(2m+1)
 _TAYLOR = [4.0 * m * z for m, z in enumerate(odd_zeta_table(TAYLOR_TERMS).values, start=1)]
 
@@ -133,15 +133,17 @@ def _piecewise(x: np.ndarray, conds: list, funcs: list):
     return f(x) if callable(f) else np.float64(f)
 
 
-# |x| at which fejer_K clamps x: the computed square underflows to 0 there
-# already, and further out pi x would overflow in np.sinc
+# |x| at which fejer_K clamps x for np.sinc, past which pi x would overflow;
+# every |x| >= 2^52 is an integer, where K is 0 anyway
 _K_ZERO = 2.0**1000
 
 
 def fejer_K(x):
-    """(sin(pi x)/(pi x))^2; removable singularity at 0 handled by sinc."""
+    """(sin(pi x)/(pi x))^2; removable singularity at 0 handled by sinc; 0 at
+    every other integer, +-inf included, where np.sinc's sin(pi x) leaves 3e-33."""
     x = np.asarray(x, dtype=float)
-    return np.float_power(np.sinc(np.clip(x, -_K_ZERO, _K_ZERO)), 2)
+    k = np.float_power(np.sinc(np.clip(x, -_K_ZERO, _K_ZERO)), 2)
+    return np.where((x == np.round(x)) & (x != 0.0), 0.0, k)[()]
 
 
 def _sinpi_over_pi_sq(x):
@@ -169,7 +171,7 @@ def trigamma(x):
         low = x < CROSSOVER_X0
     s = 1.0 / x + 0.5 / (x * x)
     xp = np.float_power(x, 3)
-    for b2k in _B2K[:ASYMPTOTIC_PAIRS]:
+    for b2k in _B2K:
         s = s + b2k / xp
         xp = xp * (x * x)
     return (acc + s)[()]

@@ -11,6 +11,7 @@ import types
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -145,9 +146,9 @@ class TestTable:
 
 
 # the scalar kernels and sampling formulas called point by point, with the
-# err_est each name reports: a fixed estimate, the formula's own, or --tol;
+# err_est each name reports: a fixed bound or estimate, or the formula's own;
 # the sample sets are built node by node from scalar calls
-def _reference_rows(name, xs, ell, tol):
+def _reference_rows(name, xs, ell):
     f = lambda t: float(kr.fejer_K(t))
     if name in ("cardinal", "vaaler"):
         nodes = [k * (0.5 if name == "cardinal" else 1.0) for k in range(-400, 401)]
@@ -159,11 +160,11 @@ def _reference_rows(name, xs, ell, tol):
         return [formula(samples, x) for x in xs]
     point = {
         "K": lambda x: (f(x), 1e-15),
-        "W": lambda x: (kr.W_eval(x), tol),
-        "B": lambda x: (kr.B_eval(x), tol),
-        "b": lambda x: (kr.b_eval(x), tol),
-        "S": lambda x: (kr.S_eval(ell, x), tol),
-        "sigma": lambda x: (kr.sigma_eval(ell, x), tol),
+        "W": lambda x: (kr.W_eval(x), 2e-15),
+        "B": lambda x: (kr.B_eval(x), 4e-15),
+        "b": lambda x: (kr.b_eval(x), 4e-15),
+        "S": lambda x: (kr.S_eval(ell, x), 5e-15),
+        "sigma": lambda x: (kr.sigma_eval(ell, x), 5e-15),
         "Q": lambda x: (kr.Q_eval(x), 1e-14),
         "lambda": lambda x: (kr.lambda_constant(), 5e-8),
     }[name]
@@ -185,8 +186,8 @@ class TestRegistry:
 
     @pytest.mark.parametrize("name", list(cli.KERNELS))
     def test_table_matches_pointwise_loop(self, name):
-        values, errs = cli.KERNELS[name](self.POINTS, 2.0, 1e-9)
-        expect = _reference_rows(name, self.POINTS, 2.0, 1e-9)
+        values, errs = cli.KERNELS[name](self.POINTS, 2.0)
+        expect = _reference_rows(name, self.POINTS, 2.0)
         assert _hex_rows(zip(values, errs)) == _hex_rows(expect)
 
     @pytest.mark.parametrize("name", list(cli.KERNELS))
@@ -199,7 +200,7 @@ class TestRegistry:
         xs = [x for x, _, _ in rows]
         assert len(xs) == 9
         # 17 significant digits round-trip a double exactly
-        expect = [(x, *row) for x, row in zip(xs, _reference_rows(name, xs, 2.5, 1e-10))]
+        expect = [(x, *row) for x, row in zip(xs, _reference_rows(name, xs, 2.5))]
         assert _hex_rows(rows) == _hex_rows(expect)
         for x, line in zip(xs, lines):
             _, one, _ = run(capsys, "eval", "--fn", name, "--x", repr(x), "--ell", "2.5")
@@ -229,24 +230,24 @@ class TestRegistry:
     @pytest.mark.parametrize("ell", [0.0, -1.0, math.nan, math.inf])
     def test_interval_kernel_rejects_bad_ell(self, name, ell):
         with pytest.raises(ValueError, match="^--ell"):
-            cli.KERNELS[name]([0.3], ell, 1e-10)
+            cli.KERNELS[name]([0.3], ell)
 
 
-# (from, to, step, tol, ell, rows): err_est columns that echo --tol 0.5 or
-# 1e-300 on every row, ranges through x = 0.0, a step of one ULP at 1.0,
-# and a step whose x cells need all 17 digits
+# (from, to, step, ell, rows): ranges through x = 0.0 and through the
+# integers -3 .. 3, a step of one ULP at 1.0, and a step whose x cells need
+# all 17 digits.  The names of the first two are labels only.
 _PINNED_TABLES = {
-    "tol-0.5": ("-3", "3", "0.25", "0.5", "1.0", 25),
-    "tol-1e-300": ("-1", "1", "0.125", "1e-300", "2.5", 17),
-    "one-ulp-step": ("1.0", repr(1.0 + 2.0**-52), repr(2.0**-52), "1e-10", "7.5", 2),
-    "step-0.07": ("-0.5", "0.5", "0.07", "1e-10", "1.0", 15),
+    "tol-0.5": ("-3", "3", "0.25", "1.0", 25),
+    "tol-1e-300": ("-1", "1", "0.125", "2.5", 17),
+    "one-ulp-step": ("1.0", repr(1.0 + 2.0**-52), repr(2.0**-52), "7.5", 2),
+    "step-0.07": ("-0.5", "0.5", "0.07", "1.0", 15),
 }
 
 
-def _per_cell_bytes(name, xs, ell, tol, fmt, out):
+def _per_cell_bytes(name, xs, ell, fmt, out):
     """The output as per-cell f"{v:.17g}" formatting prints it; a JSON
     reference takes the manifest and runtime_ms from the output."""
-    values, errs = cli.KERNELS[name](xs, ell, tol)
+    values, errs = cli.KERNELS[name](xs, ell)
     cells = [(x, f"{v:.17g}", f"{e:.17g}") for x, v, e in zip(xs, values, errs)]
     if fmt == "csv":
         return "".join(["x,value,err_est\n", *(f"{x:.17g},{v},{e}\n" for x, v, e in cells)])
@@ -264,30 +265,28 @@ class TestOutputBytes:
     @pytest.mark.parametrize("case", list(_PINNED_TABLES))
     @pytest.mark.parametrize("name", list(cli.KERNELS))
     def test_table_bytes(self, capsys, tmp_path, name, case, fmt):
-        lo, hi, step, tol, ell, rows = _PINNED_TABLES[case]
-        argv = ["table", "--fn", name, "--from", lo, "--to", hi, "--step", step, "--tol", tol,
-                "--ell", ell, "--format", fmt]
+        lo, hi, step, ell, rows = _PINNED_TABLES[case]
+        argv = ["table", "--fn", name, "--from", lo, "--to", hi, "--step", step, "--ell", ell,
+                "--format", fmt]
         code, out, _ = run(capsys, *argv)
         assert code == EXIT_OK
         xs = [float(x) for x in np.arange(float(lo), float(hi) + float(step) * 0.5, float(step))]
         assert len(xs) == rows
-        assert out == _per_cell_bytes(name, xs, float(ell), float(tol), fmt, out)
+        assert out == _per_cell_bytes(name, xs, float(ell), fmt, out)
         dest = tmp_path / f"table.{fmt}"
         code, file_out, _ = run(capsys, *argv, "--out", str(dest))
         assert code == EXIT_OK and file_out == ""
         # the CSV is stdout's; the JSON manifest records the output path
         text = dest.read_text()
-        assert text == _per_cell_bytes(name, xs, float(ell), float(tol), fmt, text)
+        assert text == _per_cell_bytes(name, xs, float(ell), fmt, text)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("name", list(cli.KERNELS))
     def test_eval_bytes(self, capsys, name, fmt):
-        for x in ("0.0", "-0.0", "0.5", "-7.3", "1e-300"):
-            for tol in ("0.5", "1e-300"):
-                code, out, _ = run(capsys, "eval", "--fn", name, "--x", x, "--tol", tol,
-                                   "--format", fmt)
-                assert code == EXIT_OK
-                assert out == _per_cell_bytes(name, [float(x)], 1.0, float(tol), fmt, out)
+        for x in ("0.0", "-0.0", "0.5", "-7.3", "1e-300", "3.0"):
+            code, out, _ = run(capsys, "eval", "--fn", name, "--x", x, "--format", fmt)
+            assert code == EXIT_OK
+            assert out == _per_cell_bytes(name, [float(x)], 1.0, fmt, out)
 
 
 class TestParserReuse:
@@ -314,7 +313,7 @@ class TestParserReuse:
         mixed = [
             ("eval", "--fn", "K", "--x", "0.3"),
             ("eval", "--fn", "S", "--x", "0.5", "--ell", "2", "--format", "json"),
-            ("table", "--fn", "B", "--from", "-1", "--to", "1", "--step", "0.5", "--tol", "0.5"),
+            ("table", "--fn", "B", "--from", "-1", "--to", "1", "--step", "0.5", "--format", "json"),
             ("eval", "--fn", "nope"),
             ("table", "--fn", "Q", "--from", "0", "--to", "1", "--step", "-1"),
             ("verify", "--suite", "kernels", "--seed", "4"),
@@ -351,10 +350,10 @@ class TestUsageErrors:
             (("eval", "--fn", "sigma", "--ell", "0"), "--ell"),
             (("table", "--fn", "S", "--from", "0", "--to", "1", "--step", "0.5",
               "--ell", "nan"), "--ell"),
-            (("eval", "--fn", "K", "--const", "c1=abc"), "--const"),
-            (("eval", "--fn", "K", "--const", "c1=nan"), "--const"),
-            (("eval", "--fn", "K", "--const", "c1"), "--const"),
-            (("eval", "--fn", "K", "--const", "zz=1"), "--const"),
+            (("demo", "--scenario", "esseen-k", "--const", "c1=abc"), "--const"),
+            (("demo", "--scenario", "esseen-k", "--const", "c1=nan"), "--const"),
+            (("demo", "--scenario", "esseen-k", "--const", "c1"), "--const"),
+            (("demo", "--scenario", "esseen-k", "--const", "zz=1"), "--const"),
             (("demo", "--scenario", "esseen-k", "--k", "7"), "--k"),
             # an explicit 0 is rejected, not replaced by the default
             (("demo", "--scenario", "esseen-k", "--k", "0"), "--k"),
@@ -392,6 +391,13 @@ class TestUsageErrors:
             (("eval", "--fn", "vaaler", "--x=-1e308"), "--x"),
             (("table", "--fn", "cardinal", "--from=2.9e307", "--to=2.9e307", "--step=1e300"),
              "--from/--to"),
+            # a flag that the suite or scenario does not read, and a bad --tol
+            (("verify", "--suite", "esseen1d", "--tol", "0.5"), "--tol"),
+            (("verify", "--suite", "kernels", "--tol", "nan"), "--tol"),
+            (("demo", "--scenario", "esseen-k", "--seed", "3"), "--seed"),
+            (("demo", "--scenario", "clt-haar", "--unsafe"), "--unsafe"),
+            # the k-variable bounds need Omega > 1
+            (("demo", "--scenario", "esseen-k", "--omega", "0.5"), "--omega"),
         ],
     )
     def test_message_names_the_flag(self, capsys, argv, flag):
@@ -531,9 +537,7 @@ class TestConstantOverrides:
             (("demo", "--scenario", "esseen-k", "--const", "c9=100", "--const", "c_hat1=50"),
              "c1, c2, c5, c6"),
             (("demo", "--scenario", "clt-haar", "--const", "c1=1"), "none"),
-            (("eval", "--fn", "W", "--const", "c1=0.3"), "none"),
-            (("table", "--fn", "K", "--from", "0", "--to", "1", "--step", "0.5", "--const", "c2=4"),
-             "none"),
+            (("demo", "--scenario", "clt-vector", "--const", "c1=0.3"), "none"),
         ],
     )
     def test_constant_not_read_rejected(self, capsys, argv, reads):
@@ -569,24 +573,36 @@ class TestConstantOverrides:
 
 
 class TestConfigAndDeterminism:
+    # each key applies where it is read, and is ignored (never recorded) elsewhere
+    CLT = ("demo", "--scenario", "clt-haar", "--samples", "1000", "--N", "50")
+
     def test_config_file_defaults(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"format": "json", "seed": 99}))
+        cfg.write_text(json.dumps({"format": "json", "seed": 99, "tol": 1}))
         monkeypatch.setenv("BSLIB_CONFIG", str(cfg))
         code, payload, _ = run_json(capsys, "eval", "--fn", "K", "--x", "0.0")
         assert code == EXIT_OK
-        assert payload["manifest"]["seed"] == 99
         assert payload["manifest"]["format"] == "json"
+        assert payload["manifest"]["seed"] is None and payload["manifest"]["tolerances"] == {}
+        _, payload, _ = run_json(capsys, *self.CLT)
+        assert payload["manifest"]["seed"] == 99 and payload["manifest"]["tolerances"] == {}
+        _, payload, _ = run_json(capsys, "verify", "--suite", "kernels")
+        assert payload["manifest"]["tolerances"] == {"tol": 1.0}
+        assert payload["manifest"]["seed"] is None
+        _, payload, _ = run_json(capsys, "demo", "--scenario", "esseen-k")
+        assert payload["manifest"]["seed"] is None and payload["manifest"]["tolerances"] == {}
 
     def test_flags_override_config(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seed": 99}))
+        cfg.write_text(json.dumps({"format": "json", "seed": 99, "tol": 1}))
         monkeypatch.setenv("BSLIB_CONFIG", str(cfg))
-        code, payload, _ = run_json(
-            capsys, "eval", "--fn", "K", "--x", "0.0", "--seed", "5", "--format", "json"
-        )
+        code, payload, _ = run_json(capsys, *self.CLT, "--seed", "5")
         assert code == EXIT_OK
         assert payload["manifest"]["seed"] == 5
+        _, payload, _ = run_json(capsys, "verify", "--suite", "kernels", "--tol", "1e-3")
+        assert payload["manifest"]["tolerances"] == {"tol": 1e-3}
+        code, out, _ = run(capsys, "eval", "--fn", "K", "--x", "0.0", "--format", "csv")
+        assert code == EXIT_OK and out.startswith("x,value,err_est\n")
 
     @pytest.mark.parametrize("text", [None, "{not json", "[1, 2]"])
     def test_bad_config_file_is_a_usage_error(self, capsys, tmp_path, monkeypatch, text):
@@ -615,13 +631,15 @@ class TestConfigAndDeterminism:
     def test_bad_config_value_or_tol_is_a_usage_error(
         self, capsys, tmp_path, monkeypatch, config, flags, named
     ):
+        # every config key is checked, also by eval, which reads tol and seed nowhere
         monkeypatch.delenv("BSLIB_CONFIG", raising=False)
         if config is not None:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps(config))
             monkeypatch.setenv("BSLIB_CONFIG", str(cfg))
             named = f"BSLIB_CONFIG {cfg}: {named}"
-        code, out, err = run(capsys, "eval", "--fn", "K", "--x", "0.0", *flags)
+        argv = ("verify", "--suite", "kernels", *flags) if flags else ("eval", "--fn", "K", "--x", "0.0")
+        code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE
         assert out == ""
         assert err.startswith(f"error: {named} ")
@@ -654,7 +672,163 @@ class TestConfigAndDeterminism:
 
 
 # ---------------------------------------------------------------------------
-# argv fuzzing of eval and table
+# which flags each command takes, and what its manifest records
+
+
+# a value for every flag of the CLI that the commands reading it accept
+_FLAG_VALUES = {
+    "--x": "0.5", "--ell": "2.5", "--format": "json", "--tol": "0.001", "--seed": "3",
+    "--n": "30", "--N": "50", "--k": "2", "--omega": "10.0", "--delta": "5.0", "--samples": "1000",
+    "--const": "c1=0.5", "--unsafe": None,
+}
+
+_CLT_SMALL = ("--N", "50", "--samples", "1000")  # clt scenarios sample little
+
+# (argv that picks the command, suite or scenario; the flags it reads).
+# --ell is the one flag taken and not always read: every --fn takes it, S
+# and sigma read it.
+_READERS = {
+    "eval": (("eval", "--fn", "W"), {"--x", "--ell", "--format"}),
+    "table": (("table", "--fn", "K", "--from", "0", "--to", "1", "--step", "0.5"),
+              {"--ell", "--format"}),
+    **{f"verify-{suite}": (("verify", "--suite", suite), {"--tol"})
+       for suite in ("kernels", "interpolation", "all")},
+    **{f"verify-{suite}": (("verify", "--suite", suite), set())
+       for suite in ("esseen1d", "esseen_k", "clt")},
+    "esseen1d-binomial": (("demo", "--scenario", "esseen1d-binomial"),
+                          {"--n", "--omega", "--const", "--unsafe"}),
+    "esseen-k": (("demo", "--scenario", "esseen-k"),
+                 {"--k", "--n", "--omega", "--delta", "--const", "--unsafe"}),
+    "esseen-k-1": (("demo", "--scenario", "esseen-k", "--k", "1"),
+                   {"--n", "--omega", "--const", "--unsafe"}),
+    **{clt: (("demo", "--scenario", clt, *_CLT_SMALL), {"--seed"}) for clt in ("clt-haar", "clt-vector")},
+}
+
+# argv with every flag it reads, and the manifest fields that differ from
+# the manifest of a run that reads no flag
+_READ_CASES = {
+    "eval": (("eval", "--fn", "W", "--x", "0.5", "--ell", "2.5", "--format", "json"),
+             {"parameters": {"fn": "W", "x": 0.5}}),
+    "eval-S": (("eval", "--fn", "S", "--x", "0.5", "--ell", "2.5", "--format", "json"),
+               {"parameters": {"fn": "S", "x": 0.5, "ell": 2.5}}),
+    "table": (("table", "--fn", "sigma", "--from", "0", "--to", "1", "--step", "0.5", "--ell", "2.5",
+               "--format", "json"),
+              {"parameters": {"fn": "sigma", "frm": 0.0, "to": 1.0, "step": 0.5, "ell": 2.5}}),
+    "verify-kernels": (("verify", "--suite", "kernels", "--tol", "0.001"),
+                       {"parameters": {"suite": "kernels"}, "tolerances": {"tol": 0.001}}),
+    "verify-interpolation": (("verify", "--suite", "interpolation", "--tol", "0.001"),
+                             {"parameters": {"suite": "interpolation"}, "tolerances": {"tol": 0.001}}),
+    "verify-esseen_k": (("verify", "--suite", "esseen_k"), {"parameters": {"suite": "esseen_k"}}),
+    "esseen1d-binomial": (
+        ("demo", "--scenario", "esseen1d-binomial", "--n", "30", "--omega", "10.0", "--const", "c1=0.5",
+         "--unsafe"),
+        {"parameters": {"scenario": "esseen1d-binomial", "n": 30, "omega": 10.0},
+         "constant_overrides": {"c1": 0.5}}),
+    "esseen-k": (
+        ("demo", "--scenario", "esseen-k", "--k", "2", "--n", "30", "--omega", "10.0", "--delta", "5.0",
+         "--const", "c1=1.5"),
+        {"parameters": {"scenario": "esseen-k", "k": 2, "n": 30, "omega": 10.0, "delta": 5.0},
+         "constant_overrides": {"c1": 1.5}}),
+    "esseen-k-1": (("demo", "--scenario", "esseen-k", "--k", "1", "--n", "30", "--omega", "10.0"),
+                   {"parameters": {"scenario": "esseen-k", "k": 1, "n": 30, "omega": 10.0}}),
+    "clt-haar": (("demo", "--scenario", "clt-haar", *_CLT_SMALL, "--seed", "3"),
+                 {"parameters": {"scenario": "clt-haar", "N": 50, "samples": 1000}, "seed": 3}),
+    "clt-vector": (("demo", "--scenario", "clt-vector", *_CLT_SMALL, "--seed", "3"),
+                   {"parameters": {"scenario": "clt-vector", "N": 50, "samples": 1000}, "seed": 3}),
+}
+
+
+def _manifest(command, **fields):
+    return {"command": command, "seed": None, "tolerances": {}, "constant_overrides": {},
+            "output": None, "format": "json", **fields}
+
+
+class TestFlagsRead:
+    @pytest.mark.parametrize("target", list(_READERS))
+    def test_flag_not_read_exits_2_and_names_it(self, capsys, monkeypatch, target):
+        monkeypatch.delenv("BSLIB_CONFIG", raising=False)
+        argv, reads = _READERS[target]
+        for flag, value in _FLAG_VALUES.items():
+            if flag in reads or flag in argv:
+                continue
+            code, out, err = run(capsys, *argv, flag, *([] if value is None else [value]))
+            assert code == EXIT_USAGE and out == "", flag
+            assert flag in err and "Traceback" not in err, (flag, err)
+
+    @pytest.mark.parametrize("case", list(_READ_CASES))
+    def test_manifest_records_what_was_read(self, capsys, monkeypatch, case):
+        monkeypatch.delenv("BSLIB_CONFIG", raising=False)
+        argv, fields = _READ_CASES[case]
+        code, payload, _ = run_json(capsys, *argv)
+        assert code in (EXIT_OK, EXIT_CHECK_FAILED)
+        assert payload["manifest"] == _manifest(argv[0], **fields)
+
+
+# ---------------------------------------------------------------------------
+# err_est of the W family against mpmath
+
+
+def _w_mp(x):
+    """W(x) = (sin pi x / pi)^2 (psi_1(1 - x) - psi_1(1 + x) + 2/x), odd, with
+    psi_1(1 - a) = pi^2 / sin^2(pi a) - psi_1(a): mpmath's psi_1 is slow at
+    large negative arguments, and takes seconds at 1 - 1e6."""
+    x = mpmath.mpf(x)
+    if x == mpmath.nint(x):
+        return mpmath.sign(x)  # W is 0 at 0 and sign x at the other integers
+    a = abs(x)
+    s = mpmath.sin(mpmath.pi * a) / mpmath.pi
+    return mpmath.sign(x) * (1 - s * s * (mpmath.psi(1, a) + mpmath.psi(1, a + 1) - 2 / a))
+
+
+def _k_mp(x):
+    x = mpmath.mpf(x)
+    return mpmath.mpf(1) if x == 0 else (mpmath.sin(mpmath.pi * x) / (mpmath.pi * x)) ** 2
+
+
+# a seeded grid on [-40, 40], 1e-6 and 1e-12 from integers, the 0.4
+# crossover, [40, 5000], and a few points up to 3e7
+def _err_sweep():
+    rng = np.random.default_rng(23)
+    ints = np.array([-37.0, -9.0, -2.0, -1.0, 1.0, 2.0, 3.0, 8.0, 17.0, 40.0])
+    near = np.concatenate([ints + d for d in (1e-6, -1e-6, 1e-12, -1e-12)])
+    cross = np.array([0.4, -0.4, 0.4 + 1e-12, 0.4 - 1e-12, np.nextafter(0.4, 1.0), -np.nextafter(0.4, 0.0)])
+    far = np.geomspace(40.0, 5000.0, 12) + rng.uniform(0.0, 1.0, 12)
+    return np.concatenate([rng.uniform(-40.0, 40.0, 40), near, cross, far, -far,
+                           [0.0, 1e-300, 0.3, 1e6 + 0.3, -3e7 - 0.7]])
+
+
+class TestErrEst:
+    XS = _err_sweep()
+
+    @pytest.fixture(scope="class")
+    def exact(self):
+        with mpmath.workdps(50):
+            return {float(x): (_w_mp(x), _k_mp(x)) for x in self.XS}
+
+    @pytest.mark.parametrize("name, sign", [("W", 0), ("B", 1), ("b", -1)])
+    def test_dominates_the_error(self, exact, name, sign):
+        values, errs = cli.KERNELS[name](self.XS, 1.0)
+        assert np.unique(errs).size == 1  # one constant per kernel
+        with mpmath.workdps(50):
+            gaps = [abs(float(v) - (exact[float(x)][0] + sign * exact[float(x)][1]))
+                    for x, v in zip(self.XS, values)]
+        assert float(max(gaps)) <= errs[0]
+
+    @pytest.mark.parametrize("ell", [1.0, 2.0, 7.5, 1000.0])
+    def test_dominates_the_error_of_s_and_sigma(self, ell):
+        xs = self.XS[::4]
+        (s, err_s), (g, err_g) = cli.KERNELS["S"](xs, ell), cli.KERNELS["sigma"](xs, ell)
+        assert np.unique(err_s).size == np.unique(err_g).size == 1
+        with mpmath.workdps(50):
+            for x, vs, vg in zip(xs, s, g):
+                y = mpmath.mpf(ell) - mpmath.mpf(float(x))
+                w, k, wy, ky = _w_mp(float(x)), _k_mp(float(x)), _w_mp(y), _k_mp(y)
+                assert abs(vs - float((w + k + wy + ky) / 2)) <= err_s[0], (ell, x)
+                assert abs(vg - float((w - k + wy - ky) / 2)) <= err_g[0], (ell, x)
+
+
+# ---------------------------------------------------------------------------
+# argv fuzzing
 
 
 _EDGE = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 0.5, -7.3, 2.0**52,
@@ -665,26 +839,32 @@ _REALS = st.one_of(st.sampled_from(_EDGE), st.floats(-60.0, 60.0),
 
 
 @st.composite
-def _common_flags(draw):
+def _untaken(draw, flags):
+    """Now and then one flag the command does not take, as (flag, argv)."""
+    if draw(st.integers(0, 4)):
+        return None, []
+    flag = draw(st.sampled_from(flags))
+    value = _FLAG_VALUES[flag]
+    return flag, [flag] if value is None else [f"{flag}={value}"]
+
+
+@st.composite
+def _tabulate_flags(draw):
     argv = []
     if draw(st.booleans()):
         argv.append(f"--ell={draw(_REALS)!r}")
-    tol = draw(st.one_of(st.none(), st.sampled_from(["5e-324", "1e-10", "0.5", "1e308", "0", "-1",
-                                                     "nan"])))
-    if tol is not None:
-        argv.append(f"--tol={tol}")
     fmt = draw(st.sampled_from([None, "csv", "json"]))
     if fmt is not None:
         argv += ["--format", fmt]
-    if draw(st.integers(0, 4)) == 0:  # eval and table read no constant
-        argv += ["--const", draw(st.sampled_from(["c1=abc", "c1", "zz=1", "c1=nan", "c1=1"]))]
-    return argv
+    flag, extra = draw(_untaken(["--tol", "--seed", "--const", "--unsafe", "--N"]))
+    return argv + extra, flag
 
 
 @st.composite
 def _eval_argv(draw):
     fn = draw(st.sampled_from(list(cli.KERNELS)))
-    return ["eval", "--fn", fn, f"--x={draw(_REALS)!r}", *draw(_common_flags())]
+    flags, untaken = draw(_tabulate_flags())
+    return ["eval", "--fn", fn, f"--x={draw(_REALS)!r}", *flags], untaken
 
 
 @st.composite
@@ -700,8 +880,8 @@ def _table_argv(draw):
         # 10^20 to 10^300 rows, rejected before any row is made
         span = draw(st.floats(1e-3, 1e3))
         hi, step = lo + span, span / 10.0 ** draw(st.integers(20, 300))
-    return ["table", "--fn", fn, f"--from={lo!r}", f"--to={hi!r}", f"--step={step!r}",
-            *draw(_common_flags())]
+    flags, untaken = draw(_tabulate_flags())
+    return ["table", "--fn", fn, f"--from={lo!r}", f"--to={hi!r}", f"--step={step!r}", *flags], untaken
 
 
 def _run_quietly(argv):
@@ -713,12 +893,14 @@ def _run_quietly(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def _check_fuzzed(argv):
+def _check_fuzzed(argv, untaken):
     code, out, err = _run_quietly(argv)
     assert code in (EXIT_OK, EXIT_USAGE), (argv, code, err)
     assert "Traceback" not in err
+    if untaken is not None:
+        assert code == EXIT_USAGE and untaken in err, (argv, err)
     if code != EXIT_OK:
-        assert out == "" and err.startswith("error: ")
+        assert out == "" and "error: " in err
         return
     if "json" in argv:
         cells = [(m["value"], m["err_est"]) for m in json.loads(out)["measurements"]]
@@ -729,13 +911,121 @@ def _check_fuzzed(argv):
         assert math.isfinite(float(value)) and math.isfinite(float(err_est)), (argv, value, err_est)
 
 
+# verify and demo argv, with the manifest a run must record, or None where
+# the argv must exit 2.  The model follows the README: each suite and
+# scenario reads the flags listed there, with those defaults and limits.
+_TOL_SUITES = ("kernels", "interpolation", "all")
+_DEMO_DEFAULTS = {
+    "esseen1d-binomial": {"n": 100, "omega": 20.0},
+    "esseen-k": {"k": 2, "n": 64, "omega": 12.0, "delta": 8.0},
+    "clt-haar": {"N": 400, "samples": 10**5, "seed": 7},
+    "clt-vector": {"N": 400, "samples": 2 * 10**4, "seed": 11},
+}
+_DEMO_VALID = {
+    "k": lambda v: 1 <= v <= 3, "n": lambda v: v >= 1, "N": lambda v: v >= 1,
+    "omega": lambda v: 0.0 < v < math.inf, "delta": lambda v: 1.0 < v < math.inf,
+    "samples": lambda v: v >= 1000, "seed": lambda v: v >= 0,
+}
+_READS_CONSTANTS = {"esseen1d-binomial": ("c1", "c2"), "esseen-k": ("c1", "c2", "c5", "c6")}
+
+
+@st.composite
+def _verify_argv(draw):
+    suite = draw(st.sampled_from(["kernels", "interpolation", "esseen1d", "esseen_k", "clt", "all"]))
+    argv = ["verify", "--suite", suite]
+    tol = draw(st.one_of(st.none(), st.sampled_from(["1e-10", "0.5", "1e300", "1e-300", "1", "0", "-1",
+                                                     "nan", "inf"])))
+    if tol is not None:
+        argv.append(f"--tol={tol}")
+    untaken, extra = draw(_untaken(["--seed", "--format", "--const", "--unsafe", "--N", "--x"]))
+    argv += extra
+    expect = None
+    if untaken is None and (tol is None or suite in _TOL_SUITES and 0.0 < float(tol) < math.inf):
+        read = {"tol": float(tol or 1e-10)} if suite in _TOL_SUITES else {}
+        expect = _manifest("verify", parameters={"suite": suite}, tolerances=read)
+    return argv, expect
+
+
+@st.composite
+def _demo_argv(draw):
+    scenario = draw(st.sampled_from(list(_DEMO_DEFAULTS)))
+    # mostly valid values, the last one or two of each list not; k = 3 costs
+    # 150 ms a run, and clt scenarios sample little (--N <= 50, --samples
+    # <= 2000), so that a run costs at most about 20 ms
+    values = {
+        "k": [1, 2, 2, 2, 0, 4], "n": [1, 2, 17, 64, 300, 0], "N": [1, 2, 20, 50, 50, 0],
+        "omega": [0.5, 7.0, 12.0, 60.0, 0.0, math.nan], "delta": [1.5, 8.0, 20.0, 1.0],
+        "samples": [1000, 1500, 2000, 999], "seed": [0, 5, 2**64, -1],
+    }
+    flags = list(_DEMO_DEFAULTS[scenario])
+    if scenario.startswith("clt"):
+        flags = ["N", "samples"] + [f for f in flags if draw(st.booleans()) and f not in ("N", "samples")]
+    else:
+        flags = [f for f in flags if draw(st.booleans())]
+    if draw(st.integers(0, 5)) == 0:  # a flag that another scenario reads
+        flags.append(draw(st.sampled_from([f for f in values if f not in flags])))
+    given = {f: draw(st.sampled_from(values[f])) for f in flags}
+    const = None
+    if draw(st.integers(0, 2)) == 0:  # every validity floor lies between 0.001 and 100
+        const = draw(st.tuples(st.sampled_from(["c1", "c2", "c5", "c6", "zz"]),
+                               st.sampled_from(["100", "100", "0.001", "abc"])))
+    unsafe = draw(st.integers(0, 4)) == 0
+    argv = ["demo", "--scenario", scenario, *(f"--{f}={v!r}" for f, v in given.items())]
+    argv += [] if const is None else [f"--const={const[0]}={const[1]}"]
+    argv += ["--unsafe"] if unsafe else []
+    untaken, extra = draw(_untaken(["--tol", "--format", "--ell", "--x"]))
+    argv += extra
+
+    reads = dict(_DEMO_DEFAULTS[scenario])
+    constants = _READS_CONSTANTS.get(scenario, ())
+    k_variable = scenario == "esseen-k" and given.get("k") != 1
+    if scenario == "esseen-k" and not k_variable:  # the one-variable bound
+        del reads["delta"]
+        constants = ("c1", "c2")
+    ok = (untaken is None and set(given) <= set(reads)
+          and all(_DEMO_VALID[f](v) for f, v in given.items())
+          and (not k_variable or given.get("omega", 12.0) > 1.0)  # the k-variable bounds need it
+          and (not unsafe or constants))
+    if const is not None:
+        name, text = const
+        ok = ok and name in constants and text != "abc" and (unsafe or text == "100")
+    if not ok:
+        return argv, None
+    resolved = {**reads, **given}
+    seed = resolved.pop("seed", None)
+    overrides = {} if const is None else {const[0]: float(const[1])}
+    return argv, _manifest("demo", parameters={"scenario": scenario, **resolved}, seed=seed,
+                           constant_overrides=overrides)
+
+
+def _check_fuzzed_json(argv, expect):
+    code, out, err = _run_quietly(argv)
+    assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE), (argv, code, err)
+    assert "Traceback" not in err
+    if expect is None:
+        assert code == EXIT_USAGE and out == "", (argv, code, err)
+        return
+    assert code != EXIT_USAGE, (argv, err)
+    assert json.loads(out)["manifest"] == expect, argv
+
+
 class TestArgvFuzz:
     @given(_eval_argv())
     @settings(max_examples=150, deadline=None)
-    def test_eval(self, argv):
-        _check_fuzzed(argv)
+    def test_eval(self, case):
+        _check_fuzzed(*case)
 
     @given(_table_argv())
     @settings(max_examples=100, deadline=None)
-    def test_table(self, argv):
-        _check_fuzzed(argv)
+    def test_table(self, case):
+        _check_fuzzed(*case)
+
+    @given(_verify_argv())
+    @settings(max_examples=25, deadline=None)
+    def test_verify(self, case):
+        _check_fuzzed_json(*case)
+
+    @given(_demo_argv())
+    @settings(max_examples=50, deadline=None)
+    def test_demo(self, case):
+        _check_fuzzed_json(*case)

@@ -116,6 +116,27 @@ def _hex(arr):
     return [float(v).hex() for v in np.ravel(arr)]
 
 
+class TestPhaseReach:
+    # past the largest |z| whose sine phase is finite, 2 pi z for the
+    # cardinal series at alpha = 1 and pi z for the value+derivative
+    # formula, each raises; below it both give finite cells, quietly
+    @pytest.mark.parametrize("which, reach", [("cardinal", 2.86e307), ("vaaler", 5.72e307)])
+    def test_raises_past_the_reach_and_is_finite_below(self, which, reach):
+        if which == "cardinal":
+            samples = ip.sample_function(fejer_K, 1.0, 20, 0.5)
+            formula = ip.cardinal_series
+        else:
+            samples = ip.sample_function(fejer_K, 1.0, 20, 1.0, lambda t: 0.0 * t)
+            formula = ip.vaaler_interpolation
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val, err = formula(samples, np.array([1e154, 1e200, reach, -reach]))
+            assert np.isfinite(val).all() and np.isfinite(err).all()
+            for z in (1.001 * reach, -1e308, np.array([0.3, 1.7976931348623157e308])):
+                with pytest.raises(ValueError, match="^z must be finite, and so must the sine phase"):
+                    formula(samples, z)
+
+
 class TestArrayContract:
     def test_sample_function_calls_once_on_the_node_array(self):
         calls = {"f": [], "fprime": []}

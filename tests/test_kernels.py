@@ -200,6 +200,24 @@ class TestFejerK:
     def test_range(self, x):
         assert 0.0 <= float(kr.fejer_K(x)) <= 1.0
 
+    def test_exactly_zero_at_nonzero_integers(self):
+        # np.sinc's sin(pi x) leaves up to 3e-33 there
+        ints = np.arange(1.0, 41.0)
+        x = np.concatenate([ints, -ints, [2.0**52, -(2.0**52), 4.6e15, math.inf, -math.inf]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k = kr.fejer_K(x)
+            scalars = [kr.fejer_K(float(v)) for v in x]
+        assert np.array_equal(k, np.zeros(x.size)) and not np.signbit(k).any()
+        assert all(v == 0.0 and not math.copysign(1.0, v) < 0 for v in scalars)
+
+    def test_other_points_keep_the_sinc_bits(self):
+        ints = np.arange(-40.0, 41.0)
+        x = np.concatenate([ints + 1e-12, ints - 1e-12, ints + 0.5, [0.0, -0.0, 5e-324, 2.0**51 + 0.5, -(2.0**51) - 0.5],
+                            np.random.default_rng(9).uniform(-1e6, 1e6, 2000)])
+        assert np.array_equal(kr.fejer_K(x), np.float_power(np.sinc(x), 2))
+        assert np.isnan(kr.fejer_K(math.nan))
+
 
 class TestW:
     def test_closed_forms(self):

@@ -84,6 +84,11 @@ _G2 = em.product_normal_target(2)
         (lambda: ip.vaaler_interpolation(_VD, math.nan), "z"),
         (lambda: ip.vaaler_interpolation(_VD, math.inf), "z"),
         (lambda: ip.vaaler_interpolation(_VD, np.array([0.3, -math.inf])), "z"),
+        # a z whose sine phase, 2 pi z or pi z, overflows
+        pytest.param(lambda: ip.cardinal_series(_SAMPLES, 1e308), "z", id="cardinal-z-phase-overflow"),
+        pytest.param(lambda: ip.cardinal_series(_SAMPLES, np.array([0.3, -2.9e307])), "z",
+                     id="cardinal-z-array-phase-overflow"),
+        pytest.param(lambda: ip.vaaler_interpolation(_VD, -5.8e307), "z", id="vaaler-z-phase-overflow"),
         (lambda: clt.MonteCarloConfig(seed=1, samples=10**3, N=0), "N"),
         (lambda: clt.lyapunov_normalizer(
             clt.CoefficientScheme(lambda N: np.ones((N, 2))), 4), "scheme"),
