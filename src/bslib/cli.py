@@ -161,6 +161,26 @@ def _emit_run(manifest: RunManifest, t0: float, checks=(), bounds=(), measuremen
 # S, the mean of B(x) and B(ell - x): B's bound, half of |B'| <= 3.2 times
 # the rounding of ell - x (<= 1.5e-16) and the mean's rounding, 5e-15.
 # mpmath measures at most 9e-16 for each, near integers and 0.4 included.
+# W's Taylor coefficients 4 m zeta(2m+1) hold each zeta correctly rounded.
+# Below, u = 2^-53, and numpy's sin and cos and libm's pow are taken to be
+# within 1 ulp (2u relative); mpmath measures sin and cos within 0.51 ulp.
+# K = sinc^2, 0 exactly at the other integers: np.sinc takes sin(y)/y at
+# y = pi x rounded (1.35u relative, pi's rounding included), which moves
+# sin(y)/y by at most 1.35u |cos y - sinc y|; sin and the quotient add 3u
+# |sinc| and the square 2u sinc^2, so |K - exact| <= u (2.7 |sinc| |cos y -
+# sinc| + 8 sinc^2) <= 8u = 8.9e-16, the bound's sup being at y = 0; 1e-15.
+# Q = |v|/pi + (1 - |v|) v cot(pi v): within 1e-4 of 0 and of 1 it is the
+# series of pi u cot(pi u), u = |v| or 1 - |v| (exact), whose omitted terms
+# are below 2 (pi 1e-4)^6 / 945 ~ 2e-24; elsewhere cot is cos/sin at y =
+# pi u <= pi/2, y's rounding moving (1 - |v|)|v| cot by at most 1.35u y^2 /
+# (pi sin^2 y) <= 1.1u, and the cot term, at most 1/pi, gains 7u relative
+# from cos, sin, the quotient and the two products; with |v|/pi (1.35u) and
+# the sum (u of Q <= 1/pi), |Q - exact| <= 4.1u ~ 4.6e-16, under 1e-14.
+# lambda is the largest grid value of f = hypot(Q, xi (1 - xi)), which
+# rises to its one maximum and falls, so the maximiser lies in the last
+# bracket around the best point, under 5e-8 wide; with |f'| <= 1 on [0, 1]
+# the sup exceeds the returned value by at most 5e-8, and f's rounding
+# (Q's bound) is far smaller.
 _W_ERR, _B_ERR, _S_ERR = 2e-15, 4e-15, 5e-15
 
 
@@ -699,13 +719,38 @@ def cmd_demo(args, config: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose errors raise ValueError, for main to print as one line
+    (its subparsers are of this class too)."""
+
+    commands: dict  # the top-level parser's: each command's parser
+
+    def error(self, message):
+        raise ValueError(message.removeprefix("argument "))
+
+    def untaken(self, extra: list[str]) -> ValueError:
+        """The error for the first argument left over when this command's
+        parser took the rest (one it takes was given before the command)."""
+        name = extra[0].partition("=")[0]
+        flags = [a.option_strings for a in self._actions if a.option_strings and a.dest != "help"]
+        command = self.prog.split()[-1]
+        if not name.startswith("-"):
+            what = f"{command} takes no argument {name!r}"
+        elif any(name in names for names in flags):
+            what = f"{name} must follow the command {command}"
+        else:
+            what = f"{name} is not a flag of {command}"
+        return ValueError(f"{what} (it takes {', '.join(names[0] for names in flags)})")
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> _Parser:
     """The one parser of the process; argparse keeps no state between
     parse_args calls, and callers must not add to it.  Each command takes only
     the flags it reads, by full name alone (--k would be --kernel in eval)."""
-    p = argparse.ArgumentParser(prog="bslib", description=__doc__, allow_abbrev=False)
+    p = _Parser(prog="bslib", description=__doc__, allow_abbrev=False)
     sub = p.add_subparsers(dest="command", required=True)
+    p.commands = sub.choices
 
     pe = sub.add_parser("eval", help="evaluate one kernel/function at a point", allow_abbrev=False)
     pe.add_argument("--fn", "--kernel", dest="fn", choices=tuple(KERNELS), required=True)
@@ -743,14 +788,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
-
     handler = {"eval": cmd_eval, "table": cmd_table, "verify": cmd_verify, "demo": cmd_demo}
+    parser = build_parser()
     try:
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            raise parser.commands[args.command].untaken(extra)
         return handler[args.command](args, _load_config())
+    except SystemExit as exc:  # -h and --help
+        return exc.code
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -425,16 +425,6 @@ def _cf_grid(law: Law, xs: Sequence[np.ndarray]) -> np.ndarray:
     return np.reshape(law.cf(_grid_points(xs)), [x.size for x in xs])
 
 
-def _gap_grid(F: Law, G: Law, xs: Sequence[np.ndarray], C: Sequence[int] = ()) -> np.ndarray:
-    """D_C (phi - psi) on the tensor grid of xs: the sum over operator_terms
-    of c_t (phi - psi)(t o x), the transforms acting on the axes."""
-    out = np.zeros([x.size for x in xs], dtype=complex)
-    for t, c in operator_terms([("D", j) for j in C], len(xs)).items():
-        txs = [tj * x for tj, x in zip(t, xs)]
-        out += c * (_cf_grid(F, txs) - _cf_grid(G, txs))
-    return out
-
-
 def _grid_integral(axes: Sequence[tuple[np.ndarray, np.ndarray]], values: np.ndarray) -> float | complex:
     """The product of the 1-D rules axes = [(nodes, weights), ...] applied
     to values on their tensor grid: a float, or a complex for complex values."""
@@ -454,13 +444,14 @@ def _grid(panels, order, default: tuple[int, int]) -> tuple[int, int]:
 
 
 def _partition_terms(omegas, panels, order, integrand) -> dict[str, float]:
-    """The tensor integral of integrand(xs, C, D) over the grid of the axis
-    arrays xs for each partition (B, C, D), the B-axes the one node 0."""
+    """The tensor integral of integrand(xs, B, C, D) over the grid of the
+    axis arrays xs for each partition (B, C, D), the B-axes the one node 0
+    and every other axis symmetric."""
     rules = [_axis_nodes(om, panels, order) for om in omegas]
     terms = {}
     for B, C, D in partitions(len(omegas)):
         axes = [_ZERO_AXIS if j in B else rule for j, rule in enumerate(rules)]
-        terms[f"B={B} C={C} D={D}"] = _grid_integral(axes, integrand([x for x, _ in axes], C, D))
+        terms[f"B={B} C={C} D={D}"] = _grid_integral(axes, integrand([x for x, _ in axes], B, C, D))
     return terms
 
 
@@ -474,7 +465,8 @@ def esseen_bound_k(
     panels: int | None = None,
     order: int | None = None,
 ) -> BoundReport:
-    """Partition-sum smoothing bound for |F(t) - G(t)|."""
+    """Partition-sum smoothing bound for |F(t) - G(t)|: phi - psi once on
+    each grid that a B-set fixes, and D_C by rolls of the symmetric C-axes."""
     k = _check_laws(F, G, 3, omegas)
     consts = constants or BoundConstants.for_k(k)
     panels, order = _grid(panels, order, (12, 8) if k <= 2 else (7, 5))
@@ -482,8 +474,15 @@ def esseen_bound_k(
     if t.shape != (k,) or not np.all(np.isfinite(t)):
         raise ValueError(f"t must be k = {k} finite numbers (got {tuple(t.ravel().tolist())})")
 
-    def integrand(xs, C, D) -> np.ndarray:
-        val = np.abs(_gap_grid(F, G, xs, C))
+    gaps = {}  # phi - psi on each grid, which its B-axes fix
+
+    def integrand(xs, B, C, D) -> np.ndarray:
+        if B not in gaps:
+            gaps[B] = _cf_grid(F, xs) - _cf_grid(G, xs)
+        val = gaps[B]
+        for j in C:  # D_j: negating x_j on a symmetric axis rolls it by half its length
+            val = 0.5 * (val - np.roll(val, val.shape[j] // 2, axis=j))
+        val = np.abs(val)
         for j in C:
             val = val / _along(np.abs(xs[j]), j, k)
         for j in D:
@@ -535,8 +534,9 @@ def esseen_bound_truncated(
         raise ValueError(f"alpha must be in (0, {a_max:g}], the moment exponent of F and G (got {alpha!r})")
     a = a_max if alpha is None else alpha
     axes = [_axis_nodes(om, panels, order) for om in omegas]
-    val = np.abs(_gap_grid(F, G, [x for x, _ in axes]))
-    for j, (x, _) in enumerate(axes):
+    xs = [x for x, _ in axes]
+    val = np.abs(_cf_grid(F, xs) - _cf_grid(G, xs))
+    for j, x in enumerate(xs):
         if use_triangle_replacement:
             # delta / |v_triangle| >= 1/|v_bullet| pointwise
             val = val * delta / _along(np.maximum(np.abs(x), 1.0), j, k)
@@ -594,11 +594,12 @@ def _slab_grid(F: Law, G: Law, xs: Sequence[np.ndarray], C: Sequence[int], tau: 
     A candidate set depends on a point only through its non-C
     coordinates and its big C-coordinates (|v_j| >= tau), each taken with
     both signs; each small one runs over the same grid on [-tau, tau].  So
-    the points with one big/small pattern of C form a tensor sub-grid, and
-    their candidates under one sign flip form one tensor grid: its small
-    axes are the slab grid, and phi - psi, from the joint cfs, is taken
-    there once.  The max over the flips and the small axes is broadcast
-    along the small axes.
+    the points with one big/small pattern of C form a tensor sub-grid; with
+    its small axes replaced by the slab grid, phi - psi, from the joint
+    cfs, is taken there once.  The C-axes must be symmetric, [-y, y] as
+    `_axis_nodes` builds them, and so are their big rows: a sign flip of a
+    big axis is a roll by half of it, and the max over the flips a max with
+    that roll.  The max over the small axes is broadcast along them.
     """
     shape = [x.size for x in xs]
 
@@ -620,23 +621,19 @@ def _slab_grid(F: Law, G: Law, xs: Sequence[np.ndarray], C: Sequence[int], tau: 
             rows[j] = np.flatnonzero(small[j] == s)
         if any(r.size == 0 for r in rows):
             continue
-        Cb = [j for j, s in zip(C, pattern) if not s]
+        axes = [x[r] for x, r in zip(xs, rows)]
         Cs = [j for j, s in zip(C, pattern) if s]
-        best = np.zeros(())
-        for signs in itertools.product((1.0, -1.0), repeat=len(Cb)):
-            axes = [x[r] for x, r in zip(xs, rows)]
-            for sg, j in zip(signs, Cb):
-                axes[j] = sg * axes[j]
-            if not Cs:
-                best = np.maximum(best, np.abs(gap(axes)))
-                continue
-            for j in Cs:
-                axes[j] = slab
-            for j in Cs:
-                up, dn = list(axes), list(axes)
-                up[j], dn[j] = slab + h, slab - h
-                d = np.abs(gap(up) - gap(dn)) / (2 * h)
-                best = np.maximum(best, d.max(axis=tuple(Cs), keepdims=True))
+        best = np.zeros(()) if Cs else np.abs(gap(axes))
+        for j in Cs:
+            axes[j] = slab
+        for j in Cs:
+            up, dn = list(axes), list(axes)
+            up[j], dn[j] = slab + h, slab - h
+            d = np.abs(gap(up) - gap(dn)) / (2 * h)
+            best = np.maximum(best, d.max(axis=tuple(Cs), keepdims=True))
+        for j, s in zip(C, pattern):
+            if not s:  # the flip of a big axis
+                best = np.maximum(best, np.roll(best, best.shape[j] // 2, axis=j))
         out[np.ix_(*rows)] = _SUP_SAFETY * best if Cs else best
     return out
 
@@ -657,7 +654,7 @@ def esseen_bound_slab(
     consts = constants or BoundConstants.for_k(k)
     panels, order = _grid(panels, order, (6, 4))
 
-    def integrand(xs, C, D) -> np.ndarray:
+    def integrand(xs, B, C, D) -> np.ndarray:
         out = _slab_grid(F, G, xs, C, tau)
         for j in C:
             out = out / _along(np.maximum(np.abs(xs[j]), 1.0), j, k)  # |v_triangle|

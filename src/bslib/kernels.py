@@ -92,11 +92,14 @@ def bernoulli_numbers(n: int) -> BernoulliTable:
 
 
 def _zeta_em(s: int, terms: int = 200) -> float:
-    # direct sum with Euler-Maclaurin tail: sum_{n>N} n^-s
-    #   = N^(1-s)/(s-1) - N^(-s)/2 + s*N^(-s-1)/12 - ...
+    # the head summed correctly rounded (math.fsum), with the Euler-Maclaurin
+    # tail sum_{n>N} n^-s = N^(1-s)/(s-1) - N^(-s)/2 + s N^(-s-1)/12
+    #   - s(s+1)(s+2) N^(-s-3)/720 + ..., the next term 3.3e-20 at s = 3 and
+    # smaller beyond: each of zeta(3) .. zeta(41) is then the double nearest it
     N = terms
-    head = sum(n ** (-float(s)) for n in range(1, N + 1))
-    tail = N ** (1.0 - s) / (s - 1.0) - 0.5 * N ** (-float(s)) + s * N ** (-s - 1.0) / 12.0
+    head = math.fsum(n ** (-float(s)) for n in range(1, N + 1))
+    tail = (N ** (1.0 - s) / (s - 1.0) - 0.5 * N ** (-float(s)) + s * N ** (-s - 1.0) / 12.0
+            - s * (s + 1) * (s + 2) * N ** (-s - 3.0) / 720.0)
     return head + tail
 
 

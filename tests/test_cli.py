@@ -398,6 +398,15 @@ class TestUsageErrors:
             (("demo", "--scenario", "clt-haar", "--unsafe"), "--unsafe"),
             # the k-variable bounds need Omega > 1
             (("demo", "--scenario", "esseen-k", "--omega", "0.5"), "--omega"),
+            # a flag the command does not take, and argparse's own errors
+            (("eval", "--fn", "W", "--x", "0.5", "--tol", "1e-3"), "--tol"),
+            (("verify", "--suite", "kernels", "--seed", "4"), "--seed"),
+            (("verify", "--suite", "all", "--format", "csv"), "--format"),
+            (("demo", "--scenario", "clt-haar", "--tol", "1"), "--tol"),
+            (("table", "--fn", "K", "--from", "0", "--to", "1", "--step=1", "--seed=2"), "--seed"),
+            (("eval", "--fn", "nope"), "--fn/--kernel:"),
+            (("table", "--fn", "W", "--from", "0", "--to", "1", "--step", "x"), "--step:"),
+            (("eval", "--fn", "W", "--x"), "--x:"),
         ],
     )
     def test_message_names_the_flag(self, capsys, argv, flag):
@@ -406,6 +415,27 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith(f"error: {flag} ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (("verify", "--suite", "kernels", "--seed", "4"),
+         "--seed is not a flag of verify (it takes --suite, --tol, --out)"),
+        (("eval", "--fn", "W", "--x=0.5", "--seed=4"),
+         "--seed is not a flag of eval (it takes --fn, --x, --ell, --format, --out)"),
+        (("eval", "--fn", "W", "0.5"), "eval takes no argument '0.5' (it takes --fn, --x, --ell, --format, --out)"),
+        (("--tol", "verify", "--suite", "kernels"),
+         "--tol must follow the command verify (it takes --suite, --tol, --out)"),
+        ((), "the following arguments are required: command"),
+        (("eval",), "the following arguments are required: --fn/--kernel"),
+        (("frob",), "command: invalid choice: 'frob' (choose from 'eval', 'table', 'verify', 'demo')"),
+    ])
+    def test_argparse_errors_are_one_line(self, capsys, argv, message):
+        assert run(capsys, *argv) == (EXIT_USAGE, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [("-h",), ("eval", "-h"), ("table", "--help"), ("verify", "-h"),
+                                      ("demo", "-h")])
+    def test_help_exits_0(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_OK and out.startswith("usage: bslib") and err == ""
 
 
 class TestStrictJson:
@@ -765,7 +795,7 @@ class TestFlagsRead:
 
 
 # ---------------------------------------------------------------------------
-# err_est of the W family against mpmath
+# err_est of every kernel with a fixed one against mpmath
 
 
 def _w_mp(x):
@@ -813,6 +843,42 @@ class TestErrEst:
             gaps = [abs(float(v) - (exact[float(x)][0] + sign * exact[float(x)][1]))
                     for x, v in zip(self.XS, values)]
         assert float(max(gaps)) <= errs[0]
+
+    def test_dominates_the_error_of_k(self, exact):
+        values, errs = cli.KERNELS["K"](self.XS, 1.0)
+        assert np.unique(errs).size == 1
+        with mpmath.workdps(50):
+            gaps = [abs(float(v) - exact[float(x)][1]) for x, v in zip(self.XS, values)]
+        assert float(max(gaps)) <= errs[0]
+
+    def test_dominates_the_error_of_q(self):
+        # every branch of Q, its edges 1e-4 from 0 and from 1 (either side), and +-1
+        edges = np.array([1e-4, 1.0 - 1e-4, 0.5])
+        near = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+        vs = np.concatenate([np.linspace(-1.2, 1.2, 241), near, -near, [1e-12, 1.0 - 1e-12, 1.0, -1.0]])
+        values, errs = cli.KERNELS["Q"](vs, 1.0)
+        assert np.unique(errs).size == 1
+        with mpmath.workdps(50):
+            for v, q in zip(vs, values):
+                a = abs(mpmath.mpf(float(v)))
+                exact = 0 if a >= 1 else 1 / mpmath.pi if a == 0 else \
+                    a / mpmath.pi + (1 - a) * a * mpmath.cot(mpmath.pi * a)
+                assert abs(q - exact) <= errs[0], v
+
+    def test_lambda_against_mpmath_maximum(self):
+        # the maximiser of hypot(Q, xi (1 - xi)) on [0, 1], from the zero of
+        # its derivative near the grid's best point
+        (lam,), (err,) = cli.KERNELS["lambda"](np.zeros(1), 1.0)
+        with mpmath.workdps(40):
+            def f(xi):
+                q = xi / mpmath.pi + (1 - xi) * xi * mpmath.cot(mpmath.pi * xi)
+                return mpmath.sqrt(q * q + (xi * (1 - xi)) ** 2)
+
+            xs = np.linspace(0.0, 1.0, 1001)[1:-1]
+            start = xs[np.argmax([float(f(mpmath.mpf(x))) for x in xs])]
+            top = f(mpmath.findroot(lambda xi: mpmath.diff(f, xi), start))
+            assert abs(lam - top) <= err
+            assert lam <= top + 1e-15  # a grid value, so at most the sup
 
     @pytest.mark.parametrize("ell", [1.0, 2.0, 7.5, 1000.0])
     def test_dominates_the_error_of_s_and_sigma(self, ell):

@@ -487,11 +487,20 @@ class TestSlabNorm:
         assert norm[0, 0] == pytest.approx(abs(complex(F.cf(v) - G.cf(v))), abs=1e-15)
 
     def test_large_coordinate_sign_flips(self):
-        # even profile: flipping a |v_j| >= tau coordinate changes nothing
-        even = e1.Law(None, lambda pts: np.cos(pts[..., 0]) * np.cos(pts[..., 1]) + 0j, (2.0, 1.0), k=2)
+        # a profile that is not even, so |f| differs between the sign patterns
+        def f(pts):
+            return np.cos(pts[..., 0] + 0.5) * np.cos(pts[..., 1] - 0.2) + 0j
+
+        uneven = e1.Law(None, f, (2.0, 1.0), k=2)
         zero = e1.Law(None, lambda pts: np.zeros(np.shape(pts)[:-1], dtype=complex), (2.0, 1.0), k=2)
-        norm = em._slab_grid(even, zero, [np.array([2.0]), np.array([3.0])], (0, 1), 1.0)
-        assert norm[0, 0] == pytest.approx(abs(math.cos(2.0) * math.cos(3.0)), abs=1e-14)
+        xs = [np.array([-2.0, 2.0]), np.array([-3.0, 3.0])]
+        mag = np.abs(f(em._grid_points(xs))).reshape(2, 2)  # |f| at (+-2, +-3)
+        assert len(set(mag.ravel().tolist())) == 4
+        norm = em._slab_grid(uneven, zero, xs, (0, 1), 1.0)
+        assert np.array_equal(norm, np.full((2, 2), mag.max()))
+        # one big C-axis: each point takes the max over the flips of x_0 alone
+        norm = em._slab_grid(uneven, zero, xs, (0,), 1.0)
+        assert np.array_equal(norm, np.maximum(mag, mag[::-1]))
 
     def test_slab_bound_dominates_sup(self):
         F, G = _k2_pair()
@@ -637,6 +646,29 @@ def _separable_pair(k):
     return F, G
 
 
+def _transform_route_terms(F, G, omegas, t, panels, order, absolute=False):
+    """The partition terms with D_C (phi - psi) taken as the sum over
+    operator_terms of c_t (phi - psi)(t o x), phi and psi evaluated on every
+    transformed grid: the route the rolls replace.  With absolute, the sum
+    is of the |c_t (phi - psi)(t o x)|, the scale of its rounding."""
+    k = len(omegas)
+
+    def integrand(xs, B, C, D):
+        val = np.zeros([x.size for x in xs], dtype=float if absolute else complex)
+        for tr, c in em.operator_terms([("D", j) for j in C], k).items():
+            txs = [s * x for s, x in zip(tr, xs)]
+            z = c * (em._cf_grid(F, txs) - em._cf_grid(G, txs))
+            val += np.abs(z) if absolute else z
+        val = np.abs(val)
+        for j in C:
+            val = val / em._along(np.abs(xs[j]), j, k)
+        for j in D:
+            val = val * em._along(1.0 / omegas[j] + np.abs(np.sin(t[j] * xs[j])) / np.abs(xs[j]), j, k)
+        return val
+
+    return em._partition_terms(omegas, panels, order, integrand)
+
+
 class TestSeparableGrid:
     @pytest.mark.parametrize("k", [2, 3])
     def test_cf_grid_equals_joint_cf(self, k):
@@ -667,6 +699,48 @@ class TestSeparableGrid:
         assert {key: v.hex() for key, v in sep.terms.items()} == {
             key: v.hex() for key, v in gen.terms.items()}
         assert sep.total.hex() == gen.total.hex()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("generic", [False, True])
+    def test_partition_terms_match_transform_route(self, k, generic):
+        # the rolls against D_C expanded through operator_terms, on laws with
+        # no even factor (so that no term is 0 by symmetry).  The nested
+        # halvings associate the 2^|C| values otherwise than the transform
+        # sum; each of the two sums rounds by at most 2^|C| eps times the sum
+        # of the magnitudes, and the bound doubles that once more for the
+        # weights.  At k <= 2 the terms are bit-identical
+        F = em.product_law([_shifted_gaussian(0.15 * (j + 1)) for j in range(k)])
+        G = em.product_law([e1.normal_law(-0.2, 1.1), e1.normal_law(0.25, 0.9), e1.normal_law(0.1, 1.05)][:k])
+        if generic:
+            F, G = _generic(F), _generic(G)
+        om, t = (11.0, 9.0, 10.0)[:k], (0.3, -0.7, 0.45)[:k]
+        grid = dict(panels=4, order=5) if k <= 2 else dict(panels=3, order=4)
+        rep = em.esseen_bound_k(F, G, om, t, **grid)
+        ref = _transform_route_terms(F, G, om, t, **grid)
+        scale = _transform_route_terms(F, G, om, t, **grid, absolute=True)
+        assert rep.terms.keys() == ref.keys()
+        for (_, C, _), (name, value) in zip(em.partitions(k), ref.items()):
+            if k <= 2:
+                assert rep.terms[name].hex() == value.hex(), name
+            else:
+                assert abs(rep.terms[name] - value) <= 2 ** (len(C) + 2) * np.finfo(float).eps * scale[name], name
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_one_factor_call_per_axis_and_grid(self, k):
+        # phi is taken once on each of the 2^k grids that the B-sets fix
+        calls = [[] for _ in range(k)]
+        F, G = _separable_pair(k)
+        F = em.product_law([_counting(c, log) for c, log in zip(F.factors, calls)])
+        em.esseen_bound_k(F, G, (9.0,) * k, (0.3, -0.7, 0.45)[:k], panels=3, order=4)
+        assert [len(log) for log in calls] == [2**k] * k
+
+    @pytest.mark.parametrize("panels, order", [(12, 8), (7, 5), (6, 4), (8, 6), (3, 4), (4, 5), (1, 1)])
+    def test_axis_nodes_symmetric(self, panels, order):
+        # the rolls rest on this: negating an axis rolls it by half its length
+        for omega in (1.5, 9.0, 12.0):
+            x, w = em._axis_nodes(omega, panels, order)
+            assert (-x).tobytes() == np.roll(x, x.size // 2).tobytes()
+            assert w.tobytes() == np.roll(w, w.size // 2).tobytes()
 
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("triangle", [False, True])
@@ -810,10 +884,11 @@ class TestSlabGrid:
 
     @pytest.mark.parametrize("tau", [1.0, 0.7])
     def test_hand_made_axes(self, tau):
+        # symmetric axes [-y, y], as the bound's are, with y unsorted
         F, G = _slab_pairs()["generic"]
-        edge = [tau * (1 - 1e-12), tau, tau * (1 + 1e-12), 0.0, 0.3, 2.0]
-        axis = np.array(edge + [-e for e in edge[:3]] + [-2.0])  # unsorted, not symmetric
-        big = np.array([2.5, -1.5, 3.0])  # no small node: that pattern's sub-grid is empty
+        y = np.array([tau * (1 - 1e-12), tau, tau * (1 + 1e-12), 0.0, 0.3, 2.0])
+        axis = np.concatenate([-y, y])
+        big = np.array([-2.5, 1.5, -3.0, 2.5, -1.5, 3.0])  # no small node: that pattern's sub-grid is empty
         for xs in ([axis, axis], [axis, big], [big, axis[::-1]], [np.zeros(1), axis]):
             for C in ((), (0,), (1,), (0, 1)):
                 grid = em._slab_grid(F, G, xs, C, tau)
@@ -821,14 +896,16 @@ class TestSlabGrid:
 
     def test_law_on_R(self):
         F, G = e1.standardized_binomial(30), e1.normal_law()
-        axis = np.array([-2.0, -1.0, -0.5, 0.0, 0.4, 1.0, 3.0])
+        y = np.array([2.0, 1.0, 0.5, 0.0, 0.4, 3.0])
+        axis = np.concatenate([-y, y])
         for C in ((), (0,)):
             grid = em._slab_grid(F, G, [axis], C, 1.0)
             assert np.array_equal(grid, self._per_row(F, G, [axis], C, 1.0))
 
     def test_cf_points_per_bound(self):
-        # one cf call per pattern, flip and shifted slab grid: 18,225 points at
-        # panels 6, order 4; per-row candidate sets took 531,441
+        # one cf call per pattern and shifted slab grid, the sign flips taken
+        # by rolls: 11,449 points at panels 6, order 4 (18,225 with a call per
+        # flip; per-row candidate sets took 531,441)
         F, G = _slab_pairs()["product"]
         sizes = []
 
@@ -837,7 +914,7 @@ class TestSlabGrid:
             return F.cf(pts)
 
         em.esseen_bound_slab(dataclasses.replace(F, cf=cf), G, (12.0, 12.0))
-        assert 0 < sum(sizes) <= 36_000
+        assert 0 < sum(sizes) <= 11_449
 
 
 class TestPinnedTotals:
