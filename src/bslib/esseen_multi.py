@@ -4,7 +4,7 @@ Ring expansion of the majorant/minorant product trick, the commuting
 difference-operator algebra (D, E, P, Delta), integral factorizations
 and derivative bounds, and four bound variants for |F - G| over R^k:
 the partition-sum bound, two truncated t-free bounds (pointwise and
-box-measure), and the slab-norm bound.  Desk-scale targets: k <= 3 for
+box-measure), and the slab-norm bound.  Desk-scale targets: k <= 4 for
 the first three variants, k <= 2 for the slab variant.
 """
 
@@ -180,11 +180,9 @@ def factorization_residual(
     u = _grid_points([x for x, _ in axes])  # (N, m), the last coordinate fastest
     pts = np.tile(v, (u.shape[0], 1))
     pts[:, :m] = v[:m] * u
-    vals = np.asarray(deriv(pts), dtype=complex)
-    if which == "e_delta":
-        vals = vals * np.prod(1.0 - np.abs(u), axis=-1)
-    rhs = front * _grid_integral(axes, vals.reshape([x.size for x, _ in axes]))
-    return abs(lhs - rhs)
+    vals = np.asarray(deriv(pts), dtype=complex).reshape([x.size for x, _ in axes])
+    weights = [w * (1.0 - np.abs(x)) if which == "e_delta" else w for x, w in axes]
+    return abs(lhs - front * _contract(vals, weights))
 
 
 @dataclass(frozen=True)
@@ -398,11 +396,6 @@ def _axis_nodes(omega: float, panels: int, order: int) -> tuple[np.ndarray, np.n
 _ZERO_AXIS = (np.zeros(1), np.ones(1))
 
 
-def _along(x: np.ndarray, j: int, k: int) -> np.ndarray:
-    """The 1-D array x shaped to run along axis j of a k-axis grid."""
-    return np.reshape(x, (-1,) + (1,) * (k - 1 - j))
-
-
 def _grid_points(xs: Sequence[np.ndarray]) -> np.ndarray:
     """The (N, k) points of the tensor grid of the axis arrays xs, the last
     coordinate varying fastest, stored column by column."""
@@ -420,18 +413,19 @@ def _cf_grid(law: Law, xs: Sequence[np.ndarray]) -> np.ndarray:
     if law.factors:
         out = np.ones((), dtype=complex)
         for j, (c, x) in enumerate(zip(law.factors, xs)):
-            out = out * _along(c.cf(x), j, k)
+            out = out * np.reshape(c.cf(x), (-1,) + (1,) * (k - 1 - j))  # along axis j
         return out
     return np.reshape(law.cf(_grid_points(xs)), [x.size for x in xs])
 
 
-def _grid_integral(axes: Sequence[tuple[np.ndarray, np.ndarray]], values: np.ndarray) -> float | complex:
-    """The product of the 1-D rules axes = [(nodes, weights), ...] applied
-    to values on their tensor grid: a float, or a complex for complex values."""
-    wt = np.ones(())
-    for j, (_, w) in enumerate(axes):
-        wt = wt * _along(w, j, len(axes))
-    return np.sum(wt * values).item()
+def _contract(values: np.ndarray, weights: Sequence[np.ndarray]) -> float | complex:
+    """The tensor rule with the per-axis weight vectors applied to values on
+    their grid, one axis at a time, the last first: a float, or a complex for
+    complex values.  Every separable factor of an integrand belongs in its
+    axis's weights, so that no factor multiplies the whole grid."""
+    for w in reversed(weights):
+        values = values @ w
+    return values.item()
 
 
 def _grid(panels, order, default: tuple[int, int]) -> tuple[int, int]:
@@ -443,15 +437,27 @@ def _grid(panels, order, default: tuple[int, int]) -> tuple[int, int]:
     return (default[0] if panels is None else panels, default[1] if order is None else order)
 
 
-def _partition_terms(omegas, panels, order, integrand) -> dict[str, float]:
-    """The tensor integral of integrand(xs, B, C, D) over the grid of the
-    axis arrays xs for each partition (B, C, D), the B-axes the one node 0
-    and every other axis symmetric."""
-    rules = [_axis_nodes(om, panels, order) for om in omegas]
-    terms = {}
-    for B, C, D in partitions(len(omegas)):
-        axes = [_ZERO_AXIS if j in B else rule for j, rule in enumerate(rules)]
-        terms[f"B={B} C={C} D={D}"] = _grid_integral(axes, integrand([x for x, _ in axes], B, C, D))
+# the default (panels, order) of the partition and truncated bounds by k; at
+# k = 4 the (7, 5) grid of k = 3 would hold 70^4 complex values, 384 MB
+_DEFAULT_GRID = {1: (12, 8), 2: (12, 8), 3: (7, 5), 4: (4, 3)}
+
+
+def _partition_terms(rules, c_weights, d_weights, gap, values) -> dict[str, float]:
+    """The integral term of each partition (B, C, D) of the axes of rules,
+    [(nodes, weights), ...] each symmetric: values(z, xs, C) on the grid of
+    the axis arrays xs, where a B-axis is the one node 0 and every other
+    axis its rule's nodes, contracted with the weight 1 on the B-axes,
+    c_weights on the C-axes and d_weights on the D-axes.  z = gap(xs),
+    phi - psi on that grid, is taken once for each of the grids that the
+    B-sets fix."""
+    terms, gaps = {}, {}
+    for B, C, D in partitions(len(rules)):
+        xs = [_ZERO_AXIS[0] if j in B else x for j, (x, _) in enumerate(rules)]
+        if B not in gaps:
+            gaps[B] = gap(xs)
+        weights = [_ZERO_AXIS[1] if j in B else c_weights[j] if j in C else d_weights[j]
+                   for j in range(len(rules))]
+        terms[f"B={B} C={C} D={D}"] = _contract(values(gaps[B], xs, C), weights)
     return terms
 
 
@@ -466,30 +472,30 @@ def esseen_bound_k(
     order: int | None = None,
 ) -> BoundReport:
     """Partition-sum smoothing bound for |F(t) - G(t)|: phi - psi once on
-    each grid that a B-set fixes, and D_C by rolls of the symmetric C-axes."""
-    k = _check_laws(F, G, 3, omegas)
+    each grid that a B-set fixes, and D_C on the positive halves of the
+    symmetric C-axes."""
+    k = _check_laws(F, G, 4, omegas)
     consts = constants or BoundConstants.for_k(k)
-    panels, order = _grid(panels, order, (12, 8) if k <= 2 else (7, 5))
+    panels, order = _grid(panels, order, _DEFAULT_GRID[k])
     t = np.asarray(t, dtype=float)
     if t.shape != (k,) or not np.all(np.isfinite(t)):
         raise ValueError(f"t must be k = {k} finite numbers (got {tuple(t.ravel().tolist())})")
 
-    gaps = {}  # phi - psi on each grid, which its B-axes fix
+    rules = [_axis_nodes(om, panels, order) for om in omegas]
+    # D_j g is odd in x_j, so |D_C g| is even in every C-axis: a C-axis keeps
+    # its positive half, with the weights doubled and the 1/|x_j| folded in
+    c_weights = [2.0 * w[w.size // 2 :] / x[x.size // 2 :] for x, w in rules]
+    d_weights = [w * (1.0 / om + np.abs(np.sin(tj * x)) / np.abs(x))
+                 for (x, w), om, tj in zip(rules, omegas, t)]
 
-    def integrand(xs, B, C, D) -> np.ndarray:
-        if B not in gaps:
-            gaps[B] = _cf_grid(F, xs) - _cf_grid(G, xs)
-        val = gaps[B]
-        for j in C:  # D_j: negating x_j on a symmetric axis rolls it by half its length
-            val = 0.5 * (val - np.roll(val, val.shape[j] // 2, axis=j))
-        val = np.abs(val)
-        for j in C:
-            val = val / _along(np.abs(xs[j]), j, k)
-        for j in D:
-            val = val * _along(1.0 / omegas[j] + np.abs(np.sin(t[j] * xs[j])) / np.abs(xs[j]), j, k)
-        return val
+    def values(z, xs, C) -> np.ndarray:
+        for j in C:  # D_j z on the positive half of axis j, whose negative half holds z at -x
+            neg, pos = np.split(z, 2, axis=j)
+            z = 0.5 * (pos - neg)
+        return np.abs(z)
 
-    terms = _partition_terms(omegas, panels, order, integrand)
+    terms = _partition_terms(rules, c_weights, d_weights,
+                             lambda xs: _cf_grid(F, xs) - _cf_grid(G, xs), values)
     tail = consts.c2 * sum(m / om for m, om in zip(G.density_bounds, omegas))
     total = consts.c1 * sum(terms.values()) + tail
     terms = {name: consts.c1 * v for name, v in terms.items()}
@@ -516,9 +522,9 @@ def esseen_bound_truncated(
     bounds the box edge lengths (box_extent).  With use_triangle_replacement the
     factor 1/|v_bullet| is replaced by the larger delta/|v_triangle|.
     """
-    k = _check_laws(F, G, 3, omegas, 1.0)
+    k = _check_laws(F, G, 4, omegas, 1.0)
     consts = constants or BoundConstants.for_k(k)
-    panels, order = _grid(panels, order, (12, 8) if k <= 2 else (7, 5))
+    panels, order = _grid(panels, order, _DEFAULT_GRID[k])
     if mode == "B":
         if box_extent is None or not box_extent > 0:
             raise ValueError(f"box_extent must be > 0 in mode 'B' (got {box_extent})")
@@ -533,16 +539,13 @@ def esseen_bound_truncated(
     if alpha is not None and not 0.0 < alpha <= a_max:
         raise ValueError(f"alpha must be in (0, {a_max:g}], the moment exponent of F and G (got {alpha!r})")
     a = a_max if alpha is None else alpha
-    axes = [_axis_nodes(om, panels, order) for om in omegas]
-    xs = [x for x, _ in axes]
-    val = np.abs(_cf_grid(F, xs) - _cf_grid(G, xs))
-    for j, x in enumerate(xs):
-        if use_triangle_replacement:
-            # delta / |v_triangle| >= 1/|v_bullet| pointwise
-            val = val * delta / _along(np.maximum(np.abs(x), 1.0), j, k)
-        else:
-            val = val * _along(np.minimum(delta, 1.0 / np.abs(x)), j, k)  # 1/|v_bullet|
-    I = _grid_integral(axes, val)
+    rules = [_axis_nodes(om, panels, order) for om in omegas]
+    xs = [x for x, _ in rules]
+    if use_triangle_replacement:  # delta / |v_triangle| >= 1/|v_bullet| pointwise
+        weights = [w * delta / np.maximum(np.abs(x), 1.0) for x, w in rules]
+    else:
+        weights = [w * np.minimum(delta, 1.0 / np.abs(x)) for x, w in rules]  # 1/|v_bullet|
+    I = _contract(np.abs(_cf_grid(F, xs) - _cf_grid(G, xs)), weights)
     tail = (consts.c6 if mode == "A" else consts.c9) * sum(
         m / om for m, om in zip(G.density_bounds, omegas)
     )
@@ -578,9 +581,18 @@ def _check_tau(tau) -> None:
         raise ValueError(f"tau must be finite and > 0 (got {tau!r})")
 
 
-def _slab_grid(F: Law, G: Law, xs: Sequence[np.ndarray], C: Sequence[int], tau: float) -> np.ndarray:
+def _joint_gap(F: Law, G: Law, xs: Sequence[np.ndarray]) -> np.ndarray:
+    """phi - psi from the laws' joint cfs on the tensor grid of xs, in the
+    grid's shape."""
+    pts = _grid_points(xs)
+    return np.ravel(F.cf(pts) - G.cf(pts)).reshape([x.size for x in xs])
+
+
+def _slab_grid(F: Law, G: Law, xs: Sequence[np.ndarray], C: Sequence[int], tau: float,
+               z: np.ndarray | None = None) -> np.ndarray:
     """The double-bar slab norm ||phi - psi||_C at every point of the tensor
-    grid of xs, in the grid's shape.
+    grid of xs, in the grid's shape; z is `_joint_gap` on that grid, taken
+    here when not given.
 
     At a point v, a C-coordinate is big if |v_j| >= tau and small otherwise.
     The candidates are v with each big coordinate taken with both signs and
@@ -596,19 +608,16 @@ def _slab_grid(F: Law, G: Law, xs: Sequence[np.ndarray], C: Sequence[int], tau: 
     both signs; each small one runs over the same grid on [-tau, tau].  So
     the points with one big/small pattern of C form a tensor sub-grid; with
     its small axes replaced by the slab grid, phi - psi, from the joint
-    cfs, is taken there once.  The C-axes must be symmetric, [-y, y] as
-    `_axis_nodes` builds them, and so are their big rows: a sign flip of a
-    big axis is a roll by half of it, and the max over the flips a max with
-    that roll.  The max over the small axes is broadcast along them.
+    cfs, is taken there once; a pattern with no small axis indexes z.  The
+    C-axes must be symmetric, [-y, y] as `_axis_nodes` builds them, and so
+    are their big rows: a sign flip of a big axis is a roll by half of it,
+    and the max over the flips a max with that roll.  The max over the small
+    axes is broadcast along them.
     """
     shape = [x.size for x in xs]
-
-    def gap(axes):
-        pts = _grid_points(axes)
-        return np.ravel(F.cf(pts) - G.cf(pts)).reshape([x.size for x in axes])
-
+    if z is None:
+        z = _joint_gap(F, G, xs)
     if not C:
-        z = gap(xs)
         return np.hypot(z.real, z.imag)
     npts, h = 11, 1e-4
     half = tau * (1 - 1e-9)
@@ -623,13 +632,13 @@ def _slab_grid(F: Law, G: Law, xs: Sequence[np.ndarray], C: Sequence[int], tau: 
             continue
         axes = [x[r] for x, r in zip(xs, rows)]
         Cs = [j for j, s in zip(C, pattern) if s]
-        best = np.zeros(()) if Cs else np.abs(gap(axes))
+        best = np.zeros(()) if Cs else np.abs(z[np.ix_(*rows)])
         for j in Cs:
             axes[j] = slab
         for j in Cs:
             up, dn = list(axes), list(axes)
             up[j], dn[j] = slab + h, slab - h
-            d = np.abs(gap(up) - gap(dn)) / (2 * h)
+            d = np.abs(_joint_gap(F, G, up) - _joint_gap(F, G, dn)) / (2 * h)
             best = np.maximum(best, d.max(axis=tuple(Cs), keepdims=True))
         for j, s in zip(C, pattern):
             if not s:  # the flip of a big axis
@@ -653,16 +662,11 @@ def esseen_bound_slab(
     _check_tau(tau)
     consts = constants or BoundConstants.for_k(k)
     panels, order = _grid(panels, order, (6, 4))
-
-    def integrand(xs, B, C, D) -> np.ndarray:
-        out = _slab_grid(F, G, xs, C, tau)
-        for j in C:
-            out = out / _along(np.maximum(np.abs(xs[j]), 1.0), j, k)  # |v_triangle|
-        for j in D:
-            out = out / omegas[j]
-        return out
-
-    terms = _partition_terms(omegas, panels, order, integrand)
+    rules = [_axis_nodes(om, panels, order) for om in omegas]
+    c_weights = [w / np.maximum(np.abs(x), 1.0) for x, w in rules]  # 1/|v_triangle|
+    d_weights = [w / om for (_, w), om in zip(rules, omegas)]
+    terms = _partition_terms(rules, c_weights, d_weights, lambda xs: _joint_gap(F, G, xs),
+                             lambda z, xs, C: _slab_grid(F, G, xs, C, tau, z))
     tail = consts.c2 * sum(m / om for m, om in zip(G.density_bounds, omegas))
     total = consts.c_hat1 * sum(terms.values()) + tail
     terms = {name: consts.c_hat1 * v for name, v in terms.items()}

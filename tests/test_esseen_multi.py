@@ -390,9 +390,9 @@ class TestLawsAndPartitions:
         def g(x0, x1):
             return np.exp(-0.3 * (x0**2 + x1**2))
 
-        zero = em._ZERO_AXIS[0]
-        collapsed = em._grid_integral([em._ZERO_AXIS, rule], g(zero[:, None], rule[0]))
-        direct = em._grid_integral([rule], g(0.0, rule[0]))
+        zero, one = em._ZERO_AXIS
+        collapsed = em._contract(g(zero[:, None], rule[0]), [one, rule[1]])
+        direct = em._contract(g(0.0, rule[0]), [rule[1]])
         assert collapsed == pytest.approx(direct, rel=1e-10)
 
 
@@ -472,6 +472,26 @@ class TestBounds:
                 lhs = abs(F.cdf(t) - F.cdf(t_star))
                 assert lhs <= len(t) * delta ** (-alpha) * mom + 1e-12
 
+    def test_k4_bounds_dominate(self):
+        # four binomials, n = 64, at Omega = 12 on the (4, 3) default grid.
+        # The product law's cdf is the product of the 1-D cdfs, so its
+        # discrepancy is exact at every point
+        comp, normal = e1.standardized_binomial(64), e1.normal_law()
+        F, G = em.product_law([comp] * 4), em.product_normal_target(4)
+        for t in np.random.default_rng(4).uniform(-1.5, 1.5, (3, 4)):
+            assert em.esseen_bound_k(F, G, (12.0,) * 4, t).total >= abs(F.cdf(t) - G.cdf(t))
+        # the sup over a grid plus the atoms and their left limits on each
+        # axis, +inf standing for the lower-dimensional marginals
+        atoms = np.array([a for a in comp.atoms if abs(a) <= 2.0])
+        x = np.concatenate([np.linspace(-2.0, 2.0, 9), atoms, [np.inf]])
+        Fx = np.concatenate([comp.cdf(x), comp.cdf(atoms - 1e-9)])
+        Gx = np.concatenate([normal.cdf(x), normal.cdf(atoms)])
+        F3 = np.multiply.outer(np.multiply.outer(Fx, Fx), Fx)
+        G3 = np.multiply.outer(np.multiply.outer(Gx, Gx), Gx)
+        sup = max(float(np.max(np.abs(f * F3 - g * G3))) for f, g in zip(Fx, Gx))
+        assert sup > 0.0
+        assert em.esseen_bound_truncated(F, G, (12.0,) * 4, delta=8.0, mode="A").total >= sup
+
     def test_mode_b_requires_box_extent(self):
         F, G = _k2_pair()
         with pytest.raises(ValueError, match="box_extent"):
@@ -543,14 +563,14 @@ class TestValidation:
     @pytest.mark.parametrize(
         "call, match",
         [
-            (lambda: em.esseen_bound_k(_binomial_law(4), em.product_normal_target(4),
-                                       (8.0,) * 4, (0.0,) * 4), "^k must"),
+            (lambda: em.esseen_bound_k(_binomial_law(5), em.product_normal_target(5),
+                                       (8.0,) * 5, (0.0,) * 5), "^k must"),
             (lambda: em.esseen_bound_k(*_k2_pair(), (8.0,) * 3, (0.0, 0.0)), "^omegas"),
             # a non-positive or NaN Omega made a negative or NaN "bound"
             (lambda: em.esseen_bound_k(*_k2_pair(), (-12.0, -12.0), (0.3, -0.4)), "^omegas"),
             (lambda: em.esseen_bound_truncated(*_k2_pair(), (12.0, math.nan), delta=8.0), "^omegas"),
-            (lambda: em.esseen_bound_truncated(_binomial_law(4), em.product_normal_target(4),
-                                               (8.0,) * 4, delta=8.0), "^k must"),
+            (lambda: em.esseen_bound_truncated(_binomial_law(5), em.product_normal_target(5),
+                                               (8.0,) * 5, delta=8.0), "^k must"),
             (lambda: em.esseen_bound_truncated(*_k2_pair(), (8.0, 1.0), delta=8.0), "^omegas"),
             (lambda: em.esseen_bound_truncated(*_k2_pair(), (8.0,) * 3, delta=8.0), "^omegas"),
             (lambda: em.esseen_bound_truncated(*_k2_pair(), (8.0, 8.0), delta=1.0), "^delta"),
@@ -647,13 +667,22 @@ def _separable_pair(k):
 
 
 def _transform_route_terms(F, G, omegas, t, panels, order, absolute=False):
-    """The partition terms with D_C (phi - psi) taken as the sum over
-    operator_terms of c_t (phi - psi)(t o x), phi and psi evaluated on every
-    transformed grid: the route the rolls replace.  With absolute, the sum
-    is of the |c_t (phi - psi)(t o x)|, the scale of its rounding."""
+    """The partition terms on the full grid of every partition: D_C (phi -
+    psi) as the sum over operator_terms of c_t (phi - psi)(t o x), phi and
+    psi evaluated on every transformed grid, the per-axis factors multiplied
+    into the grid and its outer-product weights summed exactly (math.fsum):
+    the route that the half-axis contractions replace.  With absolute, the
+    sum is of the |c_t (phi - psi)(t o x)|, the scale of its rounding."""
     k = len(omegas)
+    rules = [em._axis_nodes(om, panels, order) for om in omegas]
 
-    def integrand(xs, B, C, D):
+    def along(v, j):
+        return np.reshape(v, (-1,) + (1,) * (k - 1 - j))
+
+    terms = {}
+    for B, C, D in em.partitions(k):
+        axes = [em._ZERO_AXIS if j in B else rule for j, rule in enumerate(rules)]
+        xs = [x for x, _ in axes]
         val = np.zeros([x.size for x in xs], dtype=float if absolute else complex)
         for tr, c in em.operator_terms([("D", j) for j in C], k).items():
             txs = [s * x for s, x in zip(tr, xs)]
@@ -661,12 +690,13 @@ def _transform_route_terms(F, G, omegas, t, panels, order, absolute=False):
             val += np.abs(z) if absolute else z
         val = np.abs(val)
         for j in C:
-            val = val / em._along(np.abs(xs[j]), j, k)
+            val = val / along(np.abs(xs[j]), j)
         for j in D:
-            val = val * em._along(1.0 / omegas[j] + np.abs(np.sin(t[j] * xs[j])) / np.abs(xs[j]), j, k)
-        return val
-
-    return em._partition_terms(omegas, panels, order, integrand)
+            val = val * along(1.0 / omegas[j] + np.abs(np.sin(t[j] * xs[j])) / np.abs(xs[j]), j)
+        for j, (_, w) in enumerate(axes):
+            val = val * along(w, j)
+        terms[f"B={B} C={C} D={D}"] = math.fsum(val.ravel())
+    return terms
 
 
 class TestSeparableGrid:
@@ -703,12 +733,19 @@ class TestSeparableGrid:
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("generic", [False, True])
     def test_partition_terms_match_transform_route(self, k, generic):
-        # the rolls against D_C expanded through operator_terms, on laws with
-        # no even factor (so that no term is 0 by symmetry).  The nested
-        # halvings associate the 2^|C| values otherwise than the transform
-        # sum; each of the two sums rounds by at most 2^|C| eps times the sum
-        # of the magnitudes, and the bound doubles that once more for the
-        # weights.  At k <= 2 the terms are bit-identical
+        # the half-axis contractions against D_C expanded through
+        # operator_terms on the full grid, on laws with no even factor (so
+        # that no term is 0 by symmetry).  The nested halvings associate the
+        # 2^|C| values otherwise than the transform sum; each of the two sums
+        # rounds by at most 2^|C| eps times the sum of the magnitudes, and
+        # the bound doubles that once more for the weights: 2^(|C|+2) eps.
+        # The contraction then sums nonnegative values one axis at a time,
+        # n_j of them on axis j (1 on a B-axis, the positive half on a
+        # C-axis, every node on a D-axis).  A sum of m nonnegative values in
+        # any order lies within (m - 1) u of the exact sum, relative to it,
+        # and each axis's product with its partial sums rounds once more, so
+        # the contraction adds at most sum_j n_j u <= sum_j n_j eps; the
+        # reference's math.fsum rounds once
         F = em.product_law([_shifted_gaussian(0.15 * (j + 1)) for j in range(k)])
         G = em.product_law([e1.normal_law(-0.2, 1.1), e1.normal_law(0.25, 0.9), e1.normal_law(0.1, 1.05)][:k])
         if generic:
@@ -718,12 +755,12 @@ class TestSeparableGrid:
         rep = em.esseen_bound_k(F, G, om, t, **grid)
         ref = _transform_route_terms(F, G, om, t, **grid)
         scale = _transform_route_terms(F, G, om, t, **grid, absolute=True)
+        size = em._axis_nodes(om[0], **grid)[0].size
         assert rep.terms.keys() == ref.keys()
-        for (_, C, _), (name, value) in zip(em.partitions(k), ref.items()):
-            if k <= 2:
-                assert rep.terms[name].hex() == value.hex(), name
-            else:
-                assert abs(rep.terms[name] - value) <= 2 ** (len(C) + 2) * np.finfo(float).eps * scale[name], name
+        for (B, C, D), (name, value) in zip(em.partitions(k), ref.items()):
+            summed = len(B) + len(C) * size // 2 + len(D) * size
+            tol = (2 ** (len(C) + 2) + summed) * np.finfo(float).eps * scale[name]
+            assert abs(rep.terms[name] - value) <= tol, name
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_one_factor_call_per_axis_and_grid(self, k):
@@ -903,9 +940,11 @@ class TestSlabGrid:
             assert np.array_equal(grid, self._per_row(F, G, [axis], C, 1.0))
 
     def test_cf_points_per_bound(self):
-        # one cf call per pattern and shifted slab grid, the sign flips taken
-        # by rolls: 11,449 points at panels 6, order 4 (18,225 with a call per
-        # flip; per-row candidate sets took 531,441)
+        # phi - psi once on each grid that a B-set fixes, which the patterns
+        # with no small axis index, and one cf call per shifted slab grid, the
+        # sign flips taken by rolls: 7,473 points at panels 6, order 4 (11,449
+        # with a gap per partition, 18,225 with a call per flip; per-row
+        # candidate sets took 531,441)
         F, G = _slab_pairs()["product"]
         sizes = []
 
@@ -914,7 +953,7 @@ class TestSlabGrid:
             return F.cf(pts)
 
         em.esseen_bound_slab(dataclasses.replace(F, cf=cf), G, (12.0, 12.0))
-        assert 0 < sum(sizes) <= 11_449
+        assert 0 < sum(sizes) <= 7_473
 
 
 class TestPinnedTotals:
