@@ -36,14 +36,26 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _is_tol(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and 0.0 < v < math.inf
-
+# each flag of verify and demo, in the order the parser lists them: its
+# type, and what an explicit value must satisfy (--samples and --seed are
+# checked by clt.MonteCarloConfig).  A command takes the flags its suites or
+# scenarios read; _SUITES and _SCENARIOS say which.
+_FLAGS = {
+    "tol": (float, (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+                    and 0.0 < v < math.inf, "a finite number > 0")),
+    "k": (int, (lambda v: 1 <= v <= 3, "1, 2 or 3")),
+    "n": (int, (lambda v: v >= 1, ">= 1")),
+    "N": (int, (lambda v: v >= 1, ">= 1")),
+    "omega": (float, (lambda v: 0.0 < v < math.inf, "finite and > 0")),
+    "delta": (float, (lambda v: 1.0 < v < math.inf, "finite and > 1")),
+    "samples": (int, None),
+    "seed": (int, None),
+}
 
 # what each BSLIB_CONFIG value must satisfy, whatever the command; other keys
 # are ignored.  A key is the default of its flag where that is read.
 _CONFIG_KEYS = {
-    "tol": (_is_tol, "a finite number > 0"),
+    "tol": _FLAGS["tol"][1],
     "seed": (lambda v: v is None or (isinstance(v, int) and not isinstance(v, bool)), "an integer"),
     "format": (lambda v: v in ("csv", "json"), "csv or json"),
 }
@@ -86,7 +98,7 @@ def _constant_floors(args) -> dict:
         return {}
     from . import esseen1d as e1
 
-    k = _READS["esseen-k"]["k"] if args.k is None else args.k
+    k = _SCENARIOS["esseen-k"][2]["k"] if args.k is None else args.k
     if args.scenario == "esseen1d-binomial" or k == 1:
         return {"c1": e1.C1_DEFAULT, "c2": e1.C2_DEFAULT}
     from . import esseen_multi as em
@@ -498,94 +510,62 @@ def _suite_clt() -> list[dict]:
     return checks
 
 
+# each verify suite and demo scenario: the module it needs (the commands
+# import it before the clock starts, so that runtime_ms times the
+# computation and not the imports), its function, and the flags it reads
+# with their defaults.  Another flag of the command is a usage error;
+# --const and --unsafe are read where _constant_floors names constants.
 _SUITES = {
-    "kernels": _suite_kernels,
-    "interpolation": _suite_interpolation,
-    "esseen1d": _suite_esseen1d,
-    "esseen_k": _suite_esseen_k,
-    "clt": _suite_clt,
+    "kernels": ("kernels", _suite_kernels, {"tol": 1e-10}),
+    "interpolation": ("interpolation", _suite_interpolation, {"tol": 1e-10}),
+    "esseen1d": ("esseen1d", _suite_esseen1d, {}),
+    "esseen_k": ("esseen_multi", _suite_esseen_k, {}),
+    "clt": ("clt", _suite_clt, {}),
 }
 
 
-# the module each verify suite and demo scenario imports on first use (it
-# imports esseen1d in turn); the commands import it before the clock
-# starts, so that runtime_ms times the computation and not the imports
-_LAZY_IMPORTS = {"esseen1d": "esseen1d", "esseen_k": "esseen_multi", "clt": "clt",
-                 "esseen1d-binomial": "esseen1d", "esseen-k": "esseen_multi",
-                 "clt-haar": "clt", "clt-vector": "clt"}
-
-
-def _import_for(names: list[str]) -> None:
-    for name in names:
-        if name in _LAZY_IMPORTS:
-            importlib.import_module(f".{_LAZY_IMPORTS[name]}", __package__)
-
-
-# the flags each verify suite and demo scenario reads, with their defaults;
-# another flag of verify or demo is a usage error.  --const and --unsafe
-# are read where _constant_floors names constants.
-_READS = {
-    "kernels": {"tol": 1e-10},
-    "interpolation": {"tol": 1e-10},
-    "esseen1d": {},
-    "esseen_k": {},
-    "clt": {},
-    "esseen1d-binomial": {"n": 100, "omega": 20.0},
-    "esseen-k": {"k": 2, "n": 64, "omega": 12.0, "delta": 8.0},
-    "clt-haar": {"N": 400, "samples": 10**5, "seed": 7},
-    "clt-vector": {"N": 400, "samples": 2 * 10**4, "seed": 11},
-}
-
-# what an explicit value of each flag must satisfy; --samples and --seed are
-# checked by clt.MonteCarloConfig
-_LIMITS = {
-    "tol": (_is_tol, "a finite number > 0"),
-    "k": (lambda v: 1 <= v <= 3, "1, 2 or 3"),
-    "n": (lambda v: v >= 1, ">= 1"),
-    "N": (lambda v: v >= 1, ">= 1"),
-    "omega": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
-    "delta": (lambda v: 1.0 < v < math.inf, "finite and > 1"),
-}
-
-
-def _resolve(args, names: list[str], config: dict) -> dict:
-    """Every flag that the suites or scenario `names` read: its value, else
+def _resolve(args, entries: list[tuple], config: dict) -> dict:
+    """Every flag that the suites or scenario `entries` read: its value, else
     BSLIB_CONFIG's (tol and seed), else the default.  A flag given that none
-    of them reads raises, and so does an explicit value out of range."""
+    of them reads raises, and so does an explicit value out of range.  Then
+    it imports the entries' modules."""
     reads = {}
-    for name in names:
-        reads.update(_READS[name])
-    if names == ["esseen-k"] and args.k == 1:
+    for _, _, flags in entries:
+        reads.update(flags)
+    if getattr(args, "scenario", None) == "esseen-k" and args.k == 1:
         del reads["delta"]  # k = 1 runs the one-variable bound
-    for flag in ("tol", "k", "n", "N", "omega", "delta", "samples", "seed"):  # verify's or demo's
+    for flag in _FLAGS:
         if getattr(args, flag, None) is not None and flag not in reads:
             what = f"suite {args.suite}" if args.command == "verify" else f"scenario {args.scenario}"
             raise ValueError(f"--{flag} is not read by {what} "
                              f"(it reads {', '.join('--' + f for f in reads) or 'none'})")
     params = {}
     for flag, default in reads.items():
+        kind, limit = _FLAGS[flag]
         value = getattr(args, flag)
-        if value is not None and flag in _LIMITS:
-            valid, need = _LIMITS[flag]
+        if value is not None and limit is not None:
+            valid, need = limit
             if not valid(value):
                 raise ValueError(f"--{flag} must be {need} (got {value!r})")
         elif value is None and flag in _CONFIG_KEYS and config.get(flag) is not None:
-            value = type(default)(config[flag])  # a JSON tol of 1 is the float 1.0
+            value = kind(config[flag])  # a JSON tol of 1 is the float 1.0
         params[flag] = default if value is None else value
+    for module, _, _ in entries:
+        importlib.import_module(f".{module}", __package__)
     return params
 
 
 def cmd_verify(args, config: dict) -> int:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
-    params = _resolve(args, names, config)  # tol alone, where a suite reads it
+    params = _resolve(args, [_SUITES[name] for name in names], config)  # tol, where a suite reads it
     manifest = RunManifest("verify", {"suite": args.suite}, args.out, tolerances=params)
-    _import_for(names)
     t0 = time.monotonic()
     checks = []
     for name in names:
-        for entry in _SUITES[name](**{flag: params[flag] for flag in _READS[name]}):
-            entry["suite"] = name
-            checks.append(entry)
+        _, suite, reads = _SUITES[name]
+        for check in suite(**{flag: params[flag] for flag in reads}):
+            check["suite"] = name
+            checks.append(check)
     ok = all(c["pass"] for c in checks)
     _emit_run(manifest, t0, checks, verdicts=[{"name": "all_checks_pass", "pass": ok}])
     return EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -693,15 +673,16 @@ def _demo_clt_vector(p: dict, ov: dict) -> tuple[list, list, list]:
 
 
 _SCENARIOS = {
-    "esseen1d-binomial": _binomial_bound_1d,
-    "esseen-k": _demo_esseen_k,
-    "clt-haar": _demo_clt_haar,
-    "clt-vector": _demo_clt_vector,
+    "esseen1d-binomial": ("esseen1d", _binomial_bound_1d, {"n": 100, "omega": 20.0}),
+    "esseen-k": ("esseen_multi", _demo_esseen_k, {"k": 2, "n": 64, "omega": 12.0, "delta": 8.0}),
+    "clt-haar": ("clt", _demo_clt_haar, {"N": 400, "samples": 10**5, "seed": 7}),
+    "clt-vector": ("clt", _demo_clt_vector, {"N": 400, "samples": 2 * 10**4, "seed": 11}),
 }
 
 
 def cmd_demo(args, config: dict) -> int:
-    params = _resolve(args, [args.scenario], config)
+    entry = _SCENARIOS[args.scenario]
+    params = _resolve(args, [entry], config)
     floors = _constant_floors(args)
     if args.unsafe and not floors:
         raise ValueError(f"--unsafe is not read by scenario {args.scenario} (it reads no constant)")
@@ -709,9 +690,8 @@ def cmd_demo(args, config: dict) -> int:
     shown = {flag: v for flag, v in params.items() if flag != "seed"}
     manifest = RunManifest("demo", {"scenario": args.scenario, **shown}, args.out,
                            seed=params.get("seed"), constant_overrides=overrides)
-    _import_for([args.scenario])
     t0 = time.monotonic()
-    bounds, meas, verdicts = _SCENARIOS[args.scenario](params, overrides)
+    bounds, meas, verdicts = entry[1](params, overrides)
     _emit_run(manifest, t0, bounds=bounds, measurements=meas, verdicts=verdicts)
     return EXIT_OK if all(v["pass"] for v in verdicts) else EXIT_CHECK_FAILED
 
@@ -767,18 +747,13 @@ def build_parser() -> _Parser:
 
     pv = sub.add_parser("verify", help="run a module invariant suite (JSON)", allow_abbrev=False)
     pv.add_argument("--suite", choices=tuple(_SUITES) + ("all",), required=True)
-    pv.add_argument("--tol", type=float, default=None)
-
     pd = sub.add_parser("demo", help="run a bound-vs-measurement scenario (JSON)",
                         allow_abbrev=False)
     pd.add_argument("--scenario", choices=tuple(_SCENARIOS), required=True)
-    pd.add_argument("--n", type=int, default=None)
-    pd.add_argument("--N", type=int, default=None)
-    pd.add_argument("--k", type=int, default=None)
-    pd.add_argument("--omega", type=float, default=None)
-    pd.add_argument("--delta", type=float, default=None)
-    pd.add_argument("--samples", type=int, default=None)
-    pd.add_argument("--seed", type=int, default=None)
+    for sp, entries in ((pv, _SUITES), (pd, _SCENARIOS)):
+        for flag, (kind, _) in _FLAGS.items():
+            if any(flag in reads for _, _, reads in entries.values()):
+                sp.add_argument(f"--{flag}", type=kind, default=None)
     pd.add_argument("--const", action="append", default=None, metavar="NAME=VALUE")
     pd.add_argument("--unsafe", action="store_true", default=None)
 

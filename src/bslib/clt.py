@@ -262,6 +262,9 @@ def rademacher_product_law(scale: float = 1.0) -> ComplexLawSpec:
     beta^2 = scale^2, rho3 = (sqrt(2)*scale)^3, cf = cos(scale*Re xi) *
     cos(scale*Im xi).
     """
+    r = math.sqrt(2.0) * scale
+    if not (scale > 0 and math.isfinite(r * r * r)):
+        raise ValueError(f"scale must be > 0, with (sqrt(2) scale)^3 finite (got {scale!r})")
 
     def sampler(rng, size):
         return scale * (
@@ -316,6 +319,8 @@ def geometric_scheme(ratio: float = 2.0) -> CoefficientScheme:
 def alternating_vector_scheme(J: int = 2) -> CoefficientScheme:
     """Row n is the standard basis vector e_{n mod J}; sigma_N = sqrt(N),
     so the normalization matrix tends to diag(1/J)."""
+    if not isinstance(J, (int, np.integer)) or isinstance(J, bool) or J < 1:
+        raise ValueError(f"J must be an integer >= 1 (got {J!r})")
 
     def coeffs(N: int) -> np.ndarray:
         rows = np.zeros((N, J), dtype=complex)

@@ -290,6 +290,9 @@ def irwin_hall_standardized(n: int) -> Law:
 
 
 def point_mass(x0: float = 0.0) -> Law:
+    if not math.isfinite(x0 * x0):  # the moment, x0^2
+        raise ValueError(f"x0 must be finite, and so must x0^2 (got {x0!r})")
+
     def cdf(t):
         return np.where(np.asarray(t) >= x0, 1.0, 0.0)[()]
 
@@ -409,8 +412,19 @@ def esseen_bound_1d(
 def gaussian_mollify(F: Law, eps: float) -> Law:
     """Convolve the law F on R with a centered Gaussian of standard deviation eps."""
     _check_laws(F)
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps!r}")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and > 0 (got {eps!r})")
+    a, mom = F.moment
+    try:
+        mom += math.pow(eps, a) * 2.0
+    except OverflowError:
+        mom = math.inf
+    m = 1.0 / (eps * math.sqrt(2.0 * math.pi))
+    if F.density_bounds is not None:
+        m = min(m, F.density_bounds[0])
+    if not math.isfinite(mom + m):
+        raise ValueError(f"eps = {eps!r} leaves the mollified law no finite moment of order {a:g} "
+                         f"or density bound")
     nodes, weights = np.polynomial.hermite_e.hermegauss(64)
     w = weights / math.sqrt(2.0 * math.pi)
 
@@ -422,11 +436,7 @@ def gaussian_mollify(F: Law, eps: float) -> Law:
         z = np.asarray(z, dtype=float)
         return F.cf(z) * np.exp(-0.5 * (eps * z) ** 2)
 
-    m = 1.0 / (eps * math.sqrt(2.0 * math.pi))
-    if F.density_bounds is not None:
-        m = min(m, F.density_bounds[0])
-    a, mom = F.moment
-    return Law(cdf, cf, (a, mom + eps**a * 2.0), (m,))
+    return Law(cdf, cf, (a, mom), (m,))
 
 
 def sup_cdf_distance(

@@ -334,6 +334,95 @@ class TestParserReuse:
         assert fresh.stdout == out
 
 
+# Runs each argv of the JSON list in sys.argv[1] through cli.main, and
+# prints the bslib modules loaded when each run's clock starts (its first
+# cli.time.monotonic() call), then those loaded at the end.  verify and demo
+# runs stop there, since the computation is not what is tested.
+_IMPORT_PROBE = """
+import json, sys, time, types
+from bslib import cli
+
+def loaded():
+    return sorted(name for name in sys.modules if name.startswith("bslib."))
+
+class ClockStarted(Exception):
+    pass
+
+at_clock = []
+for argv in json.loads(sys.argv[1]):
+    def monotonic():
+        at_clock.append(loaded())
+        if argv[0] in ("verify", "demo"):
+            raise ClockStarted
+        return time.monotonic()
+    cli.time = types.SimpleNamespace(monotonic=monotonic)
+    try:
+        cli.main(argv)
+    except ClockStarted:
+        pass
+print(json.dumps({"at_clock": at_clock, "at_end": loaded()}))
+"""
+
+
+def _imports_in_fresh_interpreter(*argvs):
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop("BSLIB_CONFIG", None)
+    probe = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
+                           capture_output=True, text=True, env=env, timeout=120)
+    assert probe.returncode == 0, probe.stderr
+    return json.loads(probe.stdout.splitlines()[-1])
+
+
+class TestLazyImports:
+    # a fresh interpreter each, since the other tests import every module
+    BOUND_MODULES = {"bslib.esseen1d", "bslib.esseen_multi", "bslib.clt"}
+
+    def test_eval_and_table_import_no_bound_module(self):
+        loaded = _imports_in_fresh_interpreter(
+            ["eval", "--fn", "W", "--x", "0.5"],
+            ["table", "--fn", "cardinal", "--from", "-1", "--to", "1", "--step", "0.5"])
+        assert not self.BOUND_MODULES & set(loaded["at_end"]), loaded["at_end"]
+
+    @pytest.mark.parametrize(
+        "argv, needs",
+        [
+            (("verify", "--suite", "esseen1d"), {"esseen1d"}),
+            (("verify", "--suite", "esseen_k"), {"esseen_multi"}),
+            (("verify", "--suite", "clt"), {"clt"}),
+            (("verify", "--suite", "all"), {"kernels", "interpolation", "esseen1d", "esseen_multi", "clt"}),
+            (("demo", "--scenario", "esseen1d-binomial"), {"esseen1d"}),
+            (("demo", "--scenario", "esseen-k"), {"esseen_multi"}),
+            (("demo", "--scenario", "clt-haar"), {"clt"}),
+            (("demo", "--scenario", "clt-vector"), {"clt"}),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, tuple) else "+".join(sorted(v)),
+    )
+    def test_module_loaded_before_the_clock_starts(self, argv, needs):
+        # else runtime_ms would time the imports
+        loaded = _imports_in_fresh_interpreter(list(argv))
+        assert loaded["at_clock"], "the run never started its clock"
+        missing = {f"bslib.{m}" for m in needs} - set(loaded["at_clock"][0])
+        assert not missing, missing
+
+
+class TestFlagTable:
+    # the flags of verify and demo that pick the entry, the output or the constants
+    NOT_READ_BY_ENTRIES = {"--suite", "--scenario", "--out", "--const", "--unsafe"}
+
+    @pytest.mark.parametrize("command", ["verify", "demo"])
+    def test_every_flag_has_a_reader_and_every_read_flag_is_a_flag(self, command):
+        entries = cli._SUITES if command == "verify" else cli._SCENARIOS
+        parser = cli.build_parser().commands[command]
+        flags = {name for action in parser._actions if action.dest != "help"
+                 for name in action.option_strings} - self.NOT_READ_BY_ENTRIES
+        read = {"--" + flag for _, _, reads in entries.values() for flag in reads}
+        assert flags - read == set(), "flags no suite or scenario reads"
+        assert read - flags == set(), "flags read that the command does not take"
+        unchecked = {flag for flag in read if cli._FLAGS[flag[2:]][1] is None}
+        assert unchecked <= {"--samples", "--seed"}  # clt.MonteCarloConfig checks these
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv, flag",

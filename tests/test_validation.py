@@ -122,6 +122,18 @@ _G2 = em.product_normal_target(2)
         pytest.param(lambda: e1.irwin_hall_standardized(0), "n", id="irwin-hall-n-zero"),
         pytest.param(lambda: e1.irwin_hall_standardized(1.5), "n", id="irwin-hall-n-fraction"),
         pytest.param(lambda: e1.irwin_hall_standardized(True), "n", id="irwin-hall-n-bool"),
+        # a law whose moment or density bound would be NaN, infinite or zero
+        pytest.param(lambda: e1.gaussian_mollify(e1.point_mass(0.0), math.inf), "eps", id="mollify-eps-inf"),
+        pytest.param(lambda: e1.gaussian_mollify(e1.point_mass(0.0), 1e300), "eps",
+                     id="mollify-eps-moment-overflow"),
+        pytest.param(lambda: e1.gaussian_mollify(e1.point_mass(0.0), 1e-320), "eps",
+                     id="mollify-eps-density-overflow"),
+        pytest.param(lambda: e1.point_mass(math.nan), "x0", id="point-mass-nan"),
+        pytest.param(lambda: e1.point_mass(math.inf), "x0", id="point-mass-inf"),
+        pytest.param(lambda: clt.alternating_vector_scheme(0), "J", id="alternating-J-zero"),
+        pytest.param(lambda: clt.alternating_vector_scheme(-1), "J", id="alternating-J-negative"),
+        pytest.param(lambda: clt.rademacher_product_law(0.0), "scale", id="rademacher-scale-zero"),
+        pytest.param(lambda: clt.rademacher_product_law(math.nan), "scale", id="rademacher-scale-nan"),
         # the tables kernels computes for itself
         pytest.param(lambda: kr.BernoulliTable(()), "values", id="bernoulli-empty"),
         pytest.param(lambda: kr.BernoulliTable((Fraction(2),)), "values", id="bernoulli-b0"),
