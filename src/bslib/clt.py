@@ -397,9 +397,10 @@ def gaussian_limit_gap(
         raise ValueError(f"xi must be finite (got {xi!r})")
     b, mags, sigma, _, _ = _weights(scheme, N)
     U = (np.conj(b) @ xi) / sigma
-    stats = lyapunov_normalizer(scheme, N)
-    L = float(np.sum(np.sum(mags, axis=1) ** 3)) / sigma**3
-    adm_value = 4.0 * law.beta2 * (A * stats.max_ratio) ** 2 + 2.0 * (law.rho * A) ** 3 * L
+    rows = np.sum(mags, axis=1)
+    max_ratio = float(np.max(rows)) / sigma
+    L = float(np.sum(rows**3)) / sigma**3
+    adm_value = 4.0 * law.beta2 * (A * max_ratio) ** 2 + 2.0 * (law.rho * A) ** 3 * L
     admissible = adm_value < 1.0
 
     factors = law.cf(U)

@@ -53,9 +53,9 @@ class Law:
     bounds each marginal density, one per axis, and is None when a marginal
     has atoms; `atoms` are where `sup_cdf_distance` takes one-sided limits.
     `factors` holds the k laws on R of a law with independent coordinates,
-    or is empty.  The partition and truncated bounds of `esseen_multi` read
-    the cf on their tensor grids from the factors when there are any, so a
-    copy with another `cf` must also set `factors` (or `factors=()`).
+    or is empty.  Every k-variable bound of `esseen_multi` reads the cf on
+    its tensor grids from the factors when there are any, so a copy with
+    another `cf` must also set `factors` (or `factors=()`).
     """
 
     cdf: Callable[[ArrayLike], ArrayLike]
@@ -410,13 +410,26 @@ def esseen_bound_1d(
 
 
 def gaussian_mollify(F: Law, eps: float) -> Law:
-    """Convolve the law F on R with a centered Gaussian of standard deviation eps."""
+    """Convolve the law F on R with a centered Gaussian of standard deviation eps.
+
+    F's moment (a, m), m >= E|X|^a, becomes a bound on E|X + eps Z|^a, Z
+    standard normal and independent of X.  For a <= 2 it is m + 2 eps^a:
+    E|Z|^a <= (E Z^2)^(a/2) = 1, and |x + y|^a <= |x|^a + |y|^a for a <= 1
+    (subadditivity), while for 1 <= a <= 2, |x + y|^a + |x - y|^a <= 2 |x|^a
+    + 2 |y|^a and Z is symmetric, so E|X + eps Z|^a <= m + eps^a E|Z|^a in
+    both cases.  For a > 2 it is Minkowski's (m^(1/a) + eps ||Z||_a)^a,
+    with E|Z|^a = 2^(a/2) Gamma((a+1)/2) / sqrt(pi).
+    """
     _check_laws(F)
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be finite and > 0 (got {eps!r})")
     a, mom = F.moment
     try:
-        mom += math.pow(eps, a) * 2.0
+        if a <= 2.0:
+            mom += math.pow(eps, a) * 2.0
+        else:
+            log_z = 0.5 * a * math.log(2.0) + math.lgamma(0.5 * (a + 1.0)) - 0.5 * math.log(math.pi)
+            mom = math.pow(math.pow(mom, 1.0 / a) + eps * math.exp(log_z / a), a)
     except OverflowError:
         mom = math.inf
     m = 1.0 / (eps * math.sqrt(2.0 * math.pi))

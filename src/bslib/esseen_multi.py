@@ -333,14 +333,8 @@ def product_law(components: Sequence[Law]) -> Law:
 
 
 def product_normal_target(k: int) -> Law:
-    """The standard normal law on R^k, with the closed-form joint cf (one exp
-    per point) and the k normal factors, which the tensor-grid bounds read."""
-
-    def cf(pts: np.ndarray) -> np.ndarray:
-        return np.exp(-0.5 * np.sum(np.asarray(pts, dtype=float) ** 2, axis=-1)) + 0.0j
-
-    law = product_law([normal_law()] * k)
-    return law if k == 1 else dataclasses.replace(law, cf=cf)
+    """The standard normal law on R^k: the product of k standard normal laws."""
+    return product_law([normal_law()] * k)
 
 
 @dataclass(frozen=True)
@@ -442,19 +436,18 @@ def _grid(panels, order, default: tuple[int, int]) -> tuple[int, int]:
 _DEFAULT_GRID = {1: (12, 8), 2: (12, 8), 3: (7, 5), 4: (4, 3)}
 
 
-def _partition_terms(rules, c_weights, d_weights, gap, values) -> dict[str, float]:
+def _partition_terms(F: Law, G: Law, rules, c_weights, d_weights, values) -> dict[str, float]:
     """The integral term of each partition (B, C, D) of the axes of rules,
     [(nodes, weights), ...] each symmetric: values(z, xs, C) on the grid of
     the axis arrays xs, where a B-axis is the one node 0 and every other
     axis its rule's nodes, contracted with the weight 1 on the B-axes,
-    c_weights on the C-axes and d_weights on the D-axes.  z = gap(xs),
-    phi - psi on that grid, is taken once for each of the grids that the
-    B-sets fix."""
+    c_weights on the C-axes and d_weights on the D-axes.  z, phi - psi on
+    that grid, is taken once for each of the grids that the B-sets fix."""
     terms, gaps = {}, {}
     for B, C, D in partitions(len(rules)):
         xs = [_ZERO_AXIS[0] if j in B else x for j, (x, _) in enumerate(rules)]
         if B not in gaps:
-            gaps[B] = gap(xs)
+            gaps[B] = _cf_grid(F, xs) - _cf_grid(G, xs)
         weights = [_ZERO_AXIS[1] if j in B else c_weights[j] if j in C else d_weights[j]
                    for j in range(len(rules))]
         terms[f"B={B} C={C} D={D}"] = _contract(values(gaps[B], xs, C), weights)
@@ -494,8 +487,7 @@ def esseen_bound_k(
             z = 0.5 * (pos - neg)
         return np.abs(z)
 
-    terms = _partition_terms(rules, c_weights, d_weights,
-                             lambda xs: _cf_grid(F, xs) - _cf_grid(G, xs), values)
+    terms = _partition_terms(F, G, rules, c_weights, d_weights, values)
     tail = consts.c2 * sum(m / om for m, om in zip(G.density_bounds, omegas))
     total = consts.c1 * sum(terms.values()) + tail
     terms = {name: consts.c1 * v for name, v in terms.items()}
@@ -509,7 +501,6 @@ def esseen_bound_truncated(
     *,
     delta: float,
     mode: Literal["A", "B"] = "A",
-    alpha: float | None = None,
     box_extent: float | None = None,
     constants: BoundConstants | None = None,
     panels: int | None = None,
@@ -520,7 +511,9 @@ def esseen_bound_truncated(
 
     Mode A requires delta > 1; mode B requires delta = 1 + D, where D > 0
     bounds the box edge lengths (box_extent).  With use_triangle_replacement the
-    factor 1/|v_bullet| is replaced by the larger delta/|v_triangle|.
+    factor 1/|v_bullet| is replaced by the larger delta/|v_triangle|.  Mode
+    A's moment slack takes the smaller moment exponent of F and G, which
+    `detail["alpha"]` reports.
     """
     k = _check_laws(F, G, 4, omegas, 1.0)
     consts = constants or BoundConstants.for_k(k)
@@ -535,10 +528,7 @@ def esseen_bound_truncated(
         raise ValueError(f"box_extent is read only in mode 'B' (got {box_extent!r} in mode {mode!r})")
     if not delta > 1.0:
         raise ValueError(f"delta must be > 1 (got {delta})")
-    a_max = min(F.moment[0], G.moment[0])
-    if alpha is not None and not 0.0 < alpha <= a_max:
-        raise ValueError(f"alpha must be in (0, {a_max:g}], the moment exponent of F and G (got {alpha!r})")
-    a = a_max if alpha is None else alpha
+    a = min(F.moment[0], G.moment[0])
     rules = [_axis_nodes(om, panels, order) for om in omegas]
     xs = [x for x, _ in rules]
     if use_triangle_replacement:  # delta / |v_triangle| >= 1/|v_bullet| pointwise
@@ -581,17 +571,10 @@ def _check_tau(tau) -> None:
         raise ValueError(f"tau must be finite and > 0 (got {tau!r})")
 
 
-def _joint_gap(F: Law, G: Law, xs: Sequence[np.ndarray]) -> np.ndarray:
-    """phi - psi from the laws' joint cfs on the tensor grid of xs, in the
-    grid's shape."""
-    pts = _grid_points(xs)
-    return np.ravel(F.cf(pts) - G.cf(pts)).reshape([x.size for x in xs])
-
-
 def _slab_grid(F: Law, G: Law, xs: Sequence[np.ndarray], C: Sequence[int], tau: float,
                z: np.ndarray | None = None) -> np.ndarray:
     """The double-bar slab norm ||phi - psi||_C at every point of the tensor
-    grid of xs, in the grid's shape; z is `_joint_gap` on that grid, taken
+    grid of xs, in the grid's shape; z is phi - psi on that grid, taken
     here when not given.
 
     At a point v, a C-coordinate is big if |v_j| >= tau and small otherwise.
@@ -607,8 +590,8 @@ def _slab_grid(F: Law, G: Law, xs: Sequence[np.ndarray], C: Sequence[int], tau: 
     coordinates and its big C-coordinates (|v_j| >= tau), each taken with
     both signs; each small one runs over the same grid on [-tau, tau].  So
     the points with one big/small pattern of C form a tensor sub-grid; with
-    its small axes replaced by the slab grid, phi - psi, from the joint
-    cfs, is taken there once; a pattern with no small axis indexes z.  The
+    its small axes replaced by the slab grid, phi - psi, through `_cf_grid`,
+    is taken there once; a pattern with no small axis indexes z.  The
     C-axes must be symmetric, [-y, y] as `_axis_nodes` builds them, and so
     are their big rows: a sign flip of a big axis is a roll by half of it,
     and the max over the flips a max with that roll.  The max over the small
@@ -616,7 +599,7 @@ def _slab_grid(F: Law, G: Law, xs: Sequence[np.ndarray], C: Sequence[int], tau: 
     """
     shape = [x.size for x in xs]
     if z is None:
-        z = _joint_gap(F, G, xs)
+        z = _cf_grid(F, xs) - _cf_grid(G, xs)
     if not C:
         return np.hypot(z.real, z.imag)
     npts, h = 11, 1e-4
@@ -638,7 +621,7 @@ def _slab_grid(F: Law, G: Law, xs: Sequence[np.ndarray], C: Sequence[int], tau: 
         for j in Cs:
             up, dn = list(axes), list(axes)
             up[j], dn[j] = slab + h, slab - h
-            d = np.abs(_joint_gap(F, G, up) - _joint_gap(F, G, dn)) / (2 * h)
+            d = np.abs(_cf_grid(F, up) - _cf_grid(G, up) - (_cf_grid(F, dn) - _cf_grid(G, dn))) / (2 * h)
             best = np.maximum(best, d.max(axis=tuple(Cs), keepdims=True))
         for j, s in zip(C, pattern):
             if not s:  # the flip of a big axis
@@ -665,7 +648,7 @@ def esseen_bound_slab(
     rules = [_axis_nodes(om, panels, order) for om in omegas]
     c_weights = [w / np.maximum(np.abs(x), 1.0) for x, w in rules]  # 1/|v_triangle|
     d_weights = [w / om for (_, w), om in zip(rules, omegas)]
-    terms = _partition_terms(rules, c_weights, d_weights, lambda xs: _joint_gap(F, G, xs),
+    terms = _partition_terms(F, G, rules, c_weights, d_weights,
                              lambda z, xs, C: _slab_grid(F, G, xs, C, tau, z))
     tail = consts.c2 * sum(m / om for m, om in zip(G.density_bounds, omegas))
     total = consts.c_hat1 * sum(terms.values()) + tail

@@ -1,6 +1,7 @@
 """One-variable smoothing bound: oracles, dominance, and representation checks."""
 
 import cmath
+import dataclasses
 import math
 import os
 import subprocess
@@ -341,6 +342,19 @@ class TestMollification:
         for z in (0.7, 2.0, 5.0):
             assert Fm.cf(z) == pytest.approx(F.cf(z) * math.exp(-0.125 * z * z), abs=1e-15)
             assert abs(Fm.cf(z)) <= abs(F.cf(z))
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 1.5, 2.0, 3.0, 4.5])
+    @pytest.mark.parametrize("eps", [0.3, 1.0, 2.5])
+    def test_moment_bounds_mollified_moment(self, a, eps):
+        # X = +-1 declares E|X|^a = 1; E|X + eps Z|^a = E|1 + eps Z|^a by symmetry,
+        # 4.1826 at a = 3, eps = 1, where m + 2 eps^a would declare 3
+        F = e1.gaussian_mollify(dataclasses.replace(e1.standardized_binomial(1), moment=(a, 1.0)), eps)
+        exact, err = integrate.quad(lambda z: abs(1.0 + eps * z) ** a * stats.norm.pdf(z),
+                                    -40.0, 40.0, points=[-1.0 / eps])
+        assert F.moment[0] == a
+        assert F.moment[1] >= exact + err
+        if a <= 2.0:
+            assert F.moment[1] == 1.0 + 2.0 * eps**a
 
     def test_density_bound_set(self):
         Fm = e1.gaussian_mollify(e1.point_mass(0.0), 0.1)

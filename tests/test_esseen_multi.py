@@ -655,6 +655,15 @@ class TestProductLawCf:
         assert np.array_equal(vals, expect)
 
 
+def _no_joint_cf(law):
+    """The law with a joint cf that fails the test when called: a bound must
+    read the law's factors instead."""
+    def cf(pts):
+        raise AssertionError("joint cf called")
+
+    return dataclasses.replace(law, cf=cf)
+
+
 def _generic(law):
     """The same law without factors: the bounds then call its joint cf on grid points."""
     return dataclasses.replace(law, factors=())
@@ -714,18 +723,23 @@ class TestSeparableGrid:
         calls = [[], [], []]
         F, G = _separable_pair(3)
         F = em.product_law([_counting(c, log) for c, log in zip(F.factors, calls)])
-        em.esseen_bound_truncated(F, G, (9.0,) * 3, delta=4.0, panels=3, order=4)
+        em.esseen_bound_truncated(_no_joint_cf(F), _no_joint_cf(G), (9.0,) * 3, delta=4.0, panels=3, order=4)
         x, _ = em._axis_nodes(9.0, 3, 4)
         for log in calls:
             assert len(log) == 1 and np.array_equal(log[0], x)
 
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_partition_bound_routes_identical(self, k):
+    @pytest.mark.parametrize("k, slab", [(2, False), (3, False), (2, True)], ids=["2", "3", "slab"])
+    def test_partition_bound_routes_identical(self, k, slab):
         F, G = _separable_pair(k)
         om, t = (11.0, 9.0, 10.0)[:k], (0.3, -0.7, 0.45)[:k]
         grid = dict(panels=4, order=5) if k == 2 else dict(panels=3, order=4)
-        sep = em.esseen_bound_k(F, G, om, t, **grid)
-        gen = em.esseen_bound_k(_generic(F), _generic(G), om, t, **grid)
+
+        def bound(F, G):
+            if slab:
+                return em.esseen_bound_slab(F, G, om, tau=0.7, **grid)
+            return em.esseen_bound_k(F, G, om, t, **grid)
+
+        sep, gen = bound(F, G), bound(_generic(F), _generic(G))
         assert {key: v.hex() for key, v in sep.terms.items()} == {
             key: v.hex() for key, v in gen.terms.items()}
         assert sep.total.hex() == gen.total.hex()
@@ -768,7 +782,8 @@ class TestSeparableGrid:
         calls = [[] for _ in range(k)]
         F, G = _separable_pair(k)
         F = em.product_law([_counting(c, log) for c, log in zip(F.factors, calls)])
-        em.esseen_bound_k(F, G, (9.0,) * k, (0.3, -0.7, 0.45)[:k], panels=3, order=4)
+        em.esseen_bound_k(_no_joint_cf(F), _no_joint_cf(G), (9.0,) * k, (0.3, -0.7, 0.45)[:k],
+                          panels=3, order=4)
         assert [len(log) for log in calls] == [2**k] * k
 
     @pytest.mark.parametrize("panels, order", [(12, 8), (7, 5), (6, 4), (8, 6), (3, 4), (4, 5), (1, 1)])
@@ -941,19 +956,19 @@ class TestSlabGrid:
 
     def test_cf_points_per_bound(self):
         # phi - psi once on each grid that a B-set fixes, which the patterns
-        # with no small axis index, and one cf call per shifted slab grid, the
-        # sign flips taken by rolls: 7,473 points at panels 6, order 4 (11,449
-        # with a gap per partition, 18,225 with a call per flip; per-row
-        # candidate sets took 531,441)
-        F, G = _slab_pairs()["product"]
-        sizes = []
+        # with no small axis index, and once per shifted slab grid, the sign
+        # flips taken by rolls; each through the factors, one cf call per
+        # axis and none of the joint cf: 788 factor-cf points in 40 calls
+        # per law at panels 6, order 4
+        def laws(factors):
+            calls = [[] for _ in factors]
+            return _no_joint_cf(em.product_law([_counting(c, log) for c, log in zip(factors, calls)])), calls
 
-        def cf(pts):
-            sizes.append(np.shape(pts)[0])
-            return F.cf(pts)
-
-        em.esseen_bound_slab(dataclasses.replace(F, cf=cf), G, (12.0, 12.0))
-        assert 0 < sum(sizes) <= 7_473
+        (F, f_calls), (G, g_calls) = laws([e1.standardized_binomial(100)] * 2), laws([e1.normal_law()] * 2)
+        em.esseen_bound_slab(F, G, (12.0, 12.0))
+        for calls in (f_calls, g_calls):
+            assert sum(len(log) for log in calls) == 40
+            assert sum(t.size for log in calls for t in log) == 788
 
 
 class TestPinnedTotals:

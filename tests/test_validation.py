@@ -165,10 +165,6 @@ def test_ring_expansion_rejects_non_positive_monomial(monkeypatch):
         (lambda: em.esseen_bound_slab(_F2, _G2, (12, 12), tau=0.0), "tau"),
         (lambda: em.esseen_bound_slab(_F2, _G2, (12, 12), tau=-1.0), "tau"),
         (lambda: em.esseen_bound_slab(_F2, _G2, (12, 12), tau=math.nan), "tau"),
-        (lambda: em.esseen_bound_truncated(_F2, _G2, (12, 12), delta=2.0, alpha=-1.0), "alpha"),
-        (lambda: em.esseen_bound_truncated(_F2, _G2, (12, 12), delta=2.0, alpha=math.nan), "alpha"),
-        # the moments are second moments: a larger alpha would shrink the exclusion term
-        (lambda: em.esseen_bound_truncated(_F2, _G2, (12, 12), delta=2.0, alpha=3.0), "alpha"),
         (lambda: em.esseen_bound_slab(_F2, _G2, (12, 12), tau=math.inf), "tau"),
     ],
 )
