@@ -236,15 +236,83 @@ def bessel_j0(r: float) -> float:
     return float(_j0(float(r)))
 
 
+# a turn is split into 2^_TURN_BITS table steps
+_TURN_BITS = 12
+
+
+def _turn_table() -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of 2 pi j / 2^_TURN_BITS for every j, each within 1.2e-16.
+
+    Only the first octant calls np.cos and np.sin, and its end is
+    sqrt(1/2) in both.  The rest follows by exact symmetries: the swap
+    about pi/4, then quarter turns."""
+    q = 1 << (_TURN_BITS - 2)  # steps per quarter turn
+    x = (2.0 * math.pi / (q << 2)) * np.arange(q // 2 + 1)
+    c, s = np.cos(x), np.sin(x)
+    c[-1] = s[-1] = math.sqrt(0.5)
+    c, s = np.concatenate([c, s[-2:0:-1]]), np.concatenate([s, c[-2:0:-1]])
+    cos, sin = np.concatenate([c, -s, -c, s]), np.concatenate([s, c, -s, -c])
+    cos.flags.writeable = sin.flags.writeable = False
+    return cos, sin
+
+
+_TURN_COS, _TURN_SIN = _turn_table()
+# the bits of a raw word below the table index that k = word >> 11 keeps,
+# and the radians per unit of them: 2 pi 2^-53 per unit of k
+_DELTA_BITS = ((1 << (53 - _TURN_BITS)) - 1) << 11
+_RADIANS_PER_UNIT = 2.0 * math.pi * 2.0**-64
+
+
 def haar_circle_law() -> ComplexLawSpec:
-    """Uniform law on the unit circle: cf = J0(|xi|), beta^2 = 1/2, rho3 = 1."""
+    """Uniform law on the unit circle: cf = J0(|xi|), beta^2 = 1/2, rho3 = 1.
+
+    The sampler draws e^{2 pi i u} for the u = k 2^-53 that rng.random
+    draws from the same raw 64-bit words (k = word >> 11), and leaves rng
+    where rng.random(size) leaves it.  The top _TURN_BITS bits of k pick
+    a step of the turn table.  The other bits give an angle
+    delta < 2 pi / 2^_TURN_BITS, whose 1 - cos and sin are short series
+    truncated below 2e-20.  The rotation by delta is made of separate real
+    ufunc calls, so no CPU-dependent fused multiply-add enters, and each
+    component is within 2.5e-16 of e^{2 pi i u}."""
 
     def sampler(rng, size):
-        # cos and sin written into one array: the same bits as exp(2j*pi*u)
-        phase = 2.0 * math.pi * rng.random(size)
-        z = np.empty(phase.shape, dtype=complex)
-        np.cos(phase, out=z.real)
-        np.sin(phase, out=z.imag)
+        bitgen = rng.bit_generator
+        if isinstance(bitgen, np.random.MT19937):
+            raise ValueError("rng must draw 64-bit words, and MT19937 draws 32-bit ones")
+        words = np.asarray(bitgen.random_raw(size), dtype=np.uint64)
+        z = np.empty(words.shape, dtype=complex)
+        w, re, im = words.reshape(-1), z.reshape(-1).real, z.reshape(-1).imag
+        # every temporary of the draw is a row of one block: one array per
+        # temporary makes the heaps of the drawing threads shrink and regrow
+        idx, d, d2, t, c, s = np.empty((6, w.size))
+        idx = idx.view(np.int64)
+        np.right_shift(w, 64 - _TURN_BITS, out=idx)
+        np.take(_TURN_COS, idx, out=c, mode="clip")
+        np.take(_TURN_SIN, idx, out=s, mode="clip")
+        np.bitwise_and(w, _DELTA_BITS, out=w)  # below 2^53, so exact as a float
+        np.multiply(w, _RADIANS_PER_UNIT, out=d)
+        np.multiply(d, d, out=d2)
+        # sin delta = delta (1 + delta^2 (delta^2/120 - 1/6)), into d
+        np.multiply(d2, 1.0 / 120.0, out=t)
+        np.subtract(t, 1.0 / 6.0, out=t)
+        np.multiply(t, d2, out=t)
+        np.add(t, 1.0, out=t)
+        np.multiply(d, t, out=d)
+        # 1 - cos delta = delta^2 (1/2 - delta^2/24), into d2
+        np.multiply(d2, -1.0 / 24.0, out=t)
+        np.add(t, 0.5, out=t)
+        np.multiply(d2, t, out=d2)
+        # re = c - (c (1 - cos delta) + s sin delta)
+        tmp = idx.view(float)  # idx's row is free once the table is read
+        np.multiply(c, d2, out=t)
+        np.multiply(s, d, out=tmp)
+        np.add(t, tmp, out=t)
+        np.subtract(c, t, out=re)
+        # im = s + (c sin delta - s (1 - cos delta))
+        np.multiply(c, d, out=t)
+        np.multiply(s, d2, out=tmp)
+        np.subtract(t, tmp, out=t)
+        np.add(s, t, out=im)
         return z
 
     def cf(xi):
@@ -439,8 +507,10 @@ class MonteCarloConfig:
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:
-    # counter-based streams: one Philox stream per coefficient index
-    return np.random.Generator(np.random.Philox(key=seed).jumped(index))
+    # counter-based streams: one Philox stream per coefficient index, the
+    # state Philox(key=seed).jumped(index) reaches, set without the jumps
+    counter = [0, 0, index % 2**64, index >> 64]
+    return np.random.Generator(np.random.Philox(key=seed, counter=counter))
 
 
 # the most threads that draw streams at once
@@ -512,7 +582,15 @@ def vector_statistic(
             if n + depth < N:
                 ahead.append(pool.submit(draw, n + depth))
             for j in range(J):
-                Tt[j] += X * b[n, j]
+                if b[n, j].imag:
+                    # a complex multiply may fuse a multiply-add on one CPU
+                    # and not on another; a real coefficient's rounds as
+                    # x c and y c on every CPU
+                    br, bi, re, im = b[n, j].real, b[n, j].imag, Tt[j].real, Tt[j].imag
+                    re += X.real * br - X.imag * bi
+                    im += X.real * bi + X.imag * br
+                elif b[n, j]:
+                    Tt[j] += X * b[n, j]
     finally:
         pool.shutdown(cancel_futures=True)
     Tt /= sigma

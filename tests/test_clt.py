@@ -9,7 +9,9 @@ import sys
 import threading
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -418,24 +420,25 @@ _SCHEMES = {"constant": clt.constant_scheme(), "index": clt.index_scheme(),
 # sha256 prefixes of every report field (covariance bytes, float.hex of
 # the rest): seed 5, 2000 samples; gaps at N = 50.  The gaps are as the
 # serial implementation with one scalar cf call per factor computed them;
-# the statistics are as that implementation's draws and sums give them with
-# the numpy normal CDF and the covariance summed by numpy, not by BLAS
+# the statistics are as that implementation's sums give them with the
+# numpy normal CDF and the covariance summed by numpy, not by BLAS, on
+# Haar draws from the turn table and the series, not from cos and sin
 _PINNED = {
-    "stat haar_circle constant 1": "51440f137599e60e",
-    "stat haar_circle constant 7": "dab754f3ac03b996",
-    "stat haar_circle constant 50": "bf063c11554b31d5",
+    "stat haar_circle constant 1": "69bdd8217b928fbf",
+    "stat haar_circle constant 7": "54d6cfd997e3a749",
+    "stat haar_circle constant 50": "a422368d667eceb1",
     "gap haar_circle constant 50": "e9a0124f89c5bd23",
-    "stat haar_circle index 1": "51440f137599e60e",
-    "stat haar_circle index 7": "5c210d1b62bca33e",
-    "stat haar_circle index 50": "4bec42a5c8f95265",
+    "stat haar_circle index 1": "69bdd8217b928fbf",
+    "stat haar_circle index 7": "292b3451e76b72ef",
+    "stat haar_circle index 50": "23452430f42937ad",
     "gap haar_circle index 50": "52e7a328fd2bf747",
-    "stat haar_circle geometric 1": "c469eb09131917cb",
-    "stat haar_circle geometric 7": "50639c7558fd870d",
-    "stat haar_circle geometric 50": "87f5a7c6202d7252",
+    "stat haar_circle geometric 1": "2b1f400b7aa9f950",
+    "stat haar_circle geometric 7": "cca6eefc3113e0ec",
+    "stat haar_circle geometric 50": "4b8fac40aa6ee039",
     "gap haar_circle geometric 50": "85c6626f5ad30df9",
-    "stat haar_circle alternating 1": "8d61c2c4bba7a6ed",
-    "stat haar_circle alternating 7": "ebb0fd6b7ddeae89",
-    "stat haar_circle alternating 50": "30a548e6487334ea",
+    "stat haar_circle alternating 1": "b4b433a49169e2f8",
+    "stat haar_circle alternating 7": "d9aed1cc520f13f3",
+    "stat haar_circle alternating 50": "1b68ed523fdd0899",
     "gap haar_circle alternating 50": "a2b8a31b813c179b",
     "stat rademacher_product constant 1": "887d07d1c7df4c12",
     "stat rademacher_product constant 7": "2b8ad2693d1a0b66",
@@ -472,10 +475,86 @@ class TestArrayPath:
         with pytest.raises(ArithmeticError), np.errstate(invalid="ignore"):
             clt._j0(np.array([1.0, math.inf]))
 
-    def test_haar_sampler_bits_match_exp(self):
-        u = np.random.default_rng(9).random(10**6)
-        z = clt.haar_circle_law().sampler(np.random.default_rng(9), 10**6)
-        assert np.array_equal(z.view(np.uint64), np.exp(2j * math.pi * u).view(np.uint64))
+    @pytest.mark.parametrize("size", [0, 1, 1000, (3, 5)])
+    def test_haar_sampler_draws_the_same_u(self, size):
+        # the same raw words as rng.random(size), so the stream ends where it does
+        rng, ref = clt._stream(4, 2), clt._stream(4, 2)
+        z = clt.haar_circle_law().sampler(rng, size)
+        assert z.shape == ref.random(size).shape and z.dtype == complex
+        assert str(rng.bit_generator.state) == str(ref.bit_generator.state)
+
+    def test_haar_sampler_within_2p5e_16_of_exp(self):
+        k = clt._stream(6, 1).bit_generator.random_raw(10**4) >> 11
+        q, step = 1 << 51, 1 << 41  # quarter turn and table step, in units of 2^-53 turns
+        hand = [0, 1, 2**53 - 1] + [e + d for e in (q, 2 * q, 3 * q) for d in (-1, 0, 1)]
+        hand += [j * step + d for j in (1, 511, 512, 513, 1023, 1025, 2047, 4095) for d in (-1, 0)]
+        k = np.concatenate([k, np.array(hand, dtype=np.uint64)])
+        words = (k << np.uint64(11)) | np.uint64(0x5A5)  # the low 11 bits are not read
+        rng = SimpleNamespace(bit_generator=SimpleNamespace(random_raw=lambda size: words.copy()))
+        z = clt.haar_circle_law().sampler(rng, k.size)
+        worst = 0.0
+        with mpmath.workprec(120):
+            for kk, zz in zip(k.tolist(), z.tolist()):
+                e = mpmath.expjpi(mpmath.ldexp(kk, -52))
+                worst = max(worst, abs(zz.real - e.real), abs(zz.imag - e.imag))
+        assert worst <= 2.5e-16
+
+    def test_turn_table(self):
+        cos, sin = clt._TURN_COS, clt._TURN_SIN
+        n = cos.size
+        assert n == sin.size == 1 << clt._TURN_BITS
+        with mpmath.workprec(120):
+            for j in range(n):
+                x = 2 * mpmath.pi * j / n
+                assert abs(cos[j] - mpmath.cos(x)) <= 1.2e-16 and abs(sin[j] - mpmath.sin(x)) <= 1.2e-16
+        quarter = n // 4
+        assert np.array_equal(cos[quarter:], -sin[:-quarter])
+        assert np.array_equal(sin[quarter:], cos[:-quarter])
+
+    def test_haar_sampler_rejects_32_bit_words(self):
+        with pytest.raises(ValueError, match="^rng "):
+            clt.haar_circle_law().sampler(np.random.Generator(np.random.MT19937(1)), 10)
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**64 + 3, 2**128 - 1])
+    @pytest.mark.parametrize("index", [0, 1, 7, 399, 2**64 + 5])
+    def test_stream_is_philox_jumped(self, seed, index):
+        got, want = clt._stream(seed, index), np.random.Generator(np.random.Philox(key=seed).jumped(index))
+        assert str(got.bit_generator.state) == str(want.bit_generator.state)
+        assert got.random(1001).tolist() == want.random(1001).tolist()
+        assert str(got.bit_generator.state) == str(want.bit_generator.state)
+
+    def test_complex_coefficients_summed_in_real_arithmetic(self, monkeypatch):
+        # a phase-twisted column beside a real one that is 0 on every other row
+        phases = np.exp(1j * np.random.default_rng(2).uniform(0, 2 * math.pi, 9))
+        n = np.arange(1, 10)
+        scheme = clt.CoefficientScheme(
+            lambda N: np.stack([phases[:N] * n[:N], np.where(n[:N] % 2, 0.0, n[:N])], axis=1),
+            lambda N: math.sqrt(N), (0.5, 0.5))
+        law = clt.haar_circle_law()
+        mc = clt.MonteCarloConfig(seed=21, samples=1000, N=9)
+        seen = []
+        ks = clt.ks_distance
+        monkeypatch.setattr(clt, "ks_distance", lambda x, cdf: seen.append(x) or ks(x, cdf))
+        clt.vector_statistic(law, scheme, 9, mc)
+
+        b, _, sigma, _, _ = clt._weights(scheme, 9)
+        T = [[[0.0, 0.0] for _ in range(mc.samples)] for _ in range(2)]
+        for i in range(9):
+            X = law.sampler(clt._stream(mc.seed, i), mc.samples).tolist()
+            for j in range(2):
+                br, bi = b[i, j].real, b[i, j].imag
+                for t, x in zip(T[j], X):
+                    t[0] += x.real * br - x.imag * bi
+                    t[1] += x.real * bi + x.imag * br
+        want = []
+        for j in range(2):
+            Tj = np.array([complex(*t) for t in T[j]])
+            Tj /= sigma  # as vector_statistic scales its sum
+            want.append(np.sort(Tj.real))
+            want.append(np.sort(Tj.imag))
+        got = [seen[0], seen[2], seen[1], seen[3]]  # the real KS passes come first
+        assert [list(map(float.hex, g.tolist())) for g in got] == \
+            [list(map(float.hex, w.tolist())) for w in want]
 
     def test_cf_array_contract(self):
         xi = (np.random.default_rng(4).normal(size=(3, 5)) * 2.0).astype(complex)
