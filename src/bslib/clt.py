@@ -247,7 +247,7 @@ def _turn_table() -> tuple[np.ndarray, np.ndarray]:
     sqrt(1/2) in both.  The rest follows by exact symmetries: the swap
     about pi/4, then quarter turns."""
     q = 1 << (_TURN_BITS - 2)  # steps per quarter turn
-    x = (2.0 * math.pi / (q << 2)) * np.arange(q // 2 + 1)
+    x = (2.0 * math.pi / (1 << _TURN_BITS)) * np.arange(q // 2 + 1)
     c, s = np.cos(x), np.sin(x)
     c[-1] = s[-1] = math.sqrt(0.5)
     c, s = np.concatenate([c, s[-2:0:-1]]), np.concatenate([s, c[-2:0:-1]])
