@@ -355,17 +355,19 @@ def _suite_kernels(tol: float) -> list[dict]:
 
 def _suite_interpolation(tol: float) -> list[dict]:
     checks = []
-    for which, cap in [
-        ("csc", 1e-8),
-        ("fejer", 1e-8),
-        ("poisson", 1e-12),
-        ("parseval_sampling", 1e-8),
+    for which, check, cap in [
+        ("csc", ip.csc_residual, 1e-8),
+        ("fejer", ip.fejer_residual, 1e-8),
+        ("poisson", ip.poisson_residual, 1e-12),
+        ("parseval_sampling", ip.parseval_residual, 1e-8),
     ]:
-        rep = ip.classical_identity_residual(which)
-        checks.append(_check(f"identity_{which}", rep.residual, cap))
-    for which in ("sandwich", "refined_sandwich", "bernstein"):
-        rep = ip.classical_identity_residual(which)
-        checks.append(_flag(f"identity_{which}", rep.ok))
+        checks.append(_check(f"identity_{which}", check().residual, cap))
+    for which, check in [
+        ("sandwich", ip.sandwich_residual),
+        ("refined_sandwich", ip.refined_sandwich_residual),
+        ("bernstein", ip.bernstein_residual),
+    ]:
+        checks.append(_flag(f"identity_{which}", check().ok))
     f = kr.fejer_K
     samples = ip.sample_function(f, 1.0, 300, 0.5, decay_const=1.0, decay_exponent=2.0)
     zs = np.array([0.3, -1.7, 2.25])
@@ -471,20 +473,18 @@ def _suite_clt() -> list[dict]:
     from . import clt
 
     checks = []
-    cases = [
-        ("5.1", dict(t=math.pi, n=0)),
-        ("5.1bis", dict(t=10.0, n=3)),
-        ("5.2", dict(z=0.3)),
-        ("5.3", dict(x=[1, 1], lam=2)),
-        ("5.4", dict(x=[1, 2, 3])),
-        ("5.5", dict(t=2.0, n=2, omega=0.5)),
-        ("5.15", dict(w=[1 + 1j, -2, 0.3], lam=3)),
-        ("5.19", dict(n=2, beta=1.0, q=3.0)),
-        ("5.20", dict(t=[0.5, 2, 3], n=2, psi=0.7)),
-    ]
-    for ineq_id, kw in cases:
-        r = clt.inequality_toolbox(ineq_id, **kw)
-        checks.append(_flag(f"inequality_{ineq_id}", r.holds, r.slack))
+    for number, r in [
+        ("5.1", clt.taylor_remainder(math.pi, 0)),
+        ("5.1bis", clt.taylor_remainder_min(10.0, 3)),
+        ("5.2", clt.principal_log(0.3)),
+        ("5.3", clt.power_mean_chain([1, 1], 2)),
+        ("5.4", clt.third_moment_chain([1, 2, 3])),
+        ("5.5", clt.fractional_remainder(2.0, 2, 0.5)),
+        ("5.15", clt.norm_ratios([1 + 1j, -2, 0.3], 3)),
+        ("5.19", clt.stretched_exp_max(2, 1.0, 3.0)),
+        ("5.20", clt.power_sum_pinch([0.5, 2, 3], 2, 0.7)),
+    ]:
+        checks.append(_flag(f"inequality_{number}", r.holds, r.slack))
     checks.append(_check("J0_first_zero", abs(clt.bessel_j0(2.404825557695773)), 1e-10))
     law = clt.haar_circle_law()
     worst_gap = 0.0

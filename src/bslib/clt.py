@@ -2,9 +2,10 @@
 
 The vector 'twist' T_N = sigma_N^{-1} sum X_n (b_{n,j}), of which the
 complex scalar statistic s_N^{-1} sum b_n X_n is the J = 1 case, together
-with the elementary inequality toolbox used in the proofs, the
-Haar-circle example law, and a reproducible Monte Carlo engine built on
-counter-based (Philox) random streams.
+with the elementary inequalities used in the proofs (one function each,
+named by what it bounds and numbered as in the paper in its docstring),
+the Haar-circle example law, and a reproducible Monte Carlo engine built
+on counter-based (Philox) random streams.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -27,10 +29,17 @@ __all__ = [
     "ComplexLawSpec",
     "CoefficientScheme",
     "MonteCarloConfig",
-    "inequality_toolbox",
     "ToolboxResult",
+    "taylor_remainder",
+    "taylor_remainder_min",
+    "principal_log",
+    "power_mean_chain",
+    "third_moment_chain",
+    "fractional_remainder",
+    "norm_ratios",
+    "stretched_exp_max",
+    "power_sum_pinch",
     "haar_circle_law",
-    "rademacher_product_law",
     "lyapunov_normalizer",
     "NormalizerStats",
     "gaussian_limit_gap",
@@ -40,19 +49,18 @@ __all__ = [
     "ks_distance",
     "constant_scheme",
     "index_scheme",
-    "geometric_scheme",
     "alternating_vector_scheme",
     "bessel_j0",
 ]
 
 
 # ---------------------------------------------------------------------------
-# inequality toolbox
+# the elementary inequalities of the proofs: each evaluates one at the given
+# point and reports whether it holds, with its slack
 
 
 @dataclass(frozen=True)
 class ToolboxResult:
-    ineq_id: str
     holds: bool
     slack: float
     lhs: float
@@ -60,113 +68,146 @@ class ToolboxResult:
 
 
 def _exp_taylor_remainder(t: float, n: int) -> float:
-    partial = sum((1j * t) ** k / math.factorial(k) for k in range(n + 1))
-    return abs(cmath.exp(1j * t) - partial)
+    """|e^{it} - sum_{k<=n} (it)^k/k!|.
+
+    Where n + 1 > |t| the partial sum nearly cancels e^{it}, and the tail
+    terms (it)^k/k!, k > n, decrease: they are summed exactly in rationals,
+    the real and the imaginary parts apart, until the next term is below
+    2^-64 of each part.  Each part is an alternating series, so its
+    remainder is below its next term, and each is rounded once."""
+    if not n + 1 > abs(t):  # NaN t included
+        partial = sum((1j * t) ** k / math.factorial(k) for k in range(n + 1))
+        return abs(cmath.exp(1j * t) - partial)
+    x, k = Fraction(t), n + 1
+    term, parts = x**k / math.factorial(k), [Fraction(0), Fraction(0)]
+    while True:
+        # (it)^k is i^k t^k: real for even k, negative for k = 2, 3 mod 4
+        parts[k % 2] += term if k % 4 < 2 else -term
+        k += 1
+        term = term * x / k
+        if all(abs(term) <= abs(p) / 2**64 for p in parts):
+            return math.hypot(float(parts[0]), float(parts[1]))
 
 
-def inequality_toolbox(ineq_id: str, **kw) -> ToolboxResult:
-    """Evaluate one of the elementary inequalities; returns holds + slack.
+def taylor_remainder(t: float, n: int) -> ToolboxResult:
+    """5.1: |e^{it} - sum_{k<=n} (it)^k/k!| <= |t|^{n+1}/(n+1)!."""
+    t, n = float(t), int(n)
+    lhs = _exp_taylor_remainder(t, n)
+    rhs = abs(t) ** (n + 1) / math.factorial(n + 1)
+    return ToolboxResult(lhs <= rhs + 1e-15, rhs - lhs, lhs, rhs)
 
-    ids: 5.1 (Taylor remainder of e^{it}), 5.1bis (min-form remainder),
-    5.2 (principal log vs z), 5.3 (power-mean chain), 5.4 (third-moment
-    ratio chain), 5.5 (fractional-order remainder), 5.15 (norm ratios),
-    5.19 (polynomial times stretched exponential is bounded), 5.20
-    (power-sum ratio pinched between positive constants).
-    """
-    if ineq_id == "5.1":
-        t, n = float(kw["t"]), int(kw["n"])
-        lhs = _exp_taylor_remainder(t, n)
-        rhs = abs(t) ** (n + 1) / math.factorial(n + 1)
-    elif ineq_id == "5.1bis":
-        t, n = float(kw["t"]), int(kw["n"])
-        lhs = _exp_taylor_remainder(t, n)
-        rhs = min(abs(t) ** (n + 1) / math.factorial(n + 1), 2.0 * abs(t) ** n / math.factorial(n))
-    elif ineq_id == "5.2":
-        z = complex(kw["z"])
-        if abs(z) > 0.5:
-            raise ValueError("principal-log bound needs |z| <= 1/2")
-        lhs = abs(cmath.log(1.0 + z) - z)
-        rhs = abs(z) ** 2
-    elif ineq_id == "5.3":
-        x = np.asarray(kw["x"], dtype=float)
-        lam = float(kw["lam"])
-        if np.any(x < 0) or lam < 1.0:
-            raise ValueError("needs nonnegative entries and lam >= 1")
-        m = x.size
-        a = float(np.max(x)) if m else 0.0
-        b = float(np.sum(x**lam)) ** (1.0 / lam)
-        c = float(np.sum(x))
-        d = m ** (1.0 - 1.0 / lam) * b
-        e = m * a
-        lhs, rhs = a, e
-        slack = min(b - a, c - b, d - c, e - d)
-        return ToolboxResult(ineq_id, slack >= -1e-12, slack, lhs, rhs)
-    elif ineq_id == "5.4":
-        x = np.asarray(kw["x"], dtype=float)
-        if np.any(x < 0):
-            raise ValueError("needs nonnegative entries")
-        s = math.sqrt(float(np.sum(x**2)))
-        if s == 0.0:
-            raise ValueError("needs s_N != 0")
-        B = float(np.max(x))
-        mid = float(np.sum(x**3)) / s**3
-        lhs, rhs = (B / s) ** 3, B / s
-        slack = min(mid - lhs, rhs - mid)
-        return ToolboxResult(ineq_id, slack >= -1e-12, slack, lhs, rhs)
-    elif ineq_id == "5.5":
-        t, n, omega = float(kw["t"]), int(kw["n"]), float(kw["omega"])
-        if not 0.0 <= omega < 1.0:
-            raise ValueError("needs omega in [0, 1)")
-        lhs = _exp_taylor_remainder(t, n)
-        denom = 1.0
-        for k in range(1, n + 1):
-            denom *= k + omega
-        rhs = 2.0 ** (1.0 - omega) * abs(t) ** (n + omega) / denom
-    elif ineq_id == "5.15":
-        w = np.asarray(kw["w"], dtype=complex)
-        lam = float(kw["lam"])
-        if lam < 1.0 or w.size == 0:
-            raise ValueError("needs lam >= 1 and a nonempty vector")
-        J = w.size
-        mags = np.abs(w)
-        if float(np.max(mags)) == 0.0:
-            return ToolboxResult(ineq_id, True, 0.0, 1.0 / J, 1.0)
-        mags = mags / float(np.max(mags))  # scale-invariant; avoids underflow
-        n1 = float(np.sum(mags))
-        r_inf = float(np.max(mags)) / n1
-        r_lam = float(np.sum(mags**lam)) ** (1.0 / lam) / n1
-        slack = min(r_inf - 1.0 / J, r_lam - r_inf, 1.0 - r_lam)
-        return ToolboxResult(ineq_id, slack >= -1e-12, slack, 1.0 / J, 1.0)
-    elif ineq_id == "5.19":
-        n, beta, q = int(kw["n"]), float(kw["beta"]), float(kw["q"])
-        if beta <= 0 or q <= 1:
-            raise ValueError("needs beta > 0 and q > 1")
-        gamma = 2.0 / (q - 1.0)
-        ts = np.linspace(0.0, kw.get("t_max", 1e4), 200001)
-        lhs = float(np.max(ts**n * np.exp(-0.5 * beta * ts**gamma)))
-        if n == 0:
-            rhs = 1.0
-        else:  # maximize n*log t - beta/2 * t^gamma in closed form
-            tstar = (2.0 * n / (beta * gamma)) ** (1.0 / gamma)
-            rhs = tstar**n * math.exp(-0.5 * beta * tstar**gamma)
-        return ToolboxResult(ineq_id, lhs <= rhs * (1.0 + 1e-12), rhs - lhs, lhs, rhs)
-    elif ineq_id == "5.20":
-        t = np.asarray(kw["t"], dtype=float)
-        n, psi = int(kw["n"]), float(kw["psi"])
-        if psi <= 0 or t.size == 0:
-            raise ValueError("needs psi > 0 and a nonempty vector")
-        k = t.size
-        a = np.abs(t) ** n
-        if np.sum(a) == 0.0:
-            raise ValueError("needs a nonzero vector")
-        ratio = float(np.sum(a)) ** psi / float(np.sum(a**psi))
-        lo = min(1.0, float(k) ** (psi - 1.0))
-        hi = max(1.0, float(k) ** (psi - 1.0))
-        slack = min(ratio - lo, hi - ratio)
-        return ToolboxResult(ineq_id, slack >= -1e-12, slack, lo, hi)
-    else:
-        raise ValueError(f"unknown inequality id {ineq_id!r}")
-    return ToolboxResult(ineq_id, lhs <= rhs + 1e-15, rhs - lhs, lhs, rhs)
+
+def taylor_remainder_min(t: float, n: int) -> ToolboxResult:
+    """5.1bis: the same remainder <= min(|t|^{n+1}/(n+1)!, 2 |t|^n/n!)."""
+    t, n = float(t), int(n)
+    lhs = _exp_taylor_remainder(t, n)
+    rhs = min(abs(t) ** (n + 1) / math.factorial(n + 1), 2.0 * abs(t) ** n / math.factorial(n))
+    return ToolboxResult(lhs <= rhs + 1e-15, rhs - lhs, lhs, rhs)
+
+
+def principal_log(z: complex) -> ToolboxResult:
+    """5.2: |log(1 + z) - z| <= |z|^2 for |z| <= 1/2, principal branch."""
+    z = complex(z)
+    if abs(z) > 0.5:
+        raise ValueError("principal-log bound needs |z| <= 1/2")
+    lhs = abs(cmath.log(1.0 + z) - z)
+    rhs = abs(z) ** 2
+    return ToolboxResult(lhs <= rhs + 1e-15, rhs - lhs, lhs, rhs)
+
+
+def power_mean_chain(x, lam: float) -> ToolboxResult:
+    """5.3: max x <= ||x||_lam <= ||x||_1 <= m^(1-1/lam) ||x||_lam <= m max x, x >= 0 in R^m."""
+    x = np.asarray(x, dtype=float)
+    lam = float(lam)
+    if np.any(x < 0) or lam < 1.0:
+        raise ValueError("needs nonnegative entries and lam >= 1")
+    m = x.size
+    a = float(np.max(x)) if m else 0.0
+    b = float(np.sum(x**lam)) ** (1.0 / lam)
+    c = float(np.sum(x))
+    d = m ** (1.0 - 1.0 / lam) * b
+    e = m * a
+    slack = min(b - a, c - b, d - c, e - d)
+    return ToolboxResult(slack >= -1e-12, slack, a, e)
+
+
+def third_moment_chain(x) -> ToolboxResult:
+    """5.4: (B/s)^3 <= sum x^3 / s^3 <= B/s for x >= 0, B = max x, s = ||x||_2 != 0."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0):
+        raise ValueError("needs nonnegative entries")
+    s = math.sqrt(float(np.sum(x**2)))
+    if s == 0.0:
+        raise ValueError("needs s_N != 0")
+    B = float(np.max(x))
+    mid = float(np.sum(x**3)) / s**3
+    lhs, rhs = (B / s) ** 3, B / s
+    slack = min(mid - lhs, rhs - mid)
+    return ToolboxResult(slack >= -1e-12, slack, lhs, rhs)
+
+
+def fractional_remainder(t: float, n: int, omega: float) -> ToolboxResult:
+    """5.5: the remainder of 5.1 <= 2^(1-omega) |t|^(n+omega) / prod_{k<=n} (k + omega), 0 <= omega < 1."""
+    t, n, omega = float(t), int(n), float(omega)
+    if not 0.0 <= omega < 1.0:
+        raise ValueError("needs omega in [0, 1)")
+    lhs = _exp_taylor_remainder(t, n)
+    denom = 1.0
+    for k in range(1, n + 1):
+        denom *= k + omega
+    rhs = 2.0 ** (1.0 - omega) * abs(t) ** (n + omega) / denom
+    return ToolboxResult(lhs <= rhs + 1e-15, rhs - lhs, lhs, rhs)
+
+
+def norm_ratios(w, lam: float) -> ToolboxResult:
+    """5.15: 1/J <= ||w||_inf/||w||_1 <= ||w||_lam/||w||_1 <= 1 for w in C^J, lam >= 1."""
+    w = np.asarray(w, dtype=complex)
+    lam = float(lam)
+    if lam < 1.0 or w.size == 0:
+        raise ValueError("needs lam >= 1 and a nonempty vector")
+    J = w.size
+    mags = np.abs(w)
+    if float(np.max(mags)) == 0.0:
+        return ToolboxResult(True, 0.0, 1.0 / J, 1.0)
+    mags = mags / float(np.max(mags))  # scale-invariant; avoids underflow
+    n1 = float(np.sum(mags))
+    r_inf = float(np.max(mags)) / n1
+    r_lam = float(np.sum(mags**lam)) ** (1.0 / lam) / n1
+    slack = min(r_inf - 1.0 / J, r_lam - r_inf, 1.0 - r_lam)
+    return ToolboxResult(slack >= -1e-12, slack, 1.0 / J, 1.0)
+
+
+def stretched_exp_max(n: int, beta: float, q: float) -> ToolboxResult:
+    """5.19: the max of t^n exp(-beta t^gamma / 2), gamma = 2/(q-1), on [0, 1e4] <= its closed form."""
+    n, beta, q = int(n), float(beta), float(q)
+    if beta <= 0 or q <= 1:
+        raise ValueError("needs beta > 0 and q > 1")
+    gamma = 2.0 / (q - 1.0)
+    ts = np.linspace(0.0, 1e4, 200001)
+    lhs = float(np.max(ts**n * np.exp(-0.5 * beta * ts**gamma)))
+    if n == 0:
+        rhs = 1.0
+    else:  # maximize n*log t - beta/2 * t^gamma in closed form
+        tstar = (2.0 * n / (beta * gamma)) ** (1.0 / gamma)
+        rhs = tstar**n * math.exp(-0.5 * beta * tstar**gamma)
+    return ToolboxResult(lhs <= rhs * (1.0 + 1e-12), rhs - lhs, lhs, rhs)
+
+
+def power_sum_pinch(t, n: int, psi: float) -> ToolboxResult:
+    """5.20: (sum a)^psi / sum a^psi, a = |t|^n, lies between 1 and k^(psi-1) for t != 0 in R^k."""
+    t = np.asarray(t, dtype=float)
+    n, psi = int(n), float(psi)
+    if psi <= 0 or t.size == 0:
+        raise ValueError("needs psi > 0 and a nonempty vector")
+    k = t.size
+    a = np.abs(t) ** n
+    if np.sum(a) == 0.0:
+        raise ValueError("needs a nonzero vector")
+    ratio = float(np.sum(a)) ** psi / float(np.sum(a**psi))
+    lo = min(1.0, float(k) ** (psi - 1.0))
+    hi = max(1.0, float(k) ** (psi - 1.0))
+    slack = min(ratio - lo, hi - ratio)
+    return ToolboxResult(slack >= -1e-12, slack, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -324,28 +365,6 @@ def haar_circle_law() -> ComplexLawSpec:
     return ComplexLawSpec("haar_circle", sampler, cf, 0.5, 1.0)
 
 
-def rademacher_product_law(scale: float = 1.0) -> ComplexLawSpec:
-    """z = scale*(eps1 + i*eps2) with independent signs: a product law dE x dE.
-
-    beta^2 = scale^2, rho3 = (sqrt(2)*scale)^3, cf = cos(scale*Re xi) *
-    cos(scale*Im xi).
-    """
-    r = math.sqrt(2.0) * scale
-    if not (scale > 0 and math.isfinite(r * r * r)):
-        raise ValueError(f"scale must be > 0, with (sqrt(2) scale)^3 finite (got {scale!r})")
-
-    def sampler(rng, size):
-        return scale * (
-            rng.choice([-1.0, 1.0], size=size) + 1j * rng.choice([-1.0, 1.0], size=size)
-        )
-
-    def cf(xi):
-        xi = np.asarray(xi, dtype=complex)
-        return (np.cos(scale * xi.real) * np.cos(scale * xi.imag)).astype(complex)
-
-    return ComplexLawSpec("rademacher_product", sampler, cf, scale**2, (math.sqrt(2.0) * scale) ** 3)
-
-
 # ---------------------------------------------------------------------------
 # coefficient schemes
 
@@ -373,15 +392,6 @@ def constant_scheme() -> CoefficientScheme:
 
 def index_scheme() -> CoefficientScheme:
     return CoefficientScheme(lambda N: np.arange(1, N + 1, dtype=complex)[:, None])
-
-
-def geometric_scheme(ratio: float = 2.0) -> CoefficientScheme:
-    def coeffs(N: int) -> np.ndarray:
-        # a power past the float range is inf, which _weights rejects naming scheme
-        with np.errstate(over="ignore"):
-            return ratio ** np.arange(1, N + 1, dtype=complex)[:, None]
-
-    return CoefficientScheme(coeffs)
 
 
 def alternating_vector_scheme(J: int = 2) -> CoefficientScheme:

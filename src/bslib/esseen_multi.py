@@ -24,7 +24,6 @@ from .esseen1d import BoundReport, Law, _check_laws, normal_law
 from .quadrature import gauss_legendre
 
 __all__ = [
-    "Monomial",
     "BoundConstants",
     "selberg_ring_expansion",
     "apply_operator",
@@ -37,15 +36,11 @@ __all__ = [
     "partitions",
     "product_law",
     "product_normal_target",
-    "box_probability",
 ]
 
 
 # ---------------------------------------------------------------------------
 # ring expansion
-
-
-Monomial = tuple[str, ...]  # per-index symbol in {"chi", "delta", "eps"}
 
 
 def _expand(factors: Sequence[dict[str, int]]) -> Counter:
@@ -548,20 +543,6 @@ def esseen_bound_truncated(
                        consts.as_dict(), {"mode": mode, "delta": delta, "alpha": a})
 
 
-def box_probability(cdf: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray) -> float:
-    """Measure of the half-open box (a, b] by inclusion-exclusion of the cdf.
-
-    The cdf is called once, on the (2^k, k) array of corners.
-    """
-    k = len(a)
-    picks = np.array(list(itertools.product((0, 1), repeat=k)))
-    values = np.ravel(cdf(np.where(picks == 1, b, a)))
-    total = 0.0
-    for sign, v in zip((-1.0) ** (k - picks.sum(axis=1)), values):
-        total += sign * v
-    return total
-
-
 # ---------------------------------------------------------------------------
 # slab norms and the slab-variant bound
 
@@ -572,10 +553,9 @@ def _check_tau(tau) -> None:
 
 
 def _slab_grid(F: Law, G: Law, xs: Sequence[np.ndarray], C: Sequence[int], tau: float,
-               z: np.ndarray | None = None) -> np.ndarray:
+               z: np.ndarray) -> np.ndarray:
     """The double-bar slab norm ||phi - psi||_C at every point of the tensor
-    grid of xs, in the grid's shape; z is phi - psi on that grid, taken
-    here when not given.
+    grid of xs, in the grid's shape; z is phi - psi on that grid.
 
     At a point v, a C-coordinate is big if |v_j| >= tau and small otherwise.
     The candidates are v with each big coordinate taken with both signs and
@@ -598,8 +578,6 @@ def _slab_grid(F: Law, G: Law, xs: Sequence[np.ndarray], C: Sequence[int], tau: 
     axes is broadcast along them.
     """
     shape = [x.size for x in xs]
-    if z is None:
-        z = _cf_grid(F, xs) - _cf_grid(G, xs)
     if not C:
         return np.hypot(z.real, z.imag)
     npts, h = 11, 1e-4

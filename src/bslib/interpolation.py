@@ -23,8 +23,14 @@ __all__ = [
     "SampleSet",
     "cardinal_series",
     "vaaler_interpolation",
-    "classical_identity_residual",
     "ResidualReport",
+    "csc_residual",
+    "fejer_residual",
+    "sandwich_residual",
+    "refined_sandwich_residual",
+    "poisson_residual",
+    "parseval_residual",
+    "bernstein_residual",
     "sample_function",
 ]
 
@@ -182,14 +188,15 @@ def vaaler_interpolation(samples: SampleSet, z):
 
 @dataclass(frozen=True)
 class ResidualReport:
-    which: str
     residual: float
     tail_bound: float
     ok: bool
     detail: dict
 
 
-def _csc_residual(w: float, M: int = 10**5) -> ResidualReport:
+def csc_residual(w: float = 0.5) -> ResidualReport:
+    """pi / sin(pi w) = 1/w + sum_{k>=1} (-1)^k (1/(w - k) + 1/(w + k)), to k = 10^5."""
+    M = 10**5
     lhs = math.pi / math.sin(math.pi * w)
     k = np.arange(1, M + 1, dtype=float)
     sign = np.where(k % 2 == 0, 1.0, -1.0)
@@ -199,10 +206,12 @@ def _csc_residual(w: float, M: int = 10**5) -> ResidualReport:
     # alternating series: the tail is bounded by the first omitted pair
     tail = abs(1.0 / (w - M - 1) + 1.0 / (M + 1)) + abs(1.0 / (w + M + 1) - 1.0 / (M + 1))
     res = abs(lhs - s)
-    return ResidualReport("csc", res, tail, res <= tail + 1e-12, {"w": w, "M": M})
+    return ResidualReport(res, tail, res <= tail + 1e-12, {"w": w, "M": M})
 
 
-def _fejer_residual(x: float, M: int = 10**4) -> ResidualReport:
+def fejer_residual(x: float = 0.37) -> ResidualReport:
+    """The quadratic-kernel partition of unity (sin(pi x)/pi)^2 sum_n 1/(x - n)^2 = 1."""
+    M = 10**4
     n = np.arange(-M, M + 1, dtype=float)
     s = float(np.sum(1.0 / (x - n) ** 2))
     # both tails via the sandwich midpoint 1/w - 1/(2w^2), certified width 1/(2w^2)
@@ -213,29 +222,41 @@ def _fejer_residual(x: float, M: int = 10**4) -> ResidualReport:
     val = front * s
     tail = front * (0.5 / wm**2 + 0.5 / wp**2)
     res = abs(1.0 - val)
-    return ResidualReport("fejer", res, tail, res <= tail, {"x": x, "M": M})
+    return ResidualReport(res, tail, res <= tail, {"x": x, "M": M})
 
 
-def _sandwich(omega: float, refined: bool) -> ResidualReport:
+def _sandwich(omega: float, lo_coeff: float) -> ResidualReport:
     s = trigamma(omega + 1.0)
-    lo = 1.0 / omega - (0.5 if refined else 1.0) / omega**2
+    lo = 1.0 / omega - lo_coeff / omega**2
     hi = 1.0 / omega
-    ok = lo < s < hi
-    which = "refined_sandwich" if refined else "sandwich"
-    return ResidualReport(which, 0.0, hi - lo, ok, {"omega": omega, "middle": s, "lo": lo, "hi": hi})
+    return ResidualReport(0.0, hi - lo, lo < s < hi, {"omega": omega, "middle": s, "lo": lo, "hi": hi})
 
 
-def _poisson_residual(a: float = 2.0, M: int = 50) -> ResidualReport:
+def sandwich_residual(omega: float = 2.0) -> ResidualReport:
+    """1/omega - 1/omega^2 < psi_1(omega + 1) = sum_{k>=1} 1/(omega + k)^2 < 1/omega."""
+    return _sandwich(omega, 1.0)
+
+
+def refined_sandwich_residual(omega: float = 2.0) -> ResidualReport:
+    """The sandwich of psi_1(omega + 1) with the lower bound 1/omega - 1/(2 omega^2)."""
+    return _sandwich(omega, 0.5)
+
+
+def poisson_residual(a: float = 2.0) -> ResidualReport:
+    """Poisson summation sum_k e^{-pi a k^2} = a^(-1/2) sum_k e^{-pi k^2 / a}."""
+    M = 50
     k = np.arange(-M, M + 1, dtype=float)
     lhs = float(np.sum(np.exp(-math.pi * a * k**2)))
     rhs = a ** (-0.5) * float(np.sum(np.exp(-math.pi * k**2 / a)))
     tail = 2.0 * math.exp(-math.pi * a * M**2) + 2.0 * a ** (-0.5) * math.exp(-math.pi * M**2 / a)
     res = abs(lhs - rhs)
-    return ResidualReport("poisson", res, max(tail, 1e-15), res <= 1e-12, {"a": a})
+    return ResidualReport(res, max(tail, 1e-15), res <= 1e-12, {"a": a})
 
 
-def _parseval_residual(M: int = 10**5) -> ResidualReport:
-    # f = K, alpha = 1: (1/2) sum |K(k/2)|^2 vs integral of K^2 (= 2/3)
+def parseval_residual() -> ResidualReport:
+    """Parseval sampling for f = K, alpha = 1: (1/2) sum |K(k/2)|^2 against
+    the integral of K^2 (= 2/3)."""
+    M = 10**5
     k = np.arange(-M, M + 1)
     lhs = 0.5 * float(np.sum(np.asarray(fejer_K(k / 2.0)) ** 2))
     edges = np.arange(-200.0, 201.0)
@@ -243,41 +264,17 @@ def _parseval_residual(M: int = 10**5) -> ResidualReport:
     rhs = float(np.sum(val)) + 2.0 * (4.0 / math.pi**4) / (3.0 * 200**3)  # crude tail of K^2 ~ (1/pi^2 x^2)^2
     res = abs(lhs - rhs)
     detail = {"lhs": lhs, "rhs": rhs, "rhs_quad_err": float(np.sum(err)), "exact": 2.0 / 3.0}
-    return ResidualReport("parseval_sampling", res, 1e-8, res <= 1e-8, detail)
+    return ResidualReport(res, 1e-8, res <= 1e-8, detail)
 
 
-def _bernstein_residual(m: int = 1, npts: int = 1000) -> ResidualReport:
-    # |K'(x)| <= sqrt(2*alpha) (2*pi*alpha)^m / sqrt(1+2m) * ||K||_2, alpha = 1
-    alpha = 1.0
+def bernstein_residual() -> ResidualReport:
+    """The Bernstein-type bound |K'(x)| <= sqrt(2 alpha) (2 pi alpha)^m /
+    sqrt(1 + 2m) ||K||_2 for m = 1, alpha = 1, on a grid of [-10, 10]."""
+    alpha, m, npts = 1.0, 1, 1000
     norm2 = math.sqrt(2.0 / 3.0)
     bound = math.sqrt(2.0 * alpha) * (2.0 * math.pi * alpha) ** m / math.sqrt(1.0 + 2.0 * m) * norm2
     xs = np.linspace(-10, 10, npts)
     h = 1e-6
     deriv = (np.asarray(fejer_K(xs + h)) - np.asarray(fejer_K(xs - h))) / (2 * h)
     worst = float(np.max(np.abs(deriv)))
-    return ResidualReport(
-        "bernstein", max(worst - bound, 0.0), 0.0, worst <= bound, {"sup_deriv": worst, "bound": bound}
-    )
-
-
-def classical_identity_residual(which: str, arg: float | None = None) -> ResidualReport:
-    """Residual report for a named classical identity.
-
-    which: csc | fejer | sandwich | refined_sandwich | poisson |
-           parseval_sampling | bernstein
-    """
-    if which == "csc":
-        return _csc_residual(0.5 if arg is None else arg)
-    if which == "fejer":
-        return _fejer_residual(0.37 if arg is None else arg)
-    if which == "sandwich":
-        return _sandwich(2.0 if arg is None else arg, refined=False)
-    if which == "refined_sandwich":
-        return _sandwich(2.0 if arg is None else arg, refined=True)
-    if which == "poisson":
-        return _poisson_residual(2.0 if arg is None else arg)
-    if which == "parseval_sampling":
-        return _parseval_residual()
-    if which == "bernstein":
-        return _bernstein_residual()
-    raise ValueError(f"unknown identity {which!r}")
+    return ResidualReport(max(worst - bound, 0.0), 0.0, worst <= bound, {"sup_deriv": worst, "bound": bound})

@@ -14,9 +14,8 @@ cross-checking; the two routes are never collapsed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
 
@@ -28,8 +27,6 @@ __all__ = [
     "CROSSOVER_X0",
     "ASYMPTOTIC_PAIRS",
     "SERIES_TERMS",
-    "BernoulliTable",
-    "OddZetaTable",
     "bernoulli_numbers",
     "fejer_K",
     "trigamma",
@@ -38,12 +35,9 @@ __all__ = [
     "b_eval",
     "S_eval",
     "sigma_eval",
-    "interval_majorant_direct",
     "Q_eval",
     "lambda_constant",
     "fourier_W_check",
-    "extremal_family_check",
-    "chi_box",
 ]
 
 
@@ -51,44 +45,16 @@ __all__ = [
 # constants and cached tables
 
 
-@dataclass(frozen=True)
-class BernoulliTable:
-    """Bernoulli numbers B_0 .. B_n as exact rationals (B_1 = -1/2)."""
-
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if tuple(self.values[:2]) not in ((1,), (1, Fraction(-1, 2))):
-            raise ValueError(f"values must start 1, -1/2 (got {self.values[:2]})")
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.values[i]
-
-
-@dataclass(frozen=True)
-class OddZetaTable:
-    """zeta(3), zeta(5), ..., zeta(2*m_max+1)."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if not all(1.0 < z < 1.21 for z in self.values):
-            raise ValueError(f"values must lie in (1, 1.21) (got {self.values})")
-
-    def __getitem__(self, m: int) -> float:
-        """zeta(2m+1) for m >= 1."""
-        return self.values[m - 1]
-
-
-def bernoulli_numbers(n: int) -> BernoulliTable:
-    """B_0 .. B_n from the defining recurrence sum_j C(m+1,j) B_j = 0."""
+def bernoulli_numbers(n: int) -> tuple[Fraction, ...]:
+    """B_0 .. B_n as exact rationals (B_1 = -1/2), from the defining
+    recurrence sum_j C(m+1,j) B_j = 0."""
     if not n >= 2:
         raise ValueError(f"n must be >= 2 (got {n!r})")
     vals = [Fraction(1)]
     for m in range(1, n + 1):
         s = sum(Fraction(math.comb(m + 1, j)) * vals[j] for j in range(m))
         vals.append(-s / (m + 1))
-    return BernoulliTable(tuple(vals))
+    return tuple(vals)
 
 
 def _zeta_em(s: int, terms: int = 200) -> float:
@@ -103,8 +69,9 @@ def _zeta_em(s: int, terms: int = 200) -> float:
     return head + tail
 
 
-def odd_zeta_table(m_max: int = 20) -> OddZetaTable:
-    return OddZetaTable(tuple(_zeta_em(2 * m + 1) for m in range(1, m_max + 1)))
+def odd_zeta_table(m_max: int = 20) -> tuple[float, ...]:
+    """zeta(3), zeta(5), ..., zeta(2*m_max+1)."""
+    return tuple(_zeta_em(2 * m + 1) for m in range(1, m_max + 1))
 
 
 # W's fast route is the Taylor series for |x| <= TAYLOR_RADIUS and the
@@ -115,9 +82,9 @@ CROSSOVER_X0 = 8.0  # trigamma shifts x up to here; then B_22/x^23 <= 1e-17
 ASYMPTOTIC_PAIRS = 10  # Bernoulli terms of trigamma's series: B_2 .. B_20, all of _B2K
 SERIES_TERMS = 10**4  # W oracle terms; its tail needs T -+ x large, so |x| <= T/2
 
-_B2K = [float(b) for b in bernoulli_numbers(2 * ASYMPTOTIC_PAIRS).values[2::2]]  # B_2, B_4, ..., B_20
+_B2K = [float(b) for b in bernoulli_numbers(2 * ASYMPTOTIC_PAIRS)[2::2]]  # B_2, B_4, ..., B_20
 # W/K = 2x + sum_{m>=1} _TAYLOR[m-1] x^(2m+1), _TAYLOR[m-1] = 4 m zeta(2m+1)
-_TAYLOR = [4.0 * m * z for m, z in enumerate(odd_zeta_table(TAYLOR_TERMS).values, start=1)]
+_TAYLOR = [4.0 * m * z for m, z in enumerate(odd_zeta_table(TAYLOR_TERMS), start=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -261,29 +228,6 @@ def sigma_eval(ell: float, x):
     return 0.5 * (b_eval(x) + b_eval(ell - np.asarray(x, dtype=float)))
 
 
-def interval_majorant_direct(ell: int, x: float) -> float:
-    """Direct finite-sum form of the interval majorant for integer ell.
-
-    (sin(pi z)/pi)^2 { sum_{k=0}^{ell} 1/(z-k)^2 + 1/z + 1/(ell-z) };
-    S_ell must reduce to this when ell is a positive integer.
-    """
-    if not (ell >= 1 and float(ell).is_integer()):
-        raise ValueError(f"ell must be a positive integer (got {ell!r})")
-    k0 = round(x)
-    if abs(x - k0) < 1e-12:
-        # nodal values: 1 on {0..ell}, 0 outside
-        return 1.0 if 0 <= k0 <= ell else 0.0
-    s = sum(1.0 / (x - k) ** 2 for k in range(int(ell) + 1))
-    s += 1.0 / x + 1.0 / (ell - x)
-    return float(_sinpi_over_pi_sq(x)) * s
-
-
-def chi_box(x, ell: float):
-    """Indicator of [0, ell], endpoints included."""
-    x = np.asarray(x, dtype=float)
-    return np.where((0.0 <= x) & (x <= ell), 1.0, 0.0)[()]
-
-
 # ---------------------------------------------------------------------------
 # Fourier-side profile Q and the smoothing constant
 
@@ -357,45 +301,3 @@ def fourier_W_check(x: float) -> tuple[float, float]:
     val = float(np.sum(val)) + 2.0 * x * eps  # limit-value contribution of [0, eps]
     cut = math.pi**2 / 3.0 * (abs(x) + 2.0 * abs(x) ** 3) * eps**3
     return 2.0 * val, 2.0 * (float(np.sum(err)) + cut)
-
-
-# ---------------------------------------------------------------------------
-# the non-uniqueness family around S_ell
-
-
-@dataclass(frozen=True)
-class FamilyReport:
-    ell: int
-    eta: float
-    majorant_ok: bool
-    min_gap: float
-    extra_integrals: tuple[tuple[float, float], ...]  # (R, integral over [-R,R])
-    extra_errors: tuple[float, ...]  # the integrals' quadrature error estimates
-
-
-def _family_extra(ell: int, eta: float, x):
-    x = np.asarray(x, dtype=float)
-    # removable zeros of the extra term for integer ell
-    zero = (np.abs(x) < 1e-9) | (np.abs(x - ell) < 1e-9)
-    return _piecewise(x, [zero], [0.0, lambda x: eta * _sinpi_over_pi_sq(x) * ell / (x * (ell - x))])[()]
-
-
-def extremal_family_check(ell: int, eta: float, grid: Sequence[float]) -> FamilyReport:
-    """Check that S_ell + eta * (sin pi x/pi)^2 ell/(x(ell-x)) majorizes chi_[0,ell],
-    and integrate the extra term over [-R, R] for R = 10.5, 20.5, 40.5."""
-    if not (ell >= 1 and float(ell).is_integer()):
-        raise ValueError(f"ell must be a positive integer (got {ell!r})")
-    grid = np.asarray(grid, dtype=float)
-    gaps = S_eval(ell, grid) + _family_extra(ell, eta, grid) - chi_box(grid, ell)
-    min_gap = np.min(gaps)
-
-    def extra_integrand(x: np.ndarray) -> np.ndarray:
-        return _family_extra(ell, 1.0, x) if eta == 0 else _family_extra(ell, eta, x) / eta
-
-    integrals, errors = [], []
-    for R in (10.5, 20.5, 40.5):
-        edges = np.union1d([-R, R], np.arange(math.ceil(-R), math.floor(R) + 1))
-        val, err = integrate_panels(extra_integrand, edges[:-1], edges[1:])
-        integrals.append((float(R), float(np.sum(val))))
-        errors.append(float(np.sum(err)))
-    return FamilyReport(int(ell), eta, min_gap >= -1e-10, float(min_gap), tuple(integrals), tuple(errors))

@@ -14,6 +14,7 @@ from bslib import esseen1d as e1
 from bslib import esseen_multi as em
 from bslib import interpolation as ip
 from bslib import kernels as kr
+from references import box_probability, chi_box
 
 
 def test_criterion_01_lambda_constant():
@@ -41,7 +42,7 @@ def test_criterion_02_l1_brackets():
     bracket(lambda x: np.sign(x) - kr.b_eval(x), [-50.0, 0.0, 50.0])
     for ell in (1.0, 2.0, 7.5):
         bracket(
-            lambda x, ell=ell: kr.S_eval(ell, x) - kr.chi_box(x, ell),
+            lambda x, ell=ell: kr.S_eval(ell, x) - chi_box(x, ell),
             [-50.0, 0.0, ell, ell + 50.0],
         )
     elapsed = time.perf_counter() - t0
@@ -75,7 +76,7 @@ def test_criterion_04_majorant_suites():
     assert ok.all(), xs[~ok]
     for ell in (1.0, 2.0, 7.5):
         x = rng.uniform(-20, 20, 20000)
-        chi = kr.chi_box(x, ell)
+        chi = chi_box(x, ell)
         ok = (kr.sigma_eval(ell, x) - 1e-12 <= chi) & (chi <= kr.S_eval(ell, x) + 1e-12)
         assert ok.all(), (ell, x[~ok])
     off = rng.uniform(-40, 40, 1500)
@@ -86,13 +87,13 @@ def test_criterion_04_majorant_suites():
 
 
 def test_criterion_05_identity_suite():
-    assert ip.classical_identity_residual("csc", 0.37).residual <= 1e-8
-    assert ip.classical_identity_residual("fejer", 0.37).residual <= 1e-8
-    par = ip.classical_identity_residual("parseval_sampling")
+    assert ip.csc_residual(0.37).residual <= 1e-8
+    assert ip.fejer_residual(0.37).residual <= 1e-8
+    par = ip.parseval_residual()
     assert par.residual <= 1e-8
     assert abs(par.detail["lhs"] - 2.0 / 3.0) <= 1e-8
     assert abs(par.detail["rhs"] - 2.0 / 3.0) <= 1e-7
-    assert ip.classical_identity_residual("poisson", 2.0).residual <= 1e-12
+    assert ip.poisson_residual(2.0).residual <= 1e-12
     vs = np.linspace(0.0, 1.0, 501)
     gap = np.abs(kr.Q_eval(vs) + kr.Q_eval(1.0 - vs) - 1.0 / math.pi)
     assert np.all(gap <= 1e-12), vs[~(gap <= 1e-12)]
@@ -197,7 +198,7 @@ def test_criterion_09_multivariate_bounds():
     for _ in range(10):
         a = rng.uniform(-3, 0, 2)
         b = a + rng.uniform(0.1, 4.0, 2)
-        gap = abs(em.box_probability(F.cdf, a, b) - em.box_probability(G.cdf, a, b))
+        gap = abs(box_probability(F.cdf, a, b) - box_probability(G.cdf, a, b))
         assert math.isfinite(repB.total) and repB.total >= gap
     repS = em.esseen_bound_slab(F, G, omegas)
     assert math.isfinite(repS.total) and repS.total >= sup

@@ -496,6 +496,11 @@ class TestUsageErrors:
             (("eval", "--fn", "nope"), "--fn/--kernel:"),
             (("table", "--fn", "W", "--from", "0", "--to", "1", "--step", "x"), "--step:"),
             (("eval", "--fn", "W", "--x"), "--x:"),
+            # inputs whose exact work would exhaust memory or time, named by the library
+            (("demo", "--scenario", "esseen1d-binomial", "--n", "1000000000000"), "n"),
+            (("demo", "--scenario", "esseen-k", "--n", "100001"), "n"),
+            (("demo", "--scenario", "esseen1d-binomial", "--omega", "1e20"), "omega"),
+            (("demo", "--scenario", "esseen-k", "--k", "1", "--omega", "8388609"), "omega"),
         ],
     )
     def test_message_names_the_flag(self, capsys, argv, flag):
@@ -537,7 +542,65 @@ class TestStrictJson:
             cli._emit({"x": object()}, None)
 
 
+# every check of verify --suite all, in order: (suite, name, tol)
+_VERIFY_CHECKS = [
+    ("kernels", "lambda_constant", "4.9999999999999998e-08"),
+    ("kernels", "W_half_closed_form", "1e-10"),
+    ("kernels", "B_at_zero", "1e-10"),
+    ("kernels", "b_at_zero", "1e-10"),
+    ("kernels", "Q_at_zero", "1e-14"),
+    ("kernels", "Q_reflection_sum", "9.9999999999999998e-13"),
+    ("kernels", "W_fast_vs_oracle", "1e-10"),
+    ("kernels", "majorant_sandwich_violations", "0"),
+    ("kernels", "distance_le_2K", "9.9999999999999998e-13"),
+    ("kernels", "fourier_side_W_half", "1e-08"),
+    ("interpolation", "identity_csc", "1e-08"),
+    ("interpolation", "identity_fejer", "1e-08"),
+    ("interpolation", "identity_poisson", "9.9999999999999998e-13"),
+    ("interpolation", "identity_parseval_sampling", "1e-08"),
+    ("interpolation", "identity_sandwich", "condition"),
+    ("interpolation", "identity_refined_sandwich", "condition"),
+    ("interpolation", "identity_bernstein", "condition"),
+    ("interpolation", "cardinal_reconstruction", "1e-10"),
+    ("interpolation", "value_derivative_reconstruction", "9.9999999999999995e-07"),
+    ("esseen1d", "binomial_25_bound_dominates", "condition"),
+    ("esseen1d", "binomial_100_bound_dominates", "condition"),
+    ("esseen1d", "fourier_representation_B", "9.9999999999999995e-08"),
+    ("esseen1d", "fourier_representation_b", "9.9999999999999995e-08"),
+    ("esseen1d", "mollified_median", "9.9999999999999998e-13"),
+    ("esseen1d", "harness_bounds_decrease", "condition"),
+    ("esseen_k", "ring_expansion_k2_monomials", "condition"),
+    ("esseen_k", "ring_expansion_k3_multiplicity", "condition"),
+    ("esseen_k", "operator_identities", "9.9999999999999998e-13"),
+    ("esseen_k", "operator_resolution_of_identity", "9.9999999999999998e-13"),
+    ("esseen_k", "factorization_mixed", "1e-08"),
+    ("esseen_k", "factorization_delta", "1e-08"),
+    ("esseen_k", "factorization_e_delta", "1e-08"),
+    ("esseen_k", "difference_derivative_bound", "condition"),
+    ("esseen_k", "k2_partition_bound_dominates", "condition"),
+    ("esseen_k", "k2_truncated_bound_dominates", "condition"),
+    ("clt", "inequality_5.1", "condition"),
+    ("clt", "inequality_5.1bis", "condition"),
+    ("clt", "inequality_5.2", "condition"),
+    ("clt", "inequality_5.3", "condition"),
+    ("clt", "inequality_5.4", "condition"),
+    ("clt", "inequality_5.5", "condition"),
+    ("clt", "inequality_5.15", "condition"),
+    ("clt", "inequality_5.19", "condition"),
+    ("clt", "inequality_5.20", "condition"),
+    ("clt", "J0_first_zero", "1e-10"),
+    ("clt", "gap_dominance_N400", "condition"),
+    ("clt", "vector_normalization_residual", "9.9999999999999998e-13"),
+    ("clt", "phase_invariance", "9.9999999999999998e-13"),
+]
+
+
 class TestVerify:
+    def test_check_list_pinned(self, capsys):
+        code, payload, _ = run_json(capsys, "verify", "--suite", "all")
+        assert code == EXIT_OK
+        assert [(c["suite"], c["name"], c["tol"]) for c in payload["checks"]] == _VERIFY_CHECKS
+
     def test_all_suites_pass(self, capsys):
         code, payload, _ = run_json(capsys, "verify", "--suite", "all")
         assert code == EXIT_OK
@@ -567,6 +630,11 @@ class TestDemo:
         assert payload["bounds"]
         assert payload["measurements"]
         assert all(v["pass"] is True for v in payload["verdicts"])
+
+    def test_huge_omega_at_k3_runs_without_warnings(self, capsys):
+        # RuntimeWarnings are errors here: the normal target's cf must not overflow
+        code, payload, _ = run_json(capsys, "demo", "--scenario", "esseen-k", "--k", "3", "--omega", "1e300")
+        assert code == EXIT_OK and all(v["pass"] is True for v in payload["verdicts"])
 
     def test_manifest_records_resolved_flags(self, capsys):
         code, payload, _ = run_json(capsys, "demo", "--scenario", "clt-vector", "--samples", "1000")

@@ -1,4 +1,4 @@
-"""Quantitative CLT machinery: toolbox, gap bounds, Monte Carlo engine."""
+"""Quantitative CLT machinery: elementary inequalities, gap bounds, Monte Carlo engine."""
 
 import cmath
 import hashlib
@@ -20,6 +20,7 @@ from scipy import special
 from bslib import clt
 from bslib.esseen1d import normal_law
 from bslib.quadrature import leggauss
+from references import geometric_scheme, rademacher_product_law
 
 
 class TestBesselJ0:
@@ -36,19 +37,19 @@ class TestToolbox:
     @pytest.mark.parametrize("t", [0.1, 1.0, 3.7, -2.2])
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_taylor_remainders(self, t, n):
-        assert clt.inequality_toolbox("5.1", t=t, n=n).holds
-        assert clt.inequality_toolbox("5.1bis", t=t, n=n).holds
+        assert clt.taylor_remainder(t, n).holds
+        assert clt.taylor_remainder_min(t, n).holds
 
     def test_min_form_tighter_for_large_t(self):
-        a = clt.inequality_toolbox("5.1", t=10.0, n=2)
-        b = clt.inequality_toolbox("5.1bis", t=10.0, n=2)
+        a = clt.taylor_remainder(10.0, 2)
+        b = clt.taylor_remainder_min(10.0, 2)
         assert b.rhs < a.rhs
 
     def test_principal_log(self):
         for z in (0.3, -0.25 + 0.3j, 0.5j, -0.4):
-            assert clt.inequality_toolbox("5.2", z=z).holds
+            assert clt.principal_log(z).holds
         with pytest.raises(ValueError):
-            clt.inequality_toolbox("5.2", z=0.9)
+            clt.principal_log(0.9)
 
     @given(
         st.lists(st.floats(min_value=0, max_value=10), min_size=1, max_size=8),
@@ -56,7 +57,7 @@ class TestToolbox:
     )
     @settings(max_examples=60, deadline=None)
     def test_power_mean_chain(self, x, lam):
-        assert clt.inequality_toolbox("5.3", x=x, lam=lam).holds
+        assert clt.power_mean_chain(x, lam).holds
 
     @given(
         st.lists(
@@ -69,15 +70,15 @@ class TestToolbox:
     def test_third_moment_ratio_chain(self, x):
         if not any(v > 0 for v in x):
             with pytest.raises(ValueError):
-                clt.inequality_toolbox("5.4", x=x)
+                clt.third_moment_chain(x)
         else:
-            assert clt.inequality_toolbox("5.4", x=x).holds
+            assert clt.third_moment_chain(x).holds
 
     @pytest.mark.parametrize("omega", [0.0, 0.3, 0.99])
     def test_fractional_remainder(self, omega):
         for t in (0.2, 1.5, 4.0):
             for n in (1, 2):
-                assert clt.inequality_toolbox("5.5", t=t, n=n, omega=omega).holds
+                assert clt.fractional_remainder(t, n, omega).holds
 
     @given(
         st.lists(
@@ -89,11 +90,11 @@ class TestToolbox:
     )
     @settings(max_examples=60, deadline=None)
     def test_norm_ratios(self, w, lam):
-        assert clt.inequality_toolbox("5.15", w=w, lam=lam).holds
+        assert clt.norm_ratios(w, lam).holds
 
     @pytest.mark.parametrize("n,beta,q", [(1, 1.0, 2.0), (3, 0.5, 3.0), (0, 2.0, 1.5)])
     def test_stretched_exponential_max(self, n, beta, q):
-        res = clt.inequality_toolbox("5.19", n=n, beta=beta, q=q)
+        res = clt.stretched_exp_max(n, beta, q)
         assert res.holds
         # the grid sup should nearly attain the closed-form maximum
         assert res.lhs == pytest.approx(res.rhs, rel=1e-3)
@@ -108,16 +109,26 @@ class TestToolbox:
     )
     @settings(max_examples=60, deadline=None)
     def test_power_sum_pinch(self, t, psi):
-        assert clt.inequality_toolbox("5.20", t=t, n=2, psi=psi).holds
+        assert clt.power_sum_pinch(t, 2, psi).holds
 
-    def test_unknown_id(self):
-        with pytest.raises(ValueError):
-            clt.inequality_toolbox("9.9")
+    @pytest.mark.parametrize("t, n", [(30.0, 100), (40.0, 150), (0.1, 3), (2.0, 2), (math.pi, 0)])
+    def test_taylor_remainder_against_mpmath(self, t, n):
+        # where n + 1 > |t| the partial sum cancels e^{it} to the remainder
+        with mpmath.workdps(120):
+            x = mpmath.mpf(t)
+            ref = float(abs(mpmath.expj(x) - sum((1j * x) ** k / mpmath.factorial(k) for k in range(n + 1))))
+        assert abs(clt._exp_taylor_remainder(t, n) - ref) <= 4 * math.ulp(ref)
+
+    def test_taylor_bounds_hold_where_the_partial_sum_cancels(self):
+        # the remainder at (30, 100) is 1.57e-11, under the bound 1.64e-11
+        for r in (clt.taylor_remainder(30.0, 100), clt.taylor_remainder_min(30.0, 100),
+                  clt.fractional_remainder(30.0, 100, 0.5)):
+            assert r.holds and r.lhs == pytest.approx(1.5746754676233684e-11, rel=1e-15)
 
 
 class TestLawMoments:
     @pytest.mark.parametrize(
-        "law", [clt.haar_circle_law(), clt.rademacher_product_law(0.7)], ids=lambda l: l.name
+        "law", [clt.haar_circle_law(), rademacher_product_law(0.7)], ids=lambda l: l.name
     )
     def test_moment_contract_monte_carlo(self, law):
         rng = np.random.default_rng(1234)
@@ -144,7 +155,7 @@ class TestLawMoments:
             )
 
     def test_rademacher_cf_closed_form(self):
-        law = clt.rademacher_product_law(0.7)
+        law = rademacher_product_law(0.7)
         for xi in (0.5 + 0.2j, 1.0, 2.0j):
             expect = math.cos(0.7 * xi.real) * math.cos(0.7 * xi.imag)
             assert law.cf(complex(xi)) == pytest.approx(expect, abs=1e-15)
@@ -166,23 +177,23 @@ class TestNormalizers:
 
     def test_geometric_ratio_limit(self):
         # B_N / s_N -> sqrt(1 - 1/r^2) = sqrt(3)/2 for ratio 2
-        st_ = clt.lyapunov_normalizer(clt.geometric_scheme(2.0), 40)
+        st_ = clt.lyapunov_normalizer(geometric_scheme(2.0), 40)
         assert st_.max_ratio == pytest.approx(math.sqrt(3.0) / 2.0, rel=1e-9)
 
     def test_geometric_ratio_two_without_overflow(self):
         # |b_n| = 2^n: squares and cubes overflow from N = 342 unless scaled
-        st_ = clt.lyapunov_normalizer(clt.geometric_scheme(2.0), 400)
+        st_ = clt.lyapunov_normalizer(geometric_scheme(2.0), 400)
         assert st_.max_ratio == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-12)
         assert st_.lyapunov_sum == pytest.approx((8.0 / 7.0) * 0.75**1.5, abs=1e-12)
-        st_ = clt.lyapunov_normalizer(clt.geometric_scheme(2.0), 1000)
+        st_ = clt.lyapunov_normalizer(geometric_scheme(2.0), 1000)
         assert st_.scale == pytest.approx(2.0**1000 * math.sqrt(4.0 / 3.0), rel=1e-12)
-        rep = clt.gaussian_limit_gap(clt.haar_circle_law(), clt.geometric_scheme(2.0), 1000, 1.0)
+        rep = clt.gaussian_limit_gap(clt.haar_circle_law(), geometric_scheme(2.0), 1000, 1.0)
         assert not rep.admissible and rep.holds and rep.branch_ok
         # 2^1024 is not a float: the ValueError is the only signal, no overflow warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^scheme "):
-                clt.lyapunov_normalizer(clt.geometric_scheme(2.0), 1100)
+                clt.lyapunov_normalizer(geometric_scheme(2.0), 1100)
 
     @pytest.mark.parametrize("scheme, N", [(clt.constant_scheme(), 100), (clt.constant_scheme(), 1001),
                                            (clt.index_scheme(), 50), (clt.index_scheme(), 1600)])
@@ -249,13 +260,13 @@ class TestGapBound:
 
     def test_geometric_scheme_inadmissible(self):
         law = clt.haar_circle_law()
-        rep = clt.gaussian_limit_gap(law, clt.geometric_scheme(2.0), 40, 1.0)
+        rep = clt.gaussian_limit_gap(law, geometric_scheme(2.0), 40, 1.0)
         assert not rep.admissible
         assert rep.holds  # vacuous by convention
 
     @pytest.mark.parametrize("N", [400, 1600])
     @pytest.mark.parametrize("scheme", [clt.constant_scheme(), clt.index_scheme()], ids=["constant", "index"])
-    @pytest.mark.parametrize("law", [clt.haar_circle_law(), clt.rademacher_product_law(1.0)],
+    @pytest.mark.parametrize("law", [clt.haar_circle_law(), rademacher_product_law(1.0)],
                              ids=lambda l: l.name)
     def test_one_column_gap_against_direct_sum(self, law, scheme, N):
         xi = 0.6 - 0.3j
@@ -284,7 +295,7 @@ class TestGapBound:
             clt.gaussian_limit_gap(clt.haar_circle_law(), clt.constant_scheme(), 50, xi)
 
     def test_product_law_gap_holds(self):
-        law = clt.rademacher_product_law(1.0)
+        law = rademacher_product_law(1.0)
         scheme = clt.constant_scheme()
         rep = clt.gaussian_limit_gap(law, scheme, 400, 0.7 + 0.2j)
         assert rep.admissible and rep.holds
@@ -413,9 +424,9 @@ def _digest(key):
     return hashlib.sha256("|".join(key).encode()).hexdigest()[:16]
 
 
-_LAWS = {"haar_circle": clt.haar_circle_law(), "rademacher_product": clt.rademacher_product_law(0.7)}
+_LAWS = {"haar_circle": clt.haar_circle_law(), "rademacher_product": rademacher_product_law(0.7)}
 _SCHEMES = {"constant": clt.constant_scheme(), "index": clt.index_scheme(),
-            "geometric": clt.geometric_scheme(1.5), "alternating": clt.alternating_vector_scheme(2)}
+            "geometric": geometric_scheme(1.5), "alternating": clt.alternating_vector_scheme(2)}
 
 # sha256 prefixes of every report field (covariance bytes, float.hex of
 # the rest): seed 5, 2000 samples; gaps at N = 50.  The gaps are as the
@@ -559,7 +570,7 @@ class TestArrayPath:
     def test_cf_array_contract(self):
         xi = (np.random.default_rng(4).normal(size=(3, 5)) * 2.0).astype(complex)
         xi.imag = np.random.default_rng(5).normal(size=(3, 5))
-        haar, rad = clt.haar_circle_law(), clt.rademacher_product_law(0.7)
+        haar, rad = clt.haar_circle_law(), rademacher_product_law(0.7)
         for law, one in ((haar, lambda z: complex(_j0_one_point(abs(z)))),
                          (rad, lambda z: complex(math.cos(0.7 * z.real) * math.cos(0.7 * z.imag)))):
             got = law.cf(xi)

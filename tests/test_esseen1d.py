@@ -360,6 +360,14 @@ class TestMollification:
         Fm = e1.gaussian_mollify(e1.point_mass(0.0), 0.1)
         assert Fm.density_bounds == pytest.approx((1.0 / (0.1 * math.sqrt(2 * math.pi)),))
 
+    def test_gaussian_cf_is_zero_past_the_square_overflow(self):
+        # (sigma t)^2 overflows past |sigma t| ~ 1.3e154; RuntimeWarnings are errors here
+        for law in (e1.normal_law(), e1.normal_law(0.3, 2.0), e1.gaussian_mollify(e1.point_mass(0.0), 0.5),
+                    e1.gaussian_mollify(e1.standardized_binomial(25), 0.5)):
+            assert law.cf(1e200) == 0.0
+            assert np.array_equal(law.cf(np.array([-1e200, 1e155, 1e200])), np.zeros(3))
+            assert law.cf(1.5) != 0.0
+
 
 @given(st.floats(min_value=-20, max_value=20))
 @settings(max_examples=60, deadline=None)

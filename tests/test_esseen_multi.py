@@ -11,6 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from bslib import esseen1d as e1
 from bslib import esseen_multi as em
+from references import box_probability
+
+
+def _slab_grid(F, G, xs, C, tau):
+    """The bound's slab norms on the grid of xs, with phi - psi there taken as the bound takes it."""
+    return em._slab_grid(F, G, xs, C, tau, em._cf_grid(F, xs) - em._cf_grid(G, xs))
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +385,7 @@ class TestLawsAndPartitions:
         Phi = e1.normal_law().cdf
         p1 = Phi(1.0) - Phi(-1.0)
         p2 = Phi(0.5) - Phi(-0.5)
-        assert em.box_probability(G.cdf, a, b) == pytest.approx(p1 * p2, abs=1e-12)
+        assert box_probability(G.cdf, a, b) == pytest.approx(p1 * p2, abs=1e-12)
 
     def test_dirac_collapse_consistency(self):
         # a coordinate held at 0 by the one-node axis (node 0, weight 1) in
@@ -438,7 +444,7 @@ class TestBounds:
         for _ in range(10):
             a = rng.uniform(-3, 0, 2)
             b = a + rng.uniform(0.1, 4.0, 2)
-            gap = abs(em.box_probability(F.cdf, a, b) - em.box_probability(G.cdf, a, b))
+            gap = abs(box_probability(F.cdf, a, b) - box_probability(G.cdf, a, b))
             assert rep.total >= gap
 
     def test_dominance_chain(self):
@@ -502,7 +508,7 @@ class TestSlabNorm:
     def test_empty_set_is_plain_value(self):
         F, G = _k2_pair()
         v = np.array([0.7, -1.3])
-        norm = em._slab_grid(F, G, [v[:1], v[1:]], (), 1.0)
+        norm = _slab_grid(F, G, [v[:1], v[1:]], (), 1.0)
         assert norm.shape == (1, 1)
         assert norm[0, 0] == pytest.approx(abs(complex(F.cf(v) - G.cf(v))), abs=1e-15)
 
@@ -516,10 +522,10 @@ class TestSlabNorm:
         xs = [np.array([-2.0, 2.0]), np.array([-3.0, 3.0])]
         mag = np.abs(f(em._grid_points(xs))).reshape(2, 2)  # |f| at (+-2, +-3)
         assert len(set(mag.ravel().tolist())) == 4
-        norm = em._slab_grid(uneven, zero, xs, (0, 1), 1.0)
+        norm = _slab_grid(uneven, zero, xs, (0, 1), 1.0)
         assert np.array_equal(norm, np.full((2, 2), mag.max()))
         # one big C-axis: each point takes the max over the flips of x_0 alone
-        norm = em._slab_grid(uneven, zero, xs, (0,), 1.0)
+        norm = _slab_grid(uneven, zero, xs, (0,), 1.0)
         assert np.array_equal(norm, np.maximum(mag, mag[::-1]))
 
     def test_slab_bound_dominates_sup(self):
@@ -930,7 +936,7 @@ class TestSlabGrid:
         rule = em._axis_nodes(omega, 6, 4)  # the bound's default grid
         for B, C, D in em.partitions(2):
             xs = [em._ZERO_AXIS[0] if j in B else rule[0] for j in range(2)]
-            grid = em._slab_grid(F, G, xs, C, tau)
+            grid = _slab_grid(F, G, xs, C, tau)
             assert grid.shape == tuple(x.size for x in xs)
             assert np.array_equal(grid.ravel(), self._per_row(F, G, xs, C, tau))
 
@@ -943,7 +949,7 @@ class TestSlabGrid:
         big = np.array([-2.5, 1.5, -3.0, 2.5, -1.5, 3.0])  # no small node: that pattern's sub-grid is empty
         for xs in ([axis, axis], [axis, big], [big, axis[::-1]], [np.zeros(1), axis]):
             for C in ((), (0,), (1,), (0, 1)):
-                grid = em._slab_grid(F, G, xs, C, tau)
+                grid = _slab_grid(F, G, xs, C, tau)
                 assert np.array_equal(grid.ravel(), self._per_row(F, G, xs, C, tau))
 
     def test_law_on_R(self):
@@ -951,7 +957,7 @@ class TestSlabGrid:
         y = np.array([2.0, 1.0, 0.5, 0.0, 0.4, 3.0])
         axis = np.concatenate([-y, y])
         for C in ((), (0,)):
-            grid = em._slab_grid(F, G, [axis], C, 1.0)
+            grid = _slab_grid(F, G, [axis], C, 1.0)
             assert np.array_equal(grid, self._per_row(F, G, [axis], C, 1.0))
 
     def test_cf_points_per_bound(self):

@@ -185,38 +185,34 @@ class TestClassicalIdentities:
     @given(st.floats(min_value=0.05, max_value=0.95))
     @settings(max_examples=20, deadline=None)
     def test_cosecant_partial_fractions(self, w):
-        rep = ip.classical_identity_residual("csc", w)
+        rep = ip.csc_residual(w)
         assert rep.ok
         assert rep.residual <= rep.tail_bound + 1e-12
 
     def test_quadratic_partition_of_unity(self):
         for x in (0.37, -0.2, 1.9, 0.5):
-            rep = ip.classical_identity_residual("fejer", x)
+            rep = ip.fejer_residual(x)
             assert rep.ok
 
     def test_sandwich_bounds(self):
         for omega in (1.0, 2.0, 5.0, 20.0):
-            assert ip.classical_identity_residual("sandwich", omega).ok
-            assert ip.classical_identity_residual("refined_sandwich", omega).ok
+            assert ip.sandwich_residual(omega).ok
+            assert ip.refined_sandwich_residual(omega).ok
 
     def test_poisson_summation(self):
-        rep = ip.classical_identity_residual("poisson", 2.0)
+        rep = ip.poisson_residual(2.0)
         assert rep.ok
         assert rep.residual <= 1e-12
 
     def test_parseval_sampling(self):
-        rep = ip.classical_identity_residual("parseval_sampling")
+        rep = ip.parseval_residual()
         assert rep.ok
         assert rep.residual <= 1e-8
         assert rep.detail["lhs"] == pytest.approx(2.0 / 3.0, abs=1e-6)
 
     def test_derivative_bound(self):
-        rep = ip.classical_identity_residual("bernstein")
+        rep = ip.bernstein_residual()
         assert rep.ok
-
-    def test_unknown_identity_rejected(self):
-        with pytest.raises(ValueError):
-            ip.classical_identity_residual("nope")
 
 
 class TestSampleSetValidation:

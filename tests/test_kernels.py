@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, special
 
 from bslib import kernels as kr
+from references import _family_extra, chi_box, extremal_family_check, interval_majorant_direct
 
 
 # branch switches, singular points of the closed forms, integers, large
@@ -32,16 +33,16 @@ ARRAY_KERNELS = {
     "sigma_eval": lambda x: kr.sigma_eval(7.5, x),
     "Q_eval": kr.Q_eval,
     "one_minus_absv_vcot": lambda v: kr._one_minus_absv_vcot(np.fmod(v, 1.0)),  # |v| < 1
-    "chi_box": lambda x: kr.chi_box(x, 2.0),
-    "family_extra": lambda x: kr._family_extra(2, 0.05, x),
+    "chi_box": lambda x: chi_box(x, 2.0),
+    "family_extra": lambda x: _family_extra(2, 0.05, x),
 }
 
 
 # The scalar loops the array code replaced, operation for operation (the
 # old Q used math.cos/math.sin, which agree with numpy's here): the array
 # code must match them to the last bit.
-_B2K = [float(b) for b in kr.bernoulli_numbers(62).values[2:21:2]]
-_ZETA = kr.odd_zeta_table(20).values
+_B2K = [float(b) for b in kr.bernoulli_numbers(62)[2:21:2]]
+_ZETA = kr.odd_zeta_table(20)
 
 
 def _loop_trigamma(x):
@@ -143,33 +144,33 @@ class TestTables:
         table = kr.bernoulli_numbers(12)
         from fractions import Fraction
 
-        assert table.values[0] == 1
-        assert table.values[1] == Fraction(-1, 2)
-        assert table.values[2] == Fraction(1, 6)
-        assert table.values[3] == 0
-        assert table.values[4] == Fraction(-1, 30)
-        assert table.values[12] == Fraction(-691, 2730)
+        assert table[0] == 1
+        assert table[1] == Fraction(-1, 2)
+        assert table[2] == Fraction(1, 6)
+        assert table[3] == 0
+        assert table[4] == Fraction(-1, 30)
+        assert table[12] == Fraction(-691, 2730)
 
     def test_bernoulli_odd_vanish_and_sign_alternation(self):
         table = kr.bernoulli_numbers(30)
         for j in range(3, 31, 2):
-            assert table.values[j] == 0
-        signs = [1 if table.values[2 * j] > 0 else -1 for j in range(1, 15)]
+            assert table[j] == 0
+        signs = [1 if table[2 * j] > 0 else -1 for j in range(1, 15)]
         assert all(a == -b for a, b in zip(signs, signs[1:]))
 
     def test_odd_zeta_against_scipy(self):
         table = kr.odd_zeta_table(20)
-        for m, val in enumerate(table.values, start=1):
+        for m, val in enumerate(table, start=1):
             assert val == pytest.approx(float(special.zeta(2 * m + 1)), abs=1e-13)
 
     def test_odd_zeta_correctly_rounded(self):
         # each value is mpmath's zeta rounded to the nearest double
         with mpmath.workdps(50):
             expect = [float(mpmath.zeta(2 * m + 1)).hex() for m in range(1, 21)]
-        assert [v.hex() for v in kr.odd_zeta_table(20).values] == expect
+        assert [v.hex() for v in kr.odd_zeta_table(20)] == expect
 
     def test_odd_zeta_window_and_monotonicity(self):
-        vals = kr.odd_zeta_table(20).values
+        vals = kr.odd_zeta_table(20)
         assert all(1.0 < v < 1.21 for v in vals)
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
@@ -280,7 +281,7 @@ class TestW:
 
     def test_taylor_identity_small_x(self):
         # W/K - 2x - sum of odd-zeta terms bounded by the first omitted term
-        zs = kr.odd_zeta_table(20).values
+        zs = kr.odd_zeta_table(20)
         for x in np.linspace(-0.4, 0.4, 41):
             if x == 0:
                 continue
@@ -333,7 +334,7 @@ class TestFamily:
         for ell in (0.5, 1.0, 2.0, 7.5):
             xs = rng.uniform(-20, 20, 3000)
             lo, hi = kr.sigma_eval(ell, xs), kr.S_eval(ell, xs)
-            chi = kr.chi_box(xs, ell)
+            chi = chi_box(xs, ell)
             gap = kr.fejer_K(xs) + kr.fejer_K(ell - xs)
             ok = (lo - 1e-12 <= chi) & (chi <= hi + 1e-12) & (hi - lo <= 2.0 * gap + 1e-12)
             assert ok.all(), (ell, xs[~ok])
@@ -341,7 +342,7 @@ class TestFamily:
     def test_integer_ell_matches_direct_series(self):
         for ell in (1, 2, 3):
             for x in np.linspace(-5, ell + 5, 41):
-                direct = kr.interval_majorant_direct(ell, float(x))
+                direct = interval_majorant_direct(ell, float(x))
                 assert kr.S_eval(float(ell), float(x)) == pytest.approx(direct, abs=1e-9)
 
 
@@ -379,11 +380,11 @@ class TestQAndLambda:
 
 class TestExtremalFamily:
     def test_eta_zero_majorant(self):
-        rep = kr.extremal_family_check(1, 0.0, np.linspace(-10, 10, 1001))
+        rep = extremal_family_check(1, 0.0, np.linspace(-10, 10, 1001))
         assert rep.majorant_ok
 
     def test_small_eta_majorant_and_vanishing_extra(self):
-        rep = kr.extremal_family_check(1, 0.05, np.linspace(-10, 10, 10001))
+        rep = extremal_family_check(1, 0.05, np.linspace(-10, 10, 10001))
         assert rep.majorant_ok
         # the extra term's integral stays small as the cutoff radius grows
         vals = [abs(v) for _, v in rep.extra_integrals]

@@ -13,6 +13,7 @@ from scipy import integrate
 from bslib import esseen1d as e1
 from bslib import interpolation as ip
 from bslib import kernels as kr
+from references import extremal_family_check
 
 
 def _pv_exp():
@@ -38,7 +39,7 @@ def _fourier_w(x):
 
 
 def _family(ell, eta, i):
-    rep = kr.extremal_family_check(ell, eta, np.linspace(-10, 10, 101))
+    rep = extremal_family_check(ell, eta, np.linspace(-10, 10, 101))
     R, val = rep.extra_integrals[i]
 
     def extra(x):
@@ -51,7 +52,7 @@ def _family(ell, eta, i):
 
 
 def _parseval_rhs():
-    detail = ip.classical_identity_residual("parseval_sampling").detail
+    detail = ip.parseval_residual().detail
     val = detail["rhs"] - 2.0 * (4.0 / math.pi**4) / (3.0 * 200**3)  # less the tail term
     ref = ref_err = 0.0
     for a in range(-200, 200):  # quad of K^2 one unit panel at a time

@@ -10,7 +10,6 @@ import dataclasses
 import importlib
 import math
 from collections import Counter
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +20,7 @@ from bslib import esseen1d as e1
 from bslib import esseen_multi as em
 from bslib import interpolation as ip
 from bslib import kernels as kr
+from references import extremal_family_check, interval_majorant_direct, rademacher_product_law
 
 SRC = Path(kr.__file__).parent
 
@@ -56,21 +56,62 @@ def test_public_names_resolve(module):
     assert not missing, f"bslib.{module}.__all__ names what it does not define: {missing}"
 
 
+def _reads(tree: ast.Module, skip=()) -> set[str]:
+    """Every name the module reads: bare names and attribute names that are
+    loaded, and the names imported from a module, outside the top-level
+    statements in skip."""
+    found = set()
+    for stmt in tree.body:
+        if any(stmt is s for s in skip):
+            continue
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                found.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def _defines(stmt, name: str) -> bool:
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return stmt.name == name
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return any(isinstance(t, ast.Name) and t.id == name for t in targets)
+
+
+def test_every_public_name_has_a_reader_outside_the_tests():
+    # a name in __all__ that only tests read belongs in tests/, beside them
+    paths = sorted(SRC.glob("*.py")) + sorted((SRC.parents[1] / "perfbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    reads = {path: _reads(tree) for path, tree in trees.items()}
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        read_elsewhere = set().union(*(r for p, r in reads.items() if p != path))
+        for name in importlib.import_module(f"bslib.{path.stem}").__dict__.get("__all__", []):
+            own = [stmt for stmt in trees[path].body if _defines(stmt, name)]
+            if name not in read_elsewhere and name not in _reads(trees[path], own):
+                unread.append(f"{path.stem}.{name}")
+    assert not unread, f"public names that nothing in src/ or perfbench/ reads: {unread}"
+
+
 _SAMPLES = ip.sample_function(np.cos, 1.0, 3, 0.5)
 _VD = ip.sample_function(np.cos, 1.0, 3, 1.0, lambda t: -np.sin(t))
 _F2 = em.product_law([e1.standardized_binomial(16)] * 2)
 _G2 = em.product_normal_target(2)
+_F1, _G1 = e1.standardized_binomial(16), e1.normal_law()
 
 
 @pytest.mark.parametrize(
     "call, name",
     [
         (lambda: kr.bernoulli_numbers(1), "n"),
-        (lambda: kr.interval_majorant_direct(1.5, 0.3), "ell"),
-        (lambda: kr.interval_majorant_direct(0, 0.3), "ell"),
-        (lambda: kr.interval_majorant_direct(math.inf, 0.3), "ell"),
-        (lambda: kr.extremal_family_check(2.5, 0.1, [0.5]), "ell"),
-        (lambda: kr.extremal_family_check(math.nan, 0.1, [0.5]), "ell"),
+        (lambda: interval_majorant_direct(1.5, 0.3), "ell"),
+        (lambda: interval_majorant_direct(0, 0.3), "ell"),
+        (lambda: interval_majorant_direct(math.inf, 0.3), "ell"),
+        (lambda: extremal_family_check(2.5, 0.1, [0.5]), "ell"),
+        (lambda: extremal_family_check(math.nan, 0.1, [0.5]), "ell"),
         (lambda: ip.SampleSet(0.0, 1, (0.0, 1.0, 0.0)), "alpha"),
         (lambda: ip.SampleSet(1.0, 0, (0.0,)), "M"),
         (lambda: ip.SampleSet(1.0, 1, (0.0, 1.0, 0.0), derivatives=(0.0,)), "derivatives"),
@@ -132,15 +173,14 @@ _G2 = em.product_normal_target(2)
         pytest.param(lambda: e1.point_mass(math.inf), "x0", id="point-mass-inf"),
         pytest.param(lambda: clt.alternating_vector_scheme(0), "J", id="alternating-J-zero"),
         pytest.param(lambda: clt.alternating_vector_scheme(-1), "J", id="alternating-J-negative"),
-        pytest.param(lambda: clt.rademacher_product_law(0.0), "scale", id="rademacher-scale-zero"),
-        pytest.param(lambda: clt.rademacher_product_law(math.nan), "scale", id="rademacher-scale-nan"),
-        # the tables kernels computes for itself
-        pytest.param(lambda: kr.BernoulliTable(()), "values", id="bernoulli-empty"),
-        pytest.param(lambda: kr.BernoulliTable((Fraction(2),)), "values", id="bernoulli-b0"),
-        pytest.param(lambda: kr.BernoulliTable((1, Fraction(1, 2))), "values", id="bernoulli-b1"),
-        pytest.param(lambda: kr.OddZetaTable((1.2, 1.0)), "values", id="odd-zeta-one"),
-        pytest.param(lambda: kr.OddZetaTable((1.3,)), "values", id="odd-zeta-large"),
-        pytest.param(lambda: kr.OddZetaTable((math.nan,)), "values", id="odd-zeta-nan"),
+        pytest.param(lambda: rademacher_product_law(0.0), "scale", id="rademacher-scale-zero"),
+        pytest.param(lambda: rademacher_product_law(math.nan), "scale", id="rademacher-scale-nan"),
+        # inputs whose exact work would exhaust time or memory
+        pytest.param(lambda: e1.standardized_binomial(10**5 + 1), "n", id="binomial-n-over-cap"),
+        pytest.param(lambda: e1.standardized_binomial(10**12), "n", id="binomial-n-huge"),
+        pytest.param(lambda: e1.esseen_bound_1d(_F1, _G1, 2.0**23 * 1.0000001), "omega", id="omega-over-cap"),
+        pytest.param(lambda: e1.esseen_bound_1d(_F1, _G1, 1e20), "omega", id="omega-huge"),
+        pytest.param(lambda: e1.best_esseen_bound(_F1, _G1, (4.0, 1e20)), "omegas", id="omegas-huge"),
     ],
 )
 def test_bad_parameter_named(call, name):
