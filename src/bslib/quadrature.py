@@ -73,8 +73,13 @@ _MAX_BISECTIONS = 30
 # Panels integrated together.  At 512 panels a first round's (panels x 21)
 # arrays are 86 KB, under glibc's default 128 KiB mmap threshold, so they
 # are recycled from the heap; larger ones are mapped, faulted in page by
-# page and unmapped on every call.  Per-panel results do not depend on the
-# chunk size.
+# page and unmapped on every call.  A panel's integral and estimate can
+# move by an ulp with the chunk size: `_gk21`'s matrix-vector products
+# (BLAS gemv) round a row's dot product by its position in the block, as
+# per-row sums would not.  So the chunks always start every _CHUNK panels
+# from the first edge, and whoever draws them in turn gets the same bits
+# as `integrate_panels`; sums over many panels agree to far below their
+# error estimates at any chunk size.
 _CHUNK = 1 << 9
 _MAX_PIECES = 1 << 12  # open pieces of one chunk; bounds the memory in use
 
@@ -98,6 +103,37 @@ def _gk21(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray):
     return resk * h, np.maximum(err, floor), floor
 
 
+def _panel_chunks(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray):
+    """Yield (integrals, error estimates) of the panels [a_i, b_i], _CHUNK
+    panels at a time, from the first; see `integrate_panels`.
+
+    Each chunk is summed in arrays of its own size, so the work is linear
+    in the number of panels, and a caller that stops drawing leaves the
+    remaining panels unintegrated.
+    """
+    for start in range(0, a.size, _CHUNK):
+        lo, hi = a[start : start + _CHUNK], b[start : start + _CHUNK]
+        n = lo.size
+        owner = np.arange(n)
+        val, err = np.zeros(n), np.zeros(n)
+        for depth in range(_MAX_BISECTIONS + 1):
+            r, e, floor = _gk21(f, lo, hi)
+            done = e <= np.maximum(_PANEL_TOL, floor)
+            if depth == _MAX_BISECTIONS or 2 * np.count_nonzero(~done) > _MAX_PIECES:
+                done[:] = True
+            # one round's sums first, in piece order, then into the totals
+            part = np.zeros(n, dtype=r.dtype)
+            np.add.at(part, owner[done], r[done])
+            val = val + part
+            err += np.bincount(owner[done], e[done], n)
+            if done.all():
+                break
+            lo, hi, owner = lo[~done], hi[~done], owner[~done]
+            mid = 0.5 * (lo + hi)
+            lo, hi, owner = np.concatenate([lo, mid]), np.concatenate([mid, hi]), np.tile(owner, 2)
+        yield val, err
+
+
 def integrate_panels(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Integral of the array function f over each panel [a_i, b_i] and its error estimate.
@@ -109,24 +145,6 @@ def integrate_panels(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np
     accepted as they are; their estimates still count in the returned
     error.  The values are complex when f's are.
     """
-    P = a.size
-    val, err = np.zeros(P), np.zeros(P)
-    for start in range(0, P, _CHUNK):
-        lo, hi = a[start : start + _CHUNK], b[start : start + _CHUNK]
-        owner = np.arange(start, start + lo.size)
-        for depth in range(_MAX_BISECTIONS + 1):
-            r, e, floor = _gk21(f, lo, hi)
-            done = e <= np.maximum(_PANEL_TOL, floor)
-            if depth == _MAX_BISECTIONS or 2 * np.count_nonzero(~done) > _MAX_PIECES:
-                done[:] = True
-            # one round's sums first, in piece order, then into the totals
-            part = np.zeros(P, dtype=r.dtype)
-            np.add.at(part, owner[done], r[done])
-            val = val + part
-            err += np.bincount(owner[done], e[done], P)
-            if done.all():
-                break
-            lo, hi, owner = lo[~done], hi[~done], owner[~done]
-            mid = 0.5 * (lo + hi)
-            lo, hi, owner = np.concatenate([lo, mid]), np.concatenate([mid, hi]), np.tile(owner, 2)
+    chunks = list(_panel_chunks(f, a, b)) or [(np.zeros(0), np.zeros(0))]
+    val, err = (np.concatenate(part) for part in zip(*chunks))
     return val, err

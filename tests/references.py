@@ -2,9 +2,10 @@
 
 The direct finite-sum form of the interval majorant, the non-uniqueness
 family around S_ell with the box indicator it is measured against, the
-box measure of a k-variable cdf, the Rademacher product law and the
-geometric coefficient scheme.  The library's own routes, its CLI and its
-benchmark never call them, so they live here beside their readers.
+box measure of a k-variable cdf, the one-variable Omega sweep without its
+stop, the Rademacher product law and the geometric coefficient scheme.
+The library's own routes, its CLI and its benchmark never call them, so
+they live here beside their readers.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from bslib.clt import CoefficientScheme, ComplexLawSpec
+from bslib.esseen1d import _EXCLUSION_TOL, C1_DEFAULT, C2_DEFAULT, BoundReport, Law, _check_laws
 from bslib.kernels import S_eval, _piecewise, _sinpi_over_pi_sq
 from bslib.quadrature import integrate_panels
 
@@ -102,6 +104,56 @@ def box_probability(cdf: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: n
     for sign, v in zip((-1.0) ** (k - picks.sum(axis=1)), values):
         total += sign * v
     return total
+
+
+# ---------------------------------------------------------------------------
+# the one-variable Omega sweep, every Omega integrated
+
+
+def sweep_reports(
+    F: Law,
+    G: Law,
+    omegas: np.ndarray,
+    constants: tuple[float, float] = (C1_DEFAULT, C2_DEFAULT),
+) -> list[BoundReport]:
+    """The smoothing bound at every Omega, in the order of omegas, from one
+    pass of quadrature over all panels up to the largest Omega: the sweep
+    of `esseen1d.best_esseen_bound` without its stop.
+    """
+    _check_laws(F, G)
+    c1, c2 = constants
+    alpha = min(F.moment[0], G.moment[0])
+    a_t = min(alpha, 1.0)
+    msum = F.moment[1] + G.moment[1]
+    eps = (_EXCLUSION_TOL / (40.0 * max(msum, 1e-300))) ** (1.0 / a_t)
+    epss = np.minimum(eps, omegas / 4.0)
+    # sorted, repeats dropped: np.unique would import numpy.ma on its first call
+    edges = np.sort(np.concatenate([epss, np.arange(1.0, omegas.max(), 4.0), omegas]))
+    edges = edges[np.concatenate([[True], edges[1:] != edges[:-1]])]
+
+    def integrand(z: np.ndarray) -> np.ndarray:
+        return np.abs(F.cf(z) - G.cf(z)) / z
+
+    # panels keep the quadrature honest on the kinked |phi - psi| profile;
+    # the achieved quadrature error is added into the bound as slack.
+    val, err = integrate_panels(integrand, edges[:-1], edges[1:])
+    cum_val = np.concatenate([[0.0], np.cumsum(val)])
+    cum_err = np.concatenate([[0.0], np.cumsum(err)])
+    reports = []
+    for omega, eps in zip(omegas.tolist(), epss.tolist()):
+        lo, hi = np.searchsorted(edges, [eps, omega])
+        v = float(cum_val[hi] - cum_val[lo])
+        quad_err = float(cum_err[hi] - cum_err[lo])
+        integral = 2.0 * v  # Hermitian symmetry: |diff(-z)| = |diff(z)|
+        exclusion = 2.0 * 2.0 * msum * eps**a_t  # excluded mass, both signs
+        if quad_err > 1e-3 * max(1.0, v):
+            raise ArithmeticError(f"quadrature error {quad_err:g} exceeds budget")
+        tail = c2 * G.density_bounds[0] / omega
+        total = c1 * (integral + exclusion + 2.0 * quad_err) + tail
+        slack = {"exclusion": c1 * exclusion, "quadrature": c1 * (2.0 * quad_err)}
+        reports.append(BoundReport(total, {"integral": c1 * integral}, tail, slack, (omega,),
+                                   {"c1": c1, "c2": c2}, {}))
+    return reports
 
 
 # ---------------------------------------------------------------------------

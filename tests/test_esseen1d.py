@@ -19,6 +19,7 @@ import ndtr_coefficients
 from bslib import esseen1d as e1
 from bslib import esseen_multi as em
 from bslib import quadrature
+from references import sweep_reports
 
 
 class TestLawConstructors:
@@ -242,6 +243,15 @@ def _quad_reference(F, G, omega, eps):
     return val, err
 
 
+_SWEEP_LAWS = ([e1.standardized_binomial(n) for n in (16, 25, 64, 100, 256, 1024)]
+               + [e1.irwin_hall_standardized(n) for n in range(2, 13)]
+               + [e1.normal_law(0.3, 1.2), e1.gaussian_mollify(e1.point_mass(), 0.5)])
+_SWEEP_IDS = ([f"binomial{n}" for n in (16, 25, 64, 100, 256, 1024)]
+              + [f"irwin_hall{n}" for n in range(2, 13)] + ["normal", "mollified_point"])
+_UNSORTED_GRID = (64.0, 2.0, 1024.0, 8.0, 16384.0, 1.0, 512.0, 32.0)
+_OCTAVE16_GRID = tuple(2.0 ** (j / 16) for j in range(15 * 16 + 1))
+
+
 class TestSweep:
     @pytest.mark.parametrize("F", [e1.standardized_binomial(25), e1.irwin_hall_standardized(3)],
                              ids=["binomial25", "irwin_hall3"])
@@ -273,6 +283,41 @@ class TestSweep:
         default = [e1.best_esseen_bound(F, G).total for F in laws]
         monkeypatch.setattr(quadrature, "_CHUNK", chunk)
         assert [e1.best_esseen_bound(F, G).total.hex() for F in laws] == [t.hex() for t in default]
+
+    @pytest.mark.parametrize("omegas", [e1.OMEGA_GRID, _UNSORTED_GRID, _OCTAVE16_GRID],
+                             ids=["dyadic", "unsorted", "octave16"])
+    @pytest.mark.parametrize("F", _SWEEP_LAWS, ids=_SWEEP_IDS)
+    def test_stop_gives_the_unstopped_minimum(self, F, omegas):
+        G = e1.normal_law()
+        seen = []
+
+        def cf(z):
+            seen.append(np.max(np.abs(z)))
+            return F.cf(z)
+
+        best = e1.best_esseen_bound(dataclasses.replace(F, cf=cf), G, omegas)
+        reference = sweep_reports(F, G, np.asarray(omegas, dtype=float))
+        low = min(reference, key=lambda r: r.total)
+        assert best == low
+        assert best.total.hex() == low.total.hex()
+        # the last panel of an Omega starts at or past Omega - 4, the cuts being
+        # 4 apart, so an Omega 4 past every node reached was skipped: no
+        # total there ties the minimum
+        reached = max(seen)
+        skipped = [r.total for r in reference if r.omegas[0] >= reached + 4.0]
+        assert all(t > best.total for t in skipped)
+        if omegas is e1.OMEGA_GRID and F.atoms:  # the binomials settle below Omega = 2^14
+            assert skipped
+
+    def test_stop_spares_most_cf_points(self):
+        F, G = e1.standardized_binomial(64), e1.normal_law()
+        sizes = []
+        counted = dataclasses.replace(F, cf=lambda z: sizes.append(np.size(z)) or F.cf(z))
+        e1.best_esseen_bound(counted, G)
+        stopped = sum(sizes)
+        sizes.clear()
+        sweep_reports(counted, G, np.asarray(e1.OMEGA_GRID))
+        assert 0 < 4 * stopped < sum(sizes)
 
     def test_kronrod_rule_degrees(self):
         x = quadrature._GK_NODES
@@ -367,6 +412,21 @@ class TestMollification:
             assert law.cf(1e200) == 0.0
             assert np.array_equal(law.cf(np.array([-1e200, 1e155, 1e200])), np.zeros(3))
             assert law.cf(1.5) != 0.0
+
+
+def test_centred_normal_cf_keeps_the_phase_factor_bits():
+    # normal_law(0, sigma) leaves out the phase factor cos(0 t) + i sin(0 t)
+    edges = np.array([0.0, -0.0, 1e-300, -1e-300, 38.6, -38.6, 1e200, -1e200])
+    for sigma in (1.0, 1.2, 0.3):
+        t = np.concatenate([edges, np.linspace(-40.0, 40.0, 4001) / sigma])
+        with np.errstate(over="ignore"):
+            phased = (np.cos(0.0 * t) + 1j * np.sin(0.0 * t)) * np.exp(-0.5 * (sigma * t) ** 2)
+        cf = e1.normal_law(0.0, sigma).cf
+        assert np.array_equal(cf(t).view(np.uint64), phased.view(np.uint64))
+        for x, want in zip(edges, phased):
+            got = cf(x)
+            assert type(got) is type(want)
+            assert np.array_equal(np.array([got]).view(np.uint64), np.array([want]).view(np.uint64))
 
 
 @given(st.floats(min_value=-20, max_value=20))

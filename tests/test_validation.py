@@ -181,6 +181,11 @@ _F1, _G1 = e1.standardized_binomial(16), e1.normal_law()
         pytest.param(lambda: e1.esseen_bound_1d(_F1, _G1, 2.0**23 * 1.0000001), "omega", id="omega-over-cap"),
         pytest.param(lambda: e1.esseen_bound_1d(_F1, _G1, 1e20), "omega", id="omega-huge"),
         pytest.param(lambda: e1.best_esseen_bound(_F1, _G1, (4.0, 1e20)), "omegas", id="omegas-huge"),
+        pytest.param(lambda: e1.esseen_bound_1d(_F1, _G1, 8.0, constants=(math.nan, math.pi)), "constants",
+                     id="constants-nan"),
+        pytest.param(lambda: e1.esseen_bound_1d(_F1, _G1, 8.0, constants=(0.25, math.inf)), "constants",
+                     id="constants-inf"),
+        pytest.param(lambda: e1.representation_residual("S", 0.3), "which", id="representation-which"),
     ],
 )
 def test_bad_parameter_named(call, name):
