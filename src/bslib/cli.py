@@ -391,8 +391,8 @@ def _suite_esseen1d() -> list[dict]:
         rep = e1.best_esseen_bound(F, G)
         sup = e1.sup_cdf_distance(F.cdf, G.cdf, grid, F.atoms)
         checks.append(_flag(f"binomial_{n}_bound_dominates", rep.total >= sup, rep.total - sup))
-    for which in ("B", "b"):
-        res = e1.representation_residual(which, 0.3)
+    for which, k_coeff, target in (("B", 1.0, kr.B_eval), ("b", -1.0, kr.b_eval)):
+        res = abs(kr.fourier_W_check(0.3, k_coeff)[0] - target(0.3))
         checks.append(_check(f"fourier_representation_{which}", res, 1e-7))
     F = e1.point_mass(0.0)
     mol = e1.gaussian_mollify(F, 0.5)
@@ -452,7 +452,7 @@ def _suite_esseen_k() -> list[dict]:
         checks.append(_check(f"factorization_{which}", res, 1e-8))
 
     g = lambda w: np.sin(1.1 * w[..., 0] + 0.2) * np.sin(0.9 * w[..., 1] - 0.4)
-    bc = em.derivative_bound_check(g, {"which": "4.24", "h": 1, "ell": 2, "m": 2}, v)
+    bc = em.derivative_bound_check(g, v, which="4.24", h=1, ell=2, m=2)
     checks.append(_flag("difference_derivative_bound", bc.holds and not bc.inconclusive, bc.slack))
 
     F = em.product_law([e1.standardized_binomial(64)] * 2)

@@ -1,9 +1,10 @@
 """One-variable smoothing bounds for distribution comparison.
 
-The a priori inequality  sup|F - G| <= c1 * pv-int |phi - psi|/|zeta| +
-c2 * m / Omega  with admissible constants (c1, c2) = (1/4, pi), plus the
-supporting machinery: principal-value integration, Gaussian
-mollification, CDF distance measurement, and a convergence harness.
+The a priori inequality
+  sup|F - G| <= c1 * int_{|zeta| <= Omega} |phi - psi|/|zeta| + c2 * m / Omega
+with admissible constants (c1, c2) = (1/4, pi), plus the supporting
+machinery: Gaussian mollification, CDF distance measurement, and a
+convergence harness.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .kernels import Q_eval
-from .quadrature import _panel_chunks, integrate_panels
+from .quadrature import _panel_chunks
 
 __all__ = [
     "Law",
@@ -25,13 +25,11 @@ __all__ = [
     "standardized_binomial",
     "irwin_hall_standardized",
     "point_mass",
-    "pv_integral",
     "esseen_bound_1d",
     "BoundReport",
     "gaussian_mollify",
     "sup_cdf_distance",
     "convergence_harness_1d",
-    "representation_residual",
     "C1_DEFAULT",
     "C2_DEFAULT",
 ]
@@ -320,33 +318,7 @@ def point_mass(x0: float = 0.0) -> Law:
 
 
 # ---------------------------------------------------------------------------
-
-
-def pv_integral(h: Callable[[np.ndarray], np.ndarray], A: float, tol: float = 1e-9
-                ) -> tuple[complex, float]:
-    """Principal value of int_{-A}^{A} h for an array function h.
-
-    The paired integrand h(v) + h(-v) is integrated once over the panels
-    between the cuts eps = A 2^-j, j = 39, ..., 6, and A.  Suffix sums
-    give the partial integrals over [eps, A] for eps = A 2^-6, A 2^-7, ...;
-    the first that differs from the one before by less than tol is
-    returned.  Its error estimate adds the integral over [A 2^-39, eps],
-    which the finer panels give, to that difference (the integral over
-    [eps, 2 eps]), which stands in for the narrower [0, A 2^-39] piece no
-    panel reaches, and to the quadrature error estimates of all panels.
-    Raises if the partial integrals fail to Cauchy-converge.
-    """
-    if not A > 0:
-        raise ValueError(f"A must be positive, got {A!r}")
-    edges = A * np.exp2(-np.arange(39.0, 5.0, -1.0))
-    val, err = integrate_panels(lambda v: h(v) + h(-v), edges, np.append(edges[1:], A))
-    partial, partial_err = np.cumsum(val[::-1]), np.cumsum(err[::-1])
-    steps = np.abs(np.diff(partial))
-    (hit,) = np.nonzero(steps < tol)
-    if not hit.size:
-        raise ArithmeticError("principal-value refinement did not converge")
-    j = hit[0] + 1
-    return complex(partial[j]), float(steps[j - 1] + abs(partial[-1] - partial[j]) + partial_err[-1])
+# the Omega sweep
 
 
 # the largest Omega of the one-variable bounds: the sweep cuts a panel every
@@ -563,30 +535,3 @@ def convergence_harness_1d(
         inc = float(np.max(np.abs(F.cf(zs) - G.cf(zs))))
         rows.append(HarnessRow(n, d, rep.total, rep.omegas[0], inc))
     return rows
-
-
-# ---------------------------------------------------------------------------
-# Fourier-side representations of the extremal pair
-
-
-def representation_residual(which: str, x: float) -> float:
-    """|pv-int_{-1}^{1} [1/(pi i v) + R(v)] e^{2 pi i x v} dv  -  target(x)|
-
-    with R = T/i + (1-|v|) for the majorant and T/i - (1-|v|) for the
-    minorant, T(v) = (Q(v) - Q(0))/v.
-    """
-    from .kernels import B_eval, b_eval
-
-    q0 = Q_eval(0.0)
-    if which not in ("B", "b"):
-        raise ValueError(f"which must be 'B' or 'b' (got {which!r})")
-    sign = 1.0 if which == "B" else -1.0
-
-    def h(v: np.ndarray) -> np.ndarray:
-        T = (Q_eval(v) - q0) / v
-        R = T / 1j + sign * (1.0 - np.abs(v))
-        return (1.0 / (math.pi * 1j * v) + R) * np.exp(2j * math.pi * x * v)
-
-    val, _ = pv_integral(h, 1.0, 1e-8)
-    target = B_eval(x) if which == "B" else b_eval(x)
-    return abs(val - target)

@@ -158,6 +158,8 @@ def factorization_residual(
     k = v.size
     if not 1 <= m <= k:
         raise ValueError(f"m must satisfy 1 <= m <= {k} = len(v) (got {m})")
+    if isinstance(nodes, bool) or not isinstance(nodes, numbers.Integral) or nodes < 1:
+        raise ValueError(f"nodes must be an integer >= 1 (got {nodes!r})")
     if which == "mixed":
         word, lo, front = [("D", j) for j in range(m)], -1.0, float(np.prod(v[:m])) / 2.0**m
     elif which == "delta":
@@ -241,32 +243,36 @@ def _sup_estimate(
     return _SUP_SAFETY * best
 
 
-def derivative_bound_check(f: Callable, spec: dict, v: Sequence[float]) -> BoundCheck:
+def derivative_bound_check(f: Callable, v: Sequence[float], *, which: str, h: int, m: int,
+                           ell: int, n: int = 0, delta: int = 0) -> BoundCheck:
     """Check one of the mixed-difference derivative bounds at a point.
 
-    spec keys: which in {"4.24", "4.26", "4.27", "4.28"}, h, ell, m, and
-    for the Delta-variants n and delta (L = ell + delta).  4.24 is the
-    D-only case (ell, n, delta) = (0, 0, ell) of 4.26, with front factor 1
-    in place of 2^(m - h).  f takes (N, k) points to (N,) values (the `Law`
-    contract); it is called once per operator term for the lhs and once per
-    refinement level of each sigma-subset's sup.  The sups carry the
-    _SUP_SAFETY Lipschitz factor; the check is reported inconclusive when
-    the bound holds only with that factor.
+    which is one of "4.24", "4.26", "4.27" and "4.28"; the Delta-variants
+    also read n and delta (L = ell + delta).  4.24 is the D-only case
+    (ell, n, delta) = (0, 0, ell) of 4.26, with front factor 1 in place of
+    2^(m - h), so it takes n = delta = 0.  f takes (N, k) points to (N,)
+    values (the `Law` contract); it is called once per operator term for
+    the lhs and once per refinement level of each sigma-subset's sup.  The
+    sups carry the _SUP_SAFETY Lipschitz factor; the check is reported
+    inconclusive when the bound holds only with that factor.
     """
     v = np.asarray(v, dtype=float)
-    which, h, m = spec["which"], spec["h"], spec["m"]
     if which not in ("4.24", "4.26", "4.27", "4.28"):
-        raise ValueError(f"spec['which'] must be 4.24, 4.26, 4.27 or 4.28 (got {which!r})")
+        raise ValueError(f"which must be 4.24, 4.26, 4.27 or 4.28 (got {which!r})")
     if which == "4.24":
-        ell, n, delta, front = 0, 0, spec["ell"], 1.0
+        unread = "be 0, as 4.24 does not read it"
+        rules = (("n", n == 0, unread), ("delta", delta == 0, unread),
+                 ("ell", ell <= m, "satisfy ell <= m"), ("h", 1 <= h <= ell, "satisfy 1 <= h <= ell"))
     else:
-        ell, n, delta, front = spec["ell"], spec["n"], spec["delta"], 2.0 ** (m - h)
+        rules = (("ell", ell <= n, "satisfy ell <= n"),
+                 ("delta", n + delta <= m, "satisfy n + delta <= m"),
+                 ("h", 1 <= h <= ell + delta, "satisfy 1 <= h <= ell + delta"))
+    for name, ok, rule in rules:
+        if not ok:
+            raise ValueError(f"{name} must {rule} (got which = {which}, h = {h}, m = {m}, ell = {ell}, "
+                             f"n = {n}, delta = {delta})")
+    ell, delta, front = (0, ell, 1.0) if which == "4.24" else (ell, delta, 2.0 ** (m - h))
     L = ell + delta
-    if not (ell <= n and n + delta <= m and 1 <= h <= L):
-        raise ValueError(
-            "spec must satisfy ell <= n, n + delta <= m and 1 <= h <= ell + delta, "
-            f"or 1 <= h <= ell <= m for 4.24 (got {spec})"
-        )
     word = [("Delta", j) for j in range(n)] + [("D", j) for j in range(n, m)]
     if which in ("4.27", "4.28"):  # the product of E_j Delta_j over the first block
         word = [("E", j) for j in range(n)] + word
@@ -511,6 +517,8 @@ def esseen_bound_truncated(
     `detail["alpha"]` reports.
     """
     k = _check_laws(F, G, 4, omegas, 1.0)
+    if mode not in ("A", "B"):
+        raise ValueError(f"mode must be 'A' or 'B' (got {mode!r})")
     consts = constants or BoundConstants.for_k(k)
     panels, order = _grid(panels, order, _DEFAULT_GRID[k])
     if mode == "B":

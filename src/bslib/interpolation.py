@@ -75,14 +75,6 @@ class SampleSet:
             if not np.isfinite(x).all():
                 raise ValueError(f"{name} must be finite")
 
-    def value(self, k: int) -> float:
-        return self.values[k + self.M]
-
-    def derivative(self, k: int) -> float:
-        if self.derivatives is None:
-            raise ValueError("derivatives were not sampled (got None)")
-        return self.derivatives[k + self.M]
-
 
 def sample_function(f, alpha: float, M: int, spacing: float, fprime=None, **decay) -> SampleSet:
     """Tabulate the array functions f (and optionally f') on the nodes
@@ -138,6 +130,8 @@ def cardinal_series(samples: SampleSet, z, mode: Literal["basic", "extended"] = 
     """Reconstruct f at the float or array z from samples at k/(2*alpha);
     returns (values, err_est) in z's shape.  The extended mode needs the
     derivatives, for f'(0)."""
+    if mode not in ("basic", "extended"):
+        raise ValueError(f"mode must be basic or extended (got {mode!r})")
     a, M = samples.alpha, samples.M
     h, phase = 1.0 / (2.0 * a), 2.0 * math.pi * a
     ks = np.arange(-M, M + 1)

@@ -8,7 +8,9 @@ Evaluation strategy for W: a Taylor series in odd zeta values near the
 origin, and a trigamma-based closed form elsewhere (upward shift
 recurrence into a Bernoulli asymptotic series).  A direct-series oracle
 with a certified sandwich tail bracket is kept alongside for
-cross-checking; the two routes are never collapsed.
+cross-checking; the two routes are never collapsed.  `fourier_W_check`
+integrates the transforms of W, B = W + K and b = W - K on the Fourier
+side, a third route for each.
 """
 
 from __future__ import annotations
@@ -192,6 +194,8 @@ def W_eval(x, mode: Literal["fast", "oracle"] = "fast"):
     SERIES_TERMS/2 only, where the tail's remainder is below
     1/(15 pi^2 (SERIES_TERMS/2)^5) ~ 2e-21.
     """
+    if mode not in ("fast", "oracle"):
+        raise ValueError(f"mode must be fast or oracle (got {mode!r})")
     x = np.asarray(x, dtype=float)
     a = np.abs(x)
     if mode == "oracle":
@@ -276,28 +280,36 @@ def lambda_constant() -> float:
         xs = np.linspace(lo, hi, 33)
 
 
-def fourier_W_check(x: float) -> tuple[float, float]:
-    """Evaluate W(x) through its Fourier representation.
+def fourier_W_check(x: float, k_coeff: float = 0.0) -> tuple[float, float]:
+    """Evaluate W(x) + k_coeff K(x) through its Fourier representation.
 
-    Integrates (Q(v)/v) sin(2 pi x v) over [-1,1] (the integrand is even
-    in v); returns (value, achieved error estimate).
+    The transform is Q(v)/(i v) + k_coeff (1 - |v|) on [-1, 1]; its even
+    part gives (Q(v)/v) sin(2 pi x v) + k_coeff (1 - v) cos(2 pi x v),
+    integrated over [0, 1] and doubled.  k_coeff = +1 and -1 check B and b,
+    whose transforms are Q(v)/(i v) +- (1 - |v|) (Vaaler 1985).  Returns
+    (value, achieved error estimate).
     """
 
     def integrand(v: np.ndarray) -> np.ndarray:
         qv_over_v = 1.0 / math.pi + _one_minus_absv_vcot(v) / v
-        return qv_over_v * np.sin(2.0 * math.pi * x * v)
+        y = 2.0 * math.pi * x * v
+        return qv_over_v * np.sin(y) + k_coeff * (1.0 - v) * np.cos(y)
 
-    # Q(v)/v -> 1/(pi v) as v -> 0, so the product tends to 2x; on [0, eps]
-    # the integrand is replaced by that limit.  The error of that: with
+    # Q(v)/v -> 1/(pi v) as v -> 0, so the integrand tends to 2x + k_coeff; on
+    # [0, eps] it is replaced by that limit.  The error of that in the W part: with
     # Q(v) - 1/pi = (1 - v)(v cot(pi v) - 1/pi) and 0 <= 1 - u cot u <= u^2/2
     # for 0 < u <= 1, Q(v)/v = 1/(pi v) + r(v) with |r(v)| <= pi v / 2; with
     # y = 2 pi x v, sin y = y - rho(y) and |rho(y)| <= |y|^3 / 6.  So
     #   |(Q(v)/v) sin y - 2x| <= |r| |y| + |rho| / (pi v) + |r| |rho|
     #                         <= pi^2 |x| v^2 + (4 pi^2 / 3) |x|^3 v^2 + (2 pi^4 / 3) |x|^3 v^4,
     # whose integral over [0, eps] is at most (pi^2 / 3)(|x| + 2 |x|^3) eps^3 for eps <= 1/pi.
+    # In the K part, (1 - v) cos y - 1 = (cos y - 1) - v cos y and |cos y - 1| <= y^2/2, so
+    #   |(1 - v) cos y - 1| <= v + 2 pi^2 x^2 v^2,
+    # whose integral over [0, eps] is eps^2/2 + (2 pi^2 / 3) x^2 eps^3, times |k_coeff|.
     eps = 1e-8
     edges = np.linspace(eps, 1.0, 17)
     val, err = integrate_panels(integrand, edges[:-1], edges[1:])
-    val = float(np.sum(val)) + 2.0 * x * eps  # limit-value contribution of [0, eps]
-    cut = math.pi**2 / 3.0 * (abs(x) + 2.0 * abs(x) ** 3) * eps**3
+    val = float(np.sum(val)) + (2.0 * x + k_coeff) * eps  # limit-value contribution of [0, eps]
+    cut = (math.pi**2 / 3.0 * (abs(x) + 2.0 * abs(x) ** 3) * eps**3
+           + abs(k_coeff) * (eps**2 / 2.0 + 2.0 * math.pi**2 / 3.0 * x * x * eps**3))
     return 2.0 * val, 2.0 * (float(np.sum(err)) + cut)

@@ -18,6 +18,7 @@ from scipy import integrate, special, stats
 import ndtr_coefficients
 from bslib import esseen1d as e1
 from bslib import esseen_multi as em
+from bslib import kernels as kr
 from bslib import quadrature
 from references import sweep_reports
 
@@ -172,29 +173,36 @@ class TestArrayLaws:
         assert sup == pytest.approx(0.000866145615, abs=1e-11)
 
 
-class TestPvIntegral:
-    def test_odd_singularity_oracle(self):
-        # pv int_{-1}^{1} e^v / v dv = 2 * int_0^1 sinh(v)/v dv
-        val, err = e1.pv_integral(lambda v: np.exp(v) / v, 1.0)
-        oracle, _ = integrate.quad(lambda v: 2.0 * math.sinh(v) / v, 0, 1)
-        assert abs(val.real - oracle) <= max(err, 1e-8)
-        assert val.imag == pytest.approx(0.0, abs=1e-10)
-
-    def test_smooth_integrand_matches_quad(self):
-        val, err = e1.pv_integral(np.cos, 2.0)
-        oracle = 2.0 * math.sin(2.0)
-        assert abs(val.real - oracle) <= max(err, 1e-8)
-
-    def test_divergent_rejected(self):
-        with pytest.raises(ArithmeticError):
-            e1.pv_integral(lambda v: 1.0 / np.abs(v), 1.0)
+def _mp_extremal(x: float, sign: int):
+    """B(x) (sign 1) or b(x) (sign -1) at a non-integer x, at 50 digits:
+    W(x) = (sin(pi x)/pi)^2 (2/x + psi_1(1 - x) - psi_1(1 + x)) and
+    K(x) = (sin(pi x)/(pi x))^2."""
+    with mpmath.workdps(50):
+        x = mpmath.mpf(x)
+        s = mpmath.sin(mpmath.pi * x) / mpmath.pi
+        w = s * s * (2 / x + mpmath.psi(1, 1 - x) - mpmath.psi(1, 1 + x))
+        return float(w + sign * s * s / (x * x))
 
 
 class TestRepresentationResiduals:
+    # B and b from their transforms Q(v)/(i v) +- (1 - |v|), on the route
+    # of the Fourier-side W check
     @pytest.mark.parametrize("which", ["B", "b"])
-    @pytest.mark.parametrize("x", [0.3, 1.7, -2.4])
+    @pytest.mark.parametrize("x", [0.0, 0.3, -0.3, 1.7, -2.4, 7.3])
     def test_fourier_representation(self, which, x):
-        assert e1.representation_residual(which, x) <= 1e-6
+        k_coeff, target = {"B": (1.0, kr.B_eval), "b": (-1.0, kr.b_eval)}[which]
+        val, err = kr.fourier_W_check(x, k_coeff)
+        ref = float(target(x))
+        assert abs(val - ref) <= err + 4.0 * math.ulp(ref)
+        assert err <= 1e-13
+
+    @pytest.mark.parametrize("which", ["B", "b"])
+    @pytest.mark.parametrize("x", [0.3, -2.4])
+    def test_against_mpmath(self, which, x):
+        k_coeff, sign = {"B": (1.0, 1), "b": (-1.0, -1)}[which]
+        val, err = kr.fourier_W_check(x, k_coeff)
+        ref = _mp_extremal(x, sign)
+        assert abs(val - ref) <= err + 4.0 * math.ulp(ref)
 
 
 class TestBound:
@@ -328,6 +336,21 @@ class TestSweep:
                 assert abs(quadrature._GK_GAUSS_WEIGHTS @ x**k - exact) <= 1e-15
 
 
+def test_smoothing_modules_leave_kernels_unimported():
+    # the smoothing bounds and the CLT checks need no kernel or interpolation code
+    code = (
+        "import sys\n"
+        "import bslib.esseen1d, bslib.esseen_multi, bslib.clt\n"
+        "print(sorted(m for m in ('bslib.kernels', 'bslib.interpolation') if m in sys.modules))\n"
+    )
+    src = str(Path(e1.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
+
+
 def test_bound_leaves_numpy_ma_unimported():
     # np.unique imports numpy.ma on its first call, 10-20 ms in a fresh
     # interpreter; the sweep's panel edges need only a sort
@@ -355,7 +378,6 @@ class TestValidation:
             (lambda: e1.best_esseen_bound(e1.standardized_binomial(9), e1.normal_law(), ()), "omegas"),
             (lambda: e1.best_esseen_bound(e1.standardized_binomial(9), e1.normal_law(), (8.0, 0.0)),
              "omegas"),
-            (lambda: e1.pv_integral(np.cos, 0.0), "A"),
             (lambda: e1.gaussian_mollify(e1.point_mass(0.0), 0.0), "eps"),
             # a law on R^2, or a G without a density bound, is not a 1-D pair
             (lambda: e1.esseen_bound_1d(em.product_normal_target(2), e1.normal_law(), 8.0), "^F"),

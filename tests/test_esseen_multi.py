@@ -271,7 +271,7 @@ class TestDerivativeBounds:
         ],
     )
     def test_pinned_values(self, which, h, lhs, rhs):
-        chk = em.derivative_bound_check(self._f, _bound_spec(which, h), (0.8, 1.2, 0.5))
+        chk = em.derivative_bound_check(self._f, (0.8, 1.2, 0.5), **_bound_spec(which, h))
         assert chk.lhs.hex() == lhs
         assert chk.rhs == pytest.approx(rhs, rel=1e-15, abs=0.0)
         assert chk.holds and not chk.inconclusive
@@ -293,42 +293,48 @@ class TestDerivativeBounds:
             shapes.append(p.shape)
             return self._f(p)
 
-        em.derivative_bound_check(f, spec, (0.8, 1.2, 0.5))
+        em.derivative_bound_check(f, (0.8, 1.2, 0.5), **spec)
         assert len(shapes) <= len(em.operator_terms(word, 3)) + 3 * math.comb(L, h)
         assert all(len(s) == 2 and s[1] == 3 for s in shapes)
 
     def test_mixed_difference_bound(self):
         for h in (1, 2):
-            chk = em.derivative_bound_check(
-                self._f, {"which": "4.24", "h": h, "ell": 2, "m": 2},
-                (0.8, 1.2, 0.5),
-            )
+            chk = em.derivative_bound_check(self._f, (0.8, 1.2, 0.5), which="4.24", h=h, ell=2, m=2)
             assert chk.holds
             assert not chk.inconclusive
             assert chk.slack >= 0.0
 
     @pytest.mark.parametrize("which", ["4.26", "4.27", "4.28"])
     def test_truncation_variants(self, which):
-        chk = em.derivative_bound_check(
-            self._f,
-            {"which": which, "h": 1, "ell": 2, "m": 3, "n": 2, "delta": 1},
-            (0.8, 1.2, 0.5),
-        )
+        chk = em.derivative_bound_check(self._f, (0.8, 1.2, 0.5), which=which, h=1, ell=2, m=3, n=2,
+                                        delta=1)
         assert chk.holds
 
     def test_invalid_spec_rejected(self):
-        with pytest.raises(ValueError, match="^spec"):
-            em.derivative_bound_check(
-                self._f, {"which": "4.24", "h": 3, "ell": 2, "m": 2}, (0.5, 0.5, 0.5)
-            )
-        with pytest.raises(ValueError, match="^spec"):
-            em.derivative_bound_check(
-                self._f,
-                {"which": "4.26", "h": 1, "ell": 2, "m": 3, "n": 2, "delta": 2},
-                (0.8, 1.2, 0.5),
-            )
-        with pytest.raises(ValueError, match="^spec"):
-            em.derivative_bound_check(self._f, _bound_spec("4.25", 1), (0.8, 1.2, 0.5))
+        v = (0.8, 1.2, 0.5)
+        with pytest.raises(ValueError, match="^h "):
+            em.derivative_bound_check(self._f, (0.5, 0.5, 0.5), which="4.24", h=3, ell=2, m=2)
+        with pytest.raises(ValueError, match="^ell "):
+            em.derivative_bound_check(self._f, v, which="4.24", h=1, ell=3, m=2)
+        with pytest.raises(ValueError, match="^delta "):
+            em.derivative_bound_check(self._f, v, which="4.26", h=1, ell=2, m=3, n=2, delta=2)
+        with pytest.raises(ValueError, match="^ell "):
+            em.derivative_bound_check(self._f, v, which="4.26", h=1, ell=2, m=3, n=1, delta=1)
+        with pytest.raises(ValueError, match="^h "):
+            em.derivative_bound_check(self._f, v, which="4.26", h=4, ell=2, m=3, n=2, delta=1)
+        with pytest.raises(ValueError, match="^which "):
+            em.derivative_bound_check(self._f, v, **_bound_spec("4.25", 1))
+
+    @pytest.mark.parametrize("name", ["n", "delta"])
+    def test_4_24_rejects_what_it_does_not_read(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be 0, as 4.24 does not read it"):
+            em.derivative_bound_check(self._f, (0.8, 1.2, 0.5), which="4.24", h=1, ell=2, m=2,
+                                      **{name: 1})
+
+    def test_spec_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            em.derivative_bound_check(self._f, {"which": "4.24", "h": 1, "ell": 2, "m": 2},
+                                      (0.8, 1.2, 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -612,6 +618,10 @@ class TestValidation:
             (lambda: em.factorization_residual(abs, abs, 0, "mixed", (0.5, 0.5)), "^m must"),
             (lambda: em.factorization_residual(abs, abs, 3, "mixed", (0.5, 0.5)), "^m must"),
             (lambda: em.factorization_residual(abs, abs, 1, "mixed ", (0.5, 0.5)), "^which"),
+            pytest.param(lambda: em.factorization_residual(abs, abs, 1, "mixed", (0.5, 0.5), nodes=0),
+                         "^nodes", id="factorization-nodes-zero"),
+            pytest.param(lambda: em.factorization_residual(abs, abs, 1, "mixed", (0.5, 0.5), nodes=2.5),
+                         "^nodes", id="factorization-nodes-fraction"),
         ],
     )
     def test_bad_parameter_named(self, call, match):

@@ -33,7 +33,7 @@ class TestCardinalSeries:
         samples = ip.sample_function(_fejer, 1.0, 50, 0.5)
         for k in (-3, 0, 7):
             val, err = ip.cardinal_series(samples, k * 0.5)
-            assert val == samples.value(k)
+            assert val == samples.values[k + samples.M]
             assert err == 0.0
 
     def test_idempotence(self):
@@ -88,7 +88,7 @@ class TestValueDerivativeFormula:
     def test_node_short_circuit(self):
         samples = ip.sample_function(_fejer, 1.0, 20, 1.0, fprime=_fejer_prime)
         val, err = ip.vaaler_interpolation(samples, 3.0)
-        assert val == samples.value(3)
+        assert val == samples.values[3 + samples.M]
         assert err == 0.0
 
 

@@ -377,6 +377,20 @@ class TestQAndLambda:
         val0, _ = kr.fourier_W_check(0.0)
         assert val0 == pytest.approx(0.0, abs=1e-12)
 
+    # the values and estimates of the W-only integrand, before it took k_coeff K
+    @pytest.mark.parametrize(
+        "x, val, err",
+        [
+            (0.5, "0x1.9f02f6222c71fp-1", "0x1.443a4fc7769bbp-47"),
+            (-0.3, "-0x1.1c12411a93aa3p-1", "0x1.bbdc851b47e6cp-48"),
+            (1.7, "0x1.fdd3ed8c79e22p-1", "0x1.09605a39c65a5p-46"),
+            (10.0, "0x1.fffffffffffffp-1", "0x1.99b906a5cc5a4p-46"),
+            (1e-9, "0x1.12e0be826d695p-29", "0x1.ad7f291dd0171p-76"),
+        ],
+    )
+    def test_fourier_side_W_pinned(self, x, val, err):
+        assert tuple(v.hex() for v in kr.fourier_W_check(x)) == (val, err)
+
 
 class TestExtremalFamily:
     def test_eta_zero_majorant(self):

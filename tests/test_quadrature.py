@@ -10,22 +10,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from bslib import esseen1d as e1
 from bslib import interpolation as ip
 from bslib import kernels as kr
 from references import extremal_family_check
-
-
-def _pv_exp():
-    # pv int_{-1}^{1} e^v / v dv = 2 * int_0^1 sinh(v)/v dv
-    val, err = e1.pv_integral(lambda v: np.exp(v) / v, 1.0)
-    ref, ref_err = integrate.quad(lambda v: 2.0 * math.sinh(v) / v, 0, 1)
-    return val, err, ref, ref_err
-
-
-def _pv_cos():
-    val, err = e1.pv_integral(np.cos, 2.0)
-    return val, err, 2.0 * math.sin(2.0), 0.0
 
 
 def _fourier_w(x):
@@ -35,6 +22,16 @@ def _fourier_w(x):
         return val, err, 8.0 / math.pi**2, 0.0
     ref, ref_err = integrate.quad(lambda v: float(kr.Q_eval(v)) / v * math.sin(2.0 * math.pi * x * v),
                                   0.0, 1.0, limit=200)
+    return val, err, 2.0 * ref, 2.0 * ref_err
+
+
+def _fourier_extremal(x, k_coeff):
+    # B(x) or b(x) = 2 int_0^1 (Q(v)/v) sin(2 pi x v) +- (1 - v) cos(2 pi x v) dv
+    val, err = kr.fourier_W_check(x, k_coeff)
+    ref, ref_err = integrate.quad(
+        lambda v: (float(kr.Q_eval(v)) / v * math.sin(2.0 * math.pi * x * v)
+                   + k_coeff * (1.0 - v) * math.cos(2.0 * math.pi * x * v)),
+        0.0, 1.0, limit=200)
     return val, err, 2.0 * ref, 2.0 * ref_err
 
 
@@ -64,8 +61,8 @@ def _parseval_rhs():
 @pytest.mark.parametrize(
     "site",
     [
-        _pv_exp,
-        _pv_cos,
+        lambda: _fourier_extremal(0.3, 1.0),
+        lambda: _fourier_extremal(-2.4, -1.0),
         lambda: _fourier_w(0.5),
         lambda: _fourier_w(-0.3),
         lambda: _fourier_w(1.7),
@@ -75,20 +72,12 @@ def _parseval_rhs():
         lambda: _family(3, 0.2, 1),
         _parseval_rhs,
     ],
-    ids=["pv_exp", "pv_cos", "fourier_W_half", "fourier_W_-0.3", "fourier_W_1.7", "fourier_W_2.9",
-         "family_1_R10.5", "family_1_R40.5", "family_3_R20.5", "parseval_rhs"],
+    ids=["fourier_B_0.3", "fourier_b_-2.4", "fourier_W_half", "fourier_W_-0.3", "fourier_W_1.7",
+         "fourier_W_2.9", "family_1_R10.5", "family_1_R40.5", "family_3_R20.5", "parseval_rhs"],
 )
 def test_site_matches_reference_within_its_error(site):
     val, err, ref, ref_err = site()
     assert abs(val - ref) <= err + ref_err
-
-
-@pytest.mark.parametrize("site", [_pv_exp, _pv_cos], ids=["pv_exp", "pv_cos"])
-def test_pv_estimate_covers_excluded_piece(site):
-    # the paired integrands 2 sinh(v)/v and 2 cos(v) fall away from 0, so a
-    # Cauchy step alone is short of the excluded [-eps, eps] piece
-    val, err, ref, ref_err = site()
-    assert err >= 1.01 * abs(val - ref) + ref_err
 
 
 @pytest.mark.parametrize("x", [0.5, -0.3, 2.9, 10.0])

@@ -116,7 +116,6 @@ _F1, _G1 = e1.standardized_binomial(16), e1.normal_law()
         (lambda: ip.SampleSet(1.0, 0, (0.0,)), "M"),
         (lambda: ip.SampleSet(1.0, 1, (0.0, 1.0, 0.0), derivatives=(0.0,)), "derivatives"),
         (lambda: ip.SampleSet(1.0, 1, (0.0, 1.0, 0.0), derivatives=(0.0, math.nan, 0.0)), "derivatives"),
-        (lambda: _SAMPLES.derivative(0), "derivatives"),
         (lambda: ip.vaaler_interpolation(_SAMPLES, 0.3), "derivatives"),
         (lambda: ip.cardinal_series(_SAMPLES, 0.3, mode="extended"), "derivatives"),
         (lambda: ip.cardinal_series(_SAMPLES, math.nan), "z"),
@@ -185,7 +184,12 @@ _F1, _G1 = e1.standardized_binomial(16), e1.normal_law()
                      id="constants-nan"),
         pytest.param(lambda: e1.esseen_bound_1d(_F1, _G1, 8.0, constants=(0.25, math.inf)), "constants",
                      id="constants-inf"),
-        pytest.param(lambda: e1.representation_residual("S", 0.3), "which", id="representation-which"),
+        # a mode no route has
+        pytest.param(lambda: em.esseen_bound_truncated(_F2, _G2, (12, 12), delta=8.0, mode="a"), "mode",
+                     id="truncated-mode-unknown"),
+        pytest.param(lambda: kr.W_eval(0.3, mode="bogus"), "mode", id="W-mode-unknown"),
+        pytest.param(lambda: ip.cardinal_series(_SAMPLES, 0.3, mode="bogus"), "mode",
+                     id="cardinal-mode-unknown"),
     ],
 )
 def test_bad_parameter_named(call, name):
